@@ -19,7 +19,7 @@ import time
 from itertools import combinations
 
 from . import __version__
-from .exact import GF, QQ, ZZ, IntPoly, ZT
+from .exact import QQ, ZZ, _is_prime
 from . import exterior as ext
 from . import fock
 from . import grassmann as gr
@@ -36,12 +36,26 @@ def check(name: str, ok: bool, **witness) -> dict:
     return {"name": name, "status": "pass" if bool(ok) else "fail", "witness": witness}
 
 
+def _bounded(value: int, flag: str, lo: int, hi: int | None = None) -> int:
+    """An explicitly given integer flag, or a usage error when it is out of range."""
+    if value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise UsageError(f"--{flag} must be {bound}, got {value}")
+    return value
+
+
+def _prime(p: int) -> int:
+    if not _is_prime(p):
+        raise UsageError(f"--p must be prime, got {p}")
+    return p
+
+
 # ---------------------------------------------------------------------------
 # suites
 
 
 def suite_clifford(args) -> list:
-    n = args.n or 5
+    n = 5 if args.n is None else _bounded(args.n, "n", 1)
     checks = []
     ring = ZZ
     keys = [tuple(c) for r in range(n + 1) for c in combinations(range(1, n + 1), r)]
@@ -63,7 +77,7 @@ def suite_clifford(args) -> list:
     checks.append(check(f"finite-clifford-relations-n{n}", bad == 0,
                         basis_vectors=len(keys), index_pairs=n * n, violations=bad))
 
-    size_cap = args.size if args.size is not None else 6
+    size_cap = 6 if args.size is None else _bounded(args.size, "size", 0)
     lo, hi = -4, 6
     bad = 0
     count = 0
@@ -95,7 +109,7 @@ def _dict_sum(a: dict, b: dict) -> dict:
 
 
 def suite_signs(args) -> list:
-    n = args.n or 5
+    n = 5 if args.n is None else _bounded(args.n, "n", 1)
     univ = range(1, n + 1)
     allsub = [tuple(c) for r in range(n + 1) for c in combinations(univ, r)]
     basis = allsub
@@ -164,18 +178,16 @@ def suite_signs(args) -> list:
 
 def suite_pluecker_ideal(args) -> list:
     cases = [(1, 4), (2, 4), (2, 5), (3, 6)]
-    if args.k is not None and args.n is not None:
-        cases = [(args.k, args.n)]
+    if (args.k is None) != (args.n is None):
+        raise UsageError("--k and --n are given together or not at all")
+    if args.n is not None:
+        n = _bounded(args.n, "n", 1)
+        cases = [(_bounded(args.k, "k", 0, n), n)]
     checks = []
     for k, n in cases:
-        index = gr.grassmann_pair_index(k, n)
-        pl = gr.vectors_over(index, gr.plucker_quadrics(k, n))
-        om = gr.vectors_over(index, gr.omega_quadric_functionals(k, n))
-        from .exact import lattice_equal, lattice_rank
-        equal = lattice_equal(pl, om) if index else True
+        equal, plucker_rank, omega_rank = gr.degree2_ideal_equal(k, n)
         checks.append(check(f"degree2-lattice-gr{k}-{n}", equal,
-                            plucker_rank=lattice_rank(pl, len(index)),
-                            omega_rank=lattice_rank(om, len(index))))
+                            plucker_rank=plucker_rank, omega_rank=omega_rank))
     inc = (2, 1, 4)
     checks.append(check("degree2-lattice-incidence-2-1-4",
                         gr.incidence_degree2_ideal_equal(*inc)))
@@ -212,8 +224,8 @@ def _random_ext(rng, n, k, ring):
 
 
 def suite_det_identity(args) -> list:
-    ns = (2, 3, 4) if args.n is None else (args.n,)
-    kmax = args.k or 5
+    ns = (2, 3, 4) if args.n is None else (_bounded(args.n, "n", 1),)
+    kmax = 5 if args.k is None else _bounded(args.k, "k", 1)
     checks = []
     for n in ns:
         dets = sf.det_coeffs_principal_nilpotent(n, kmax)
@@ -224,8 +236,8 @@ def suite_det_identity(args) -> list:
 
 
 def suite_shuffle_span(args) -> list:
-    ns = (2, 3) if args.n is None else (args.n,)
-    mmax = args.size or 10
+    ns = (2, 3) if args.n is None else (_bounded(args.n, "n", 2),)
+    mmax = 10 if args.size is None else _bounded(args.size, "size", 0)
     checks = []
     for n in ns:
         ok = True
@@ -241,8 +253,8 @@ def suite_shuffle_span(args) -> list:
 
 
 def suite_straighten(args) -> list:
-    ns = (2, 3) if args.n is None else (args.n,)
-    smax = args.size or 10
+    ns = (2, 3) if args.n is None else (_bounded(args.n, "n", 2),)
+    smax = 10 if args.size is None else _bounded(args.size, "size", 0)
     checks = []
     for n in ns:
         violations = []
@@ -269,8 +281,8 @@ def suite_straighten(args) -> list:
 
 
 def suite_kf(args) -> list:
-    ns = (2, 3) if args.n is None else (args.n,)
-    smax = args.size or 6
+    ns = (2, 3) if args.n is None else (_bounded(args.n, "n", 2),)
+    smax = 6 if args.size is None else _bounded(args.size, "size", 0)
     checks = []
     for n in ns:
         for s in range(0, smax + 1):
@@ -290,8 +302,8 @@ def _jordan_types(nmax):
 
 
 def suite_fpoints(args) -> list:
-    ps = (args.p,) if args.p else (2, 3)
-    nmax = args.dim or 4
+    ps = (2, 3) if args.p is None else (_prime(args.p),)
+    nmax = 4 if args.dim is None else _bounded(args.dim, "dim", 1)
     budget = args.budget
     checks = []
     rows = []
@@ -309,8 +321,8 @@ def suite_fpoints(args) -> list:
 
 
 def suite_tangent(args) -> list:
-    p = args.p or 2
-    nmax = args.dim or 5
+    p = 2 if args.p is None else _prime(args.p)
+    nmax = 5 if args.dim is None else _bounded(args.dim, "dim", 1)
     budget = args.budget
     checks = []
     for blocks in _jordan_types(nmax):
@@ -344,8 +356,8 @@ def suite_tangent(args) -> list:
 
 
 def suite_ndominance(args) -> list:
-    ns = (2, 3) if args.n is None else (args.n,)
-    smax = args.size or 8
+    ns = (2, 3) if args.n is None else (_bounded(args.n, "n", 2),)
+    smax = 8 if args.size is None else _bounded(args.size, "size", 0)
     checks = []
     for n in ns:
         for s in range(0, smax + 1):
@@ -365,12 +377,12 @@ def suite_ndominance(args) -> list:
 def suite_export_generators(args) -> list:
     target = args.target or "sato"
     if target == "sato":
-        n = args.n or 2
-        window = args.size or 4
+        n = 2 if args.n is None else _bounded(args.n, "n", 2)
+        window = 4 if args.size is None else _bounded(args.size, "size", 0)
         text = klmw.emit_sato_shuffle_generators(n, window)
     elif target == "tshuffle":
         blocks = args.jordan or (4,)
-        k = args.k if args.k is not None else 2
+        k = 2 if args.k is None else _bounded(args.k, "k", 1, sum(blocks))
         text = klmw.emit_t_shuffle_generators(gr.jordan_matrix(blocks), k)
     else:
         raise UsageError(f"unknown export target {target!r}")

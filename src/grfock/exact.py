@@ -1,5 +1,7 @@
 """Exact arithmetic kernel: rationals, prime fields, Z[t], cyclotomic quotients,
-integer matrices with Hermite normal form, and unitriangular inversion over Z[t].
+the one determinant and minor routine of the package (``minors``, with ``det``
+its entry on a square grid), integer matrices with Hermite normal form, and
+unitriangular inversion over Z[t].
 
 Scalars form a closed set of ring roles.  Elements of different rings never
 coerce into each other (a PrimeField value added to a Fraction is a TypeError);
@@ -379,18 +381,6 @@ class _IntPolyRing(Ring):
         return x.is_zero()
 
 
-class CyclotomicRing(Ring):
-    def __init__(self, n: int):
-        self.n = n
-        self.name = f"ZZ[t]/Phi_{n}"
-
-    def from_int(self, k):
-        return Cyclo(IntPoly.const(k), self.n)
-
-    def is_zero(self, x):
-        return x.is_zero()
-
-
 ZZ = _IntegerRing()
 QQ = _RationalField()
 ZT = _IntPolyRing()
@@ -399,6 +389,44 @@ ZT = _IntPolyRing()
 @lru_cache(maxsize=None)
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
+
+
+# ---------------------------------------------------------------------------
+# minors and determinants
+
+
+def minors(rows, one=1) -> dict:
+    """The nonzero maximal minors of a k x n matrix, {sorted column k-tuple: value}.
+
+    One division-free Laplace pass down the rows: the table of minors on the
+    first r rows is expanded along row r + 1, so a minor on columns S + {j}
+    gains (-1)^#{s in S : s > j} * minor(S) * rows[r][j].  Only ring operations
+    and truth tests touch the entries, so any commutative ring whose elements
+    are falsy exactly at zero works, zero divisors included.  ``one`` is the
+    ring's unit and the value of the empty minor; an int entry is lifted into
+    the ring by its first product with it.
+    """
+    table = {(): one}
+    for row in rows:
+        grown: dict = {}
+        for cols, m in table.items():
+            t = 0  # columns of cols below j
+            for j, x in enumerate(row):
+                if t < len(cols) and cols[t] == j:
+                    t += 1
+                    continue
+                if not x:
+                    continue
+                key = cols[:t] + (j,) + cols[t:]
+                term = m * x if (len(cols) - t) % 2 == 0 else -(m * x)
+                grown[key] = grown[key] + term if key in grown else term
+        table = {key: m for key, m in grown.items() if m}
+    return table
+
+
+def det(grid, one=1):
+    """Determinant of a square grid: its single maximal minor."""
+    return minors(grid, one).get(tuple(range(len(grid))), one - one)
 
 
 # ---------------------------------------------------------------------------
@@ -483,22 +511,20 @@ def lattice_equal(a, b) -> bool:
     if not lengths:
         return True
     ncols = lengths.pop()
+    return lattice_basis(a, ncols) == lattice_basis(b, ncols)
 
-    def normal_rows(vecs):
-        if not vecs:
-            return ()
-        h, rank = hermite_normal_form(IntMatrix.from_rows(vecs, ncols))
-        return h.entries[:rank]
 
-    return normal_rows(a) == normal_rows(b)
+def lattice_basis(vecs, ncols: int | None = None) -> tuple:
+    """The nonzero rows of the Hermite normal form: a canonical basis of the Z-span."""
+    vecs = [tuple(v) for v in vecs]
+    if not vecs:
+        return ()
+    h, rank = hermite_normal_form(IntMatrix.from_rows(vecs, ncols))
+    return h.entries[:rank]
 
 
 def lattice_rank(vecs, ncols: int | None = None) -> int:
-    vecs = [tuple(v) for v in vecs]
-    if not vecs:
-        return 0
-    _, rank = hermite_normal_form(IntMatrix.from_rows(vecs, ncols))
-    return rank
+    return len(lattice_basis(vecs, ncols))
 
 
 # ---------------------------------------------------------------------------

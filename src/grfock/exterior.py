@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .exact import Ring, ZZ
+from .exact import Ring, ZZ, minors
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +42,8 @@ def sgn_IJK(I, J, K) -> int:
 def epsilon_d(J, K, d: int, universe=None) -> int:
     """sgn(J,I,K) * sgn(K,I) for any I containing K with |I| = d.
 
-    Independence of the auxiliary I is asserted by evaluating on two choices.
+    Independence of the auxiliary I is checked by evaluating on two choices;
+    ArithmeticError if they differ.
     """
     J, K = set(J), set(K)
     if not K <= J:
@@ -59,7 +60,8 @@ def epsilon_d(J, K, d: int, universe=None) -> int:
     for pick in (fillers[:need], fillers[1 : need + 1]):
         I = K | set(pick)
         values.add(sgn_IJK(J, I, K) * sgn_KJ(K, I))
-    assert len(values) == 1, "epsilon depends on the auxiliary set"
+    if len(values) != 1:
+        raise ArithmeticError("epsilon depends on the auxiliary set")
     return values.pop()
 
 
@@ -252,10 +254,6 @@ def add_operators(S, T, ring: Ring = ZZ) -> tuple:
     return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(S, T))
 
 
-def scale_operator(c, T) -> tuple:
-    return tuple(tuple(c * x for x in row) for row in T)
-
-
 def compose_operators(S, T, ring: Ring = ZZ) -> tuple:
     n = len(S)
     return tuple(
@@ -264,41 +262,24 @@ def compose_operators(S, T, ring: Ring = ZZ) -> tuple:
     )
 
 
-def operator_minor(T, rows, cols, ring: Ring) -> object:
-    """det of the square submatrix on the given sorted index lists (1-based)."""
-    rs, cs = list(rows), list(cols)
-    if not rs:
-        return ring.one
+def wedge_image(T, J, ring: Ring = ZZ) -> dict:
+    """T e_J = sum_I det(T[I, J]) e_I, as {sorted 1-based index tuple I: nonzero det}.
 
-    def rec(rr, cc):
-        if len(rr) == 1:
-            return T[rr[0] - 1][cc[0] - 1]
-        total = ring.zero
-        sign = 1
-        for t, r in enumerate(rr):
-            piv = T[r - 1][cc[0] - 1]
-            if not ring.is_zero(piv):
-                sub = rec(rr[:t] + rr[t + 1 :], cc[1:])
-                term = piv * sub
-                total = total + (term if sign > 0 else -term)
-            sign = -sign
-        return total
-
-    return rec(rs, cs)
+    One minor pass over the columns of T at J, read as rows (a determinant
+    does not change under transposition).
+    """
+    columns = [[row[j - 1] for row in T] for j in J]
+    return {tuple(i + 1 for i in I): m for I, m in minors(columns, ring.one).items()}
 
 
 def wedge_apply(T, v: ExtTensor) -> ExtTensor:
     """Apply T to every wedge factor: the k-th exterior power of T."""
     out: dict = {}
-    ring = v.ring
     for key, c in v.coeffs.items():
-        for target in combinations(range(1, v.n + 1), v.k):
-            m = operator_minor(T, target, key, ring)
-            if ring.is_zero(m):
-                continue
+        for target, m in wedge_image(T, key, v.ring).items():
             val = c * m
             out[target] = out[target] + val if target in out else val
-    return ExtTensor(v.n, v.k, out, ring)
+    return ExtTensor(v.n, v.k, out, v.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +328,7 @@ def omega_T_apply(d: int, T, tt: TwoTensor) -> TwoTensor:
             if right is None:
                 continue
             sr, b2 = right
-            # expand T e_I = sum_J det(T[J, I]) e_J over sorted d-subsets J
-            for J in combinations(range(1, tt.n + 1), d):
-                m = operator_minor(T, J, I, ring)
-                if ring.is_zero(m):
-                    continue
+            for J, m in wedge_image(T, I, ring).items():
                 left = ext_word_on_key(subset_word(J, False), a)
                 if left is None:
                     continue
@@ -400,10 +377,7 @@ def t_shuffle(d: int, T, tau: ExtTensor, check: bool = False) -> ExtTensor:
             if res is None:
                 continue
             sj, key2 = res
-            for I in combinations(range(1, tau.n + 1), d):
-                m = operator_minor(T, I, J, ring)
-                if ring.is_zero(m):
-                    continue
+            for I, m in wedge_image(T, J, ring).items():
                 left = ext_word_on_key(subset_word(I, False), key2)
                 if left is None:
                     continue
@@ -411,8 +385,8 @@ def t_shuffle(d: int, T, tau: ExtTensor, check: bool = False) -> ExtTensor:
                 val = c * m * (si * sj)
                 out[key3] = out[key3] + val if key3 in out else val
     result = ExtTensor(tau.n, tau.k, out, ring)
-    if check:
-        assert result == t_shuffle_subset_form(d, T, tau), "shuffle formulas disagree"
+    if check and result != t_shuffle_subset_form(d, T, tau):
+        raise ArithmeticError("shuffle formulas disagree")
     return result
 
 
@@ -473,7 +447,8 @@ def sym_operator_apply(f, T, tau: ExtTensor) -> ExtTensor:
     """
     from .symfunc import SymPoly, is_symmetric
 
-    assert isinstance(f, SymPoly)
+    if not isinstance(f, SymPoly):
+        raise TypeError("need a SymPoly")
     if f.nvars != tau.k:
         raise ValueError(f"need a symmetric polynomial in exactly {tau.k} variables")
     if not is_symmetric(f):

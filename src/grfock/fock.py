@@ -83,10 +83,6 @@ def basis_vector(p: Partition, ring: Ring = ZZ, dual: bool = False) -> FockVecto
     return FockVector(0, {m: ring.one}, ring, dual)
 
 
-def zero_vector(charge: int, ring: Ring = ZZ, dual: bool = False) -> FockVector:
-    return FockVector(charge, {}, ring, dual)
-
-
 # ---------------------------------------------------------------------------
 # generator actions on a single diagram
 

@@ -1,6 +1,6 @@
 """Pluecker generators, degree-2 ideal comparison against the KP two-tensors,
 invariant-subspace schemes at the level of generators and finite-field points,
-tangent-space probes, and the Sato-truncation model.
+and tangent-space probes.
 
 Finite-field point enumeration works with plain ints reduced mod p for speed;
 everything signed goes through the exterior-algebra Clifford compositions.
@@ -11,14 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .exact import Ring, ZZ, GF, lattice_equal, lattice_rank
+from .exact import Ring, ZZ, GF, lattice_basis, lattice_equal, minors
 from .exterior import (
     ExtTensor,
     ext_word_on_key,
-    operator_minor,
     subset_word,
     sort_with_sign,
     t_shuffle,
+    wedge_image,
 )
 
 
@@ -30,14 +30,18 @@ class BudgetError(RuntimeError):
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
+    if q < 2:
+        raise ValueError(f"need q >= 2, got {q}")
     if k < 0 or k > n:
         return 0
     num = den = 1
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
-    return num // den
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise ArithmeticError(f"[{n} choose {k}]_{q} is not an integer")
+    return quotient
 
 
 # ---------------------------------------------------------------------------
@@ -110,70 +114,18 @@ def enumerate_points(p: int, n: int, k: int, max_points: int = DEFAULT_POINT_BUD
 
 def wedge_of_rows(rows, n: int, ring: Ring = ZZ) -> ExtTensor:
     """row_1 ^ ... ^ row_k as an ExtTensor; coefficients are the k x k minors."""
-    k = len(rows)
-    coeffs = {}
-    for cols in combinations(range(1, n + 1), k):
-        grid = [[rows[r][c - 1] for c in cols] for r in range(k)]
-        m = _det_ring(grid, ring)
-        if not ring.is_zero(m):
-            coeffs[cols] = m
-    return ExtTensor(n, k, coeffs, ring)
-
-
-def _det_ring(grid, ring: Ring):
-    n = len(grid)
-    if n == 0:
-        return ring.one
-
-    def rec(rows, cols):
-        if len(rows) == 1:
-            x = grid[rows[0]][cols[0]]
-            return x if not isinstance(x, int) else ring.from_int(x)
-        total = ring.zero
-        sign = 1
-        for t, r in enumerate(rows):
-            x = grid[r][cols[0]]
-            if isinstance(x, int):
-                x = ring.from_int(x)
-            if not ring.is_zero(x):
-                term = x * rec(rows[:t] + rows[t + 1 :], cols[1:])
-                total = total + term if sign > 0 else total - term
-            sign = -sign
-        return total
-
-    return rec(tuple(range(n)), tuple(range(n)))
+    coeffs = {tuple(c + 1 for c in cols): m for cols, m in minors(rows, ring.one).items()}
+    return ExtTensor(n, len(rows), coeffs, ring)
 
 
 def plucker_vector(basis: SubspaceBasis) -> dict:
-    """Minor table {k-subset of 1..n -> int in [0,p)} of an echelon basis."""
-    p, n, k = basis.p, basis.n, basis.k
-    out = {}
-    for cols in combinations(range(1, n + 1), k):
-        grid = [[basis.rows[r][c - 1] for c in cols] for r in range(k)]
-        d = _det_modp(grid, p)
-        if d:
-            out[cols] = d
-    return out
+    """Minor table {k-subset of 1..n -> int in [0,p)} of an echelon basis.
 
-
-def _det_modp(grid, p: int) -> int:
-    m = [list(row) for row in grid]
-    n = len(m)
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        inv = pow(m[col][col], p - 2, p)
-        det = det * m[col][col] % p
-        for r in range(col + 1, n):
-            if m[r][col] % p:
-                f = m[r][col] * inv % p
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[col])]
-    return det % p
+    The minors are taken over Z and reduced mod p after the pass.
+    """
+    p = basis.p
+    return {tuple(c + 1 for c in cols): m % p
+            for cols, m in minors(basis.rows).items() if m % p}
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +204,8 @@ def omega_functional(C: tuple, D: tuple, d: int, n: int, T=None) -> dict:
         res = ext_word_on_key(subset_word(I, True), B)
         assert res is not None and res[1] == D
         sign_r = res[0]
-        if T is None:
-            targets = [(I, 1)]
-        else:
-            targets = []
-            for J in combinations(range(1, n + 1), d):
-                m = operator_minor(T, J, I, ZZ)
-                if m:
-                    targets.append((J, m))
-        for J, weight in targets:
+        targets = {I: 1} if T is None else wedge_image(T, I)
+        for J, weight in targets.items():
             if not set(J) <= set(C):
                 continue
             A = tuple(sorted(set(C) - set(J)))
@@ -331,12 +276,13 @@ def vectors_over(index: list, dicts: list) -> list:
     return out
 
 
-def degree2_ideal_equal(k: int, n: int) -> bool:
-    """Pluecker lattice == KP-two-tensor lattice inside degree-2 coordinates."""
+def degree2_ideal_equal(k: int, n: int) -> tuple[bool, int, int]:
+    """(Pluecker lattice == KP-two-tensor lattice, Pluecker rank, KP rank) inside
+    the degree-2 coordinates, from one Hermite normal form per side."""
     index = grassmann_pair_index(k, n)
-    pl = vectors_over(index, plucker_quadrics(k, n))
-    om = vectors_over(index, omega_quadric_functionals(k, n))
-    return lattice_equal(pl, om) if index else True
+    pl = lattice_basis(vectors_over(index, plucker_quadrics(k, n)), len(index))
+    om = lattice_basis(vectors_over(index, omega_quadric_functionals(k, n)), len(index))
+    return pl == om, len(pl), len(om)
 
 
 def incidence_degree2_ideal_equal(k: int, l: int, n: int) -> bool:
@@ -355,7 +301,8 @@ def jordan_matrix(blocks, n: int | None = None) -> tuple:
     total = sum(blocks)
     if n is None:
         n = total
-    assert total == n
+    if total != n:
+        raise ValueError(f"Jordan blocks {tuple(blocks)} do not sum to {n}")
     rows = [[0] * n for _ in range(n)]
     start = 0
     for b in blocks:
@@ -443,15 +390,6 @@ def _st_member(plucker: dict, sh_mats: list, p: int) -> bool:
 
 def gt_points(T, k: int, p: int, max_points: int = DEFAULT_POINT_BUDGET) -> list:
     return [U for U in enumerate_points(p, len(T), k, max_points) if is_invariant(U, T)]
-
-
-def st_points(T, k: int, p: int, max_points: int = DEFAULT_POINT_BUDGET) -> list:
-    sh = shuffle_matrices_modp(T, k, p)
-    out = []
-    for U in enumerate_points(p, len(T), k, max_points):
-        if _st_member(plucker_vector(U), sh, p):
-            out.append(U)
-    return out
 
 
 def fpoints_row(T, k: int, p: int, max_points: int = DEFAULT_POINT_BUDGET) -> dict:
@@ -543,41 +481,3 @@ def _rank_modp(rows, p: int) -> int:
         if rank == len(m):
             break
     return rank
-
-
-# ---------------------------------------------------------------------------
-# the Sato truncation model
-
-
-@dataclass(frozen=True)
-class TruncationModel:
-    """V_[-N,N) with the shift-by-n operator; beads -N..N-1 map to indices 1..2N."""
-
-    N: int
-    n: int
-    shift: tuple
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.N
-
-    def index_of_bead(self, i: int) -> int:
-        assert -self.N <= i < self.N
-        return i + self.N + 1
-
-    def bead_of_index(self, idx: int) -> int:
-        return idx - self.N - 1
-
-    def vdim(self, subspace_dim: int) -> int:
-        return self.N - subspace_dim
-
-
-def truncation_model(N: int, n: int) -> TruncationModel:
-    if N < 1:
-        raise ValueError("need N >= 1")
-    dim = 2 * N
-    rows = [[0] * dim for _ in range(dim)]
-    for i in range(-N, N):
-        if i + n < N:
-            rows[(i + n) + N][i + N] = 1
-    return TruncationModel(N, n, tuple(tuple(r) for r in rows))

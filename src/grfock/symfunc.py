@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
-from .exact import IntPoly, PolyMatrix, Ring, QQ, invert_unitriangular
+from .exact import IntPoly, PolyMatrix, Ring, QQ, det, invert_unitriangular
 from .partitions import MayaDiagram, Partition, is_n_regular, partitions_of
 
 
@@ -53,6 +53,9 @@ class SymPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def __add__(self, other: "SymPoly") -> "SymPoly":
         assert self.nvars == other.nvars
         out = dict(self.coeffs)
@@ -60,8 +63,11 @@ class SymPoly:
             out[exp] = out.get(exp, 0) + c
         return SymPoly(self.nvars, out, max(self.degree_bound, other.degree_bound))
 
+    def __neg__(self) -> "SymPoly":
+        return self.scale(-1)
+
     def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self + other.scale(-1)
+        return self + (-other)
 
     def scale(self, c) -> "SymPoly":
         return SymPoly(self.nvars, {e: c * v for e, v in self.coeffs.items()}, self.degree_bound)
@@ -129,59 +135,19 @@ def h_poly(k: int, nvars: int) -> SymPoly:
     return out
 
 
-def _det_grid(grid, zero, one):
-    """Determinant by first-row expansion with memo on column subsets."""
-    n = len(grid)
-    if n == 0:
-        return one
-    memo: dict = {}
-
-    def rec(r: int, cols: tuple):
-        if r == n:
-            return one
-        key = (r, cols)
-        if key in memo:
-            return memo[key]
-        total = zero
-        sign = 1
-        for t, j in enumerate(cols):
-            entry = grid[r][j]
-            if not _looks_zero(entry):
-                sub = rec(r + 1, cols[:t] + cols[t + 1 :])
-                term = entry * sub
-                total = total + term if sign > 0 else total - term
-            sign = -sign
-        memo[key] = total
-        return total
-
-    return rec(0, tuple(range(n)))
-
-
-def _looks_zero(x) -> bool:
-    if isinstance(x, SymPoly):
-        return x.is_zero()
-    if hasattr(x, "is_zero"):
-        return x.is_zero()
-    return x == 0
-
-
 def s_poly(lam: Partition, nvars: int) -> SymPoly:
     """Schur polynomial via the Jacobi-Trudi determinant det(h_{lam_i - i + j})."""
     lam = tuple(lam)
     if sum(lam) > nvars:
         raise DegreeOverflowError(f"degree {sum(lam)} exceeds the stable range of {nvars} variables")
     ell = len(lam)
-    if ell == 0:
-        return SymPoly(nvars, {(0,) * nvars: 1})
-    grid = []
+    one = SymPoly(nvars, {(0,) * nvars: 1})
     zero = SymPoly(nvars, {})
-    for i in range(1, ell + 1):
-        row = []
-        for j in range(1, ell + 1):
-            d = lam[i - 1] - i + j
-            row.append(h_poly(d, nvars) if d >= 0 else zero)
-        grid.append(row)
-    return _det_grid(grid, zero, SymPoly(nvars, {(0,) * nvars: 1}))
+    # grid row j is column j of the Jacobi-Trudi matrix: the minors of its
+    # first rows then have degree at most |lam| and stay in the stable range
+    grid = [[h_poly(lam[i] - i + j, nvars) if lam[i] - i + j >= 0 else zero for i in range(ell)]
+            for j in range(ell)]
+    return det(grid, one)
 
 
 def sym_basis(kind: str, index, nvars: int, degree_bound: int | None = None) -> SymPoly:
@@ -404,6 +370,9 @@ class HPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = HPoly.const(other)
@@ -467,18 +436,32 @@ class HPoly:
         return " + ".join(parts)
 
 
-def _series_mul(a: list, b: list, K: int) -> list:
-    """Product of two HPoly series truncated at s^K (lists indexed by s-power)."""
-    out = [HPoly() for _ in range(K + 1)]
-    for i, ai in enumerate(a):
-        if ai.is_zero() or i > K:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > K:
-                break
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
-    return out
+@dataclass(frozen=True)
+class _HSeries:
+    """A power series in s with HPoly coefficients, truncated after s^K."""
+
+    terms: tuple  # coefficients of s^0 .. s^K
+
+    def __bool__(self):
+        return any(self.terms)
+
+    def __add__(self, other: "_HSeries") -> "_HSeries":
+        return _HSeries(tuple(a + b for a, b in zip(self.terms, other.terms)))
+
+    def __neg__(self) -> "_HSeries":
+        return _HSeries(tuple(-a for a in self.terms))
+
+    def __sub__(self, other: "_HSeries") -> "_HSeries":
+        return self + (-other)
+
+    def __mul__(self, other: "_HSeries") -> "_HSeries":
+        out = [HPoly()] * len(self.terms)
+        for i, a in enumerate(self.terms):
+            if a:
+                for j, b in enumerate(other.terms[: len(out) - i]):
+                    if b:
+                        out[i + j] = out[i + j] + a * b
+        return _HSeries(tuple(out))
 
 
 def det_coeffs_principal_nilpotent(n: int, K: int) -> list:
@@ -489,31 +472,16 @@ def det_coeffs_principal_nilpotent(n: int, K: int) -> list:
     """
     if n < 1 or K < 1:
         raise ValueError("need n >= 1 and K >= 1")
-    entries = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            series = []
-            for w in range(K + 1):
-                k = (j - i) + n * w
-                if k < 0:
-                    series.append(HPoly())
-                elif k == 0:
-                    series.append(HPoly.const(1))
-                else:
-                    series.append(HPoly.gen(k))
-            row.append(series)
-        entries.append(row)
-    total = [HPoly() for _ in range(K + 1)]
-    for perm in permutations(range(n)):
-        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
-        prod = [HPoly.const(1)] + [HPoly() for _ in range(K)]
-        for i in range(n):
-            prod = _series_mul(prod, entries[i][perm[i]], K)
-        for w in range(K + 1):
-            total[w] = total[w] + (prod[w] if inversions % 2 == 0 else -prod[w])
-    assert total[0] == HPoly.const(1)
-    return total[1:]
+
+    def h(k: int) -> HPoly:
+        return HPoly() if k < 0 else HPoly.const(1) if k == 0 else HPoly.gen(k)
+
+    grid = [[_HSeries(tuple(h(j - i + n * w) for w in range(K + 1))) for j in range(n)]
+            for i in range(n)]
+    total = det(grid, _HSeries((HPoly.const(1),) + (HPoly(),) * K)).terms
+    if total[0] != HPoly.const(1):
+        raise ArithmeticError(f"constant term of the determinant is {total[0]!r}, not 1")
+    return list(total[1:])
 
 
 def z_of(lam: Partition) -> int:
@@ -556,6 +524,13 @@ def twist_in_h_basis(n: int, k: int) -> HPoly:
 # Toeplitz minors
 
 
+def _h_at(hvals: dict, d: int, ring: Ring):
+    """h_d at the given values of h_1, h_2, ...: 0 below degree 0, 1 in degree 0."""
+    if d < 0:
+        return ring.zero
+    return ring.one if d == 0 else hvals.get(d, ring.zero)
+
+
 def toeplitz_minor(hvals: dict, m: MayaDiagram, ring: Ring = QQ):
     """Minor of the upper-triangular Toeplitz matrix (entries h_{j-i}) on
     columns 0,1,2,... and rows the beads of m, reduced to a finite determinant.
@@ -565,33 +540,15 @@ def toeplitz_minor(hvals: dict, m: MayaDiagram, ring: Ring = QQ):
     if m.charge != 0:
         raise ValueError("Toeplitz minors are taken at charge 0")
     L = len(m.mu)
-    if L == 0:
-        return ring.one
-
-    def h(d: int):
-        if d < 0:
-            return ring.zero
-        if d == 0:
-            return ring.one
-        return hvals.get(d, ring.zero)
-
-    grid = [[h((j - 1) - m.bead(r)) for j in range(1, L + 1)] for r in range(1, L + 1)]
-    return _det_grid(grid, ring.zero, ring.one)
+    grid = [[_h_at(hvals, (j - 1) - m.bead(r), ring) for j in range(1, L + 1)]
+            for r in range(1, L + 1)]
+    return det(grid, ring.one)
 
 
 def jacobi_trudi_value(lam: Partition, hvals: dict, ring: Ring = QQ):
     """det(h_{lam_i - i + j}) evaluated at the given h-values (test oracle)."""
     lam = tuple(lam)
-    if not lam:
-        return ring.one
-
-    def h(d: int):
-        if d < 0:
-            return ring.zero
-        if d == 0:
-            return ring.one
-        return hvals.get(d, ring.zero)
-
     ell = len(lam)
-    grid = [[h(lam[i - 1] - i + j) for j in range(1, ell + 1)] for i in range(1, ell + 1)]
-    return _det_grid(grid, ring.zero, ring.one)
+    grid = [[_h_at(hvals, lam[i - 1] - i + j, ring) for j in range(1, ell + 1)]
+            for i in range(1, ell + 1)]
+    return det(grid, ring.one)

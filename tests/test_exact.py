@@ -17,7 +17,9 @@ from grfock.exact import (
     cyclotomic_reduce,
     hermite_normal_form,
     invert_unitriangular,
+    lattice_basis,
     lattice_equal,
+    lattice_rank,
 )
 
 
@@ -252,3 +254,11 @@ def test_invert_unitriangular_degree2_kostka():
     assert kostka_foulkes((2,), (2,)) == IntPoly((1,))
     m = _poly_matrix_from_ints([[1, t], [0, 1]])
     assert invert_unitriangular(m).entries[0][1] == -t
+
+
+def test_lattice_basis_gives_rank_and_equality():
+    a = [(2, 4, 6), (1, 2, 3), (0, 1, 1)]
+    b = [(1, 2, 3), (0, 3, 3)]
+    assert lattice_basis(a) == ((1, 0, 1), (0, 1, 1))
+    assert lattice_rank(a) == 2 and lattice_rank([], 3) == 0
+    assert lattice_equal(a, b) is False and lattice_equal(a, a[1:])

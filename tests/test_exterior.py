@@ -23,7 +23,6 @@ from grfock.exterior import (
     omega_T_apply,
     omega_T_diag,
     operator,
-    operator_minor,
     sgn_IJK,
     sgn_KJ,
     shuffle_generating_identity,
