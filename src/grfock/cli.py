@@ -257,10 +257,11 @@ def suite_straighten(args) -> list:
     smax = 10 if args.size is None else _bounded(args.size, "size", 0)
     checks = []
     for n in ns:
+        memo: dict = {}
         violations = []
         for s in range(0, smax + 1):
             for lam in pt.partitions_of(s):
-                coeffs = klmw.straighten_coeffs(lam, n)
+                coeffs = klmw.straighten_coeffs(lam, n, memo)
                 regular = all(pt.is_n_regular(q, n) for q in coeffs)
                 classes = all(pt.weight_class(q, n) == pt.weight_class(lam, n) for q in coeffs)
                 if pt.is_n_regular(lam, n):
@@ -304,7 +305,7 @@ def _jordan_types(nmax):
 def suite_fpoints(args) -> list:
     ps = (2, 3) if args.p is None else (_prime(args.p),)
     nmax = 4 if args.dim is None else _bounded(args.dim, "dim", 1)
-    budget = args.budget
+    budget = _bounded(args.budget, "budget", 0)
     checks = []
     rows = []
     for p in ps:
@@ -323,7 +324,7 @@ def suite_fpoints(args) -> list:
 def suite_tangent(args) -> list:
     p = 2 if args.p is None else _prime(args.p)
     nmax = 5 if args.dim is None else _bounded(args.dim, "dim", 1)
-    budget = args.budget
+    budget = _bounded(args.budget, "budget", 0)
     checks = []
     for blocks in _jordan_types(nmax):
         if all(b == 1 for b in blocks):
@@ -417,7 +418,7 @@ class UsageError(ValueError):
 def list_commands() -> str:
     lines = ["available suites:"]
     lines.extend(f"  {name}" for name in SUITES)
-    lines.append("run `grfock <suite> --help-params` for flags; common flags:")
+    lines.append("run `grfock --help` for flags; common flags:")
     lines.append("  --n --k --p --size --dim --jordan --seed --jobs --out --format --budget")
     return "\n".join(lines)
 

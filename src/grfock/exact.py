@@ -574,16 +574,6 @@ class PolyMatrix:
             rows.append(tuple(row))
         return PolyMatrix(self.labels, tuple(rows))
 
-    def submatrix(self, row_labels, col_labels=None) -> "PolyMatrix | tuple":
-        """Rows (and optionally a square relabeling) by label; general case returns raw rows."""
-        idx = {lab: i for i, lab in enumerate(self.labels)}
-        ri = [idx[lab] for lab in row_labels]
-        ci = [idx[lab] for lab in (col_labels if col_labels is not None else row_labels)]
-        rows = tuple(tuple(self.entries[i][j] for j in ci) for i in ri)
-        if col_labels is None or tuple(row_labels) == tuple(col_labels):
-            return PolyMatrix(tuple(row_labels), rows)
-        return rows
-
 
 def invert_unitriangular(m: PolyMatrix) -> PolyMatrix:
     """Inverse of an upper unitriangular matrix over Z[t]; exact back substitution."""

@@ -1,9 +1,12 @@
 """Charge-graded fermion Fock space over an exact scalar ring.
 
 Vectors are finitely supported tables MayaDiagram -> scalar at a fixed charge.
-Every signed operation (shuffles, power-sum operators, the monomial operator)
-is built by composing the two generator actions psi/psi_star, so there is a
-single source of truth for signs.
+Every signed operation (psi/psi_star, Clifford words, the shuffles, alpha and
+the monomial operator) runs on one bitmask kernel, the single source of
+Fock-side signs: inside a window of slots [lo, hi), a diagram is an int whose
+bit i - lo marks a bead at slot i (slots below lo are holes, slots from hi up
+beads), and psi_i sets that bit, psi*_i clears it, each with sign
+(-1)^(popcount of the bits below it).  MayaDiagram stays the public type.
 
 Charge bookkeeping follows the storage convention i_k = (k-1) + charge - mu_k:
 adding a wedge factor (psi) lowers the stored charge by one, removing one
@@ -36,18 +39,18 @@ class FockVector:
     dual: bool = False
 
     def __post_init__(self):
-        clean = {}
-        for m, c in self.coeffs.items():
-            assert m.charge == self.charge, "mixed charges in one vector"
-            if not self.ring.is_zero(c):
-                clean[m] = c
-        self.coeffs = clean
+        for m in self.coeffs:
+            if m.charge != self.charge:
+                raise ValueError(f"diagram of charge {m.charge} in a charge-{self.charge} vector")
+        if not all(self.coeffs.values()):
+            self.coeffs = {m: c for m, c in self.coeffs.items() if c}
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        assert self.charge == other.charge and self.dual == other.dual
+        if (self.charge, self.dual) != (other.charge, other.dual):
+            raise ValueError("adding vectors of different charge or duality")
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             out[m] = out[m] + c if m in out else c
@@ -70,9 +73,6 @@ class FockVector:
             and self.coeffs == other.coeffs
         )
 
-    def support_partitions(self) -> tuple:
-        return tuple(sorted(partition_of_maya(m) for m in self.coeffs))
-
     def to_json(self) -> list:
         items = sorted(self.coeffs.items(), key=lambda kv: kv[0].mu)
         return [{"maya": m.to_json(), "coefficient": repr(c)} for m, c in items]
@@ -84,64 +84,97 @@ def basis_vector(p: Partition, ring: Ring = ZZ, dual: bool = False) -> FockVecto
 
 
 # ---------------------------------------------------------------------------
-# generator actions on a single diagram
+# the bitmask kernel
 
 
-def psi_key(i: int, m: MayaDiagram) -> tuple[int, MayaDiagram] | None:
-    """Wedge a factor at slot i: None if occupied, else (sign, diagram).
+def _move(mask: int, sources, targets) -> tuple[int, int] | None:
+    """Clear the bits `sources`, then set the bits `targets`, one at a time in
+    the order given: (sign, mask), or None if a source is clear or a target set.
 
-    The sign is (-1)^(number of beads below i), from normal ordering.
+    psi*_i clears bit i and psi_i sets it, each with sign (-1)^(beads below i),
+    the parity of the bits below it.  This is the only place signs arise.
     """
-    if m.is_bead(i):
-        return None
-    sign = -1 if m.beads_below(i) % 2 else 1
-    hi = max(m.tail_start(), i + 1)
-    below = []
-    k = 1
-    while m.bead(k) < hi:
-        below.append(m.bead(k))
-        k += 1
-    below.append(i)
-    return sign, maya_from_beads(below, hi)
+    odd = 0
+    for b in sources:
+        bit = 1 << b
+        if not mask & bit:
+            return None
+        mask ^= bit
+        odd ^= (mask & (bit - 1)).bit_count()
+    for b in targets:
+        bit = 1 << b
+        if mask & bit:
+            return None
+        odd ^= (mask & (bit - 1)).bit_count()
+        mask |= bit
+    return (-1 if odd & 1 else 1), mask
 
 
-def psi_star_key(i: int, m: MayaDiagram) -> tuple[int, MayaDiagram] | None:
-    """Remove the bead at slot i: None if absent, else (sign, diagram).
+def _apply(v: FockVector, reach: int, moves, charge_shift: int = 0, slot=None) -> FockVector:
+    """Sum of c * (the move on m) over the terms c m of v and the (sources,
+    targets) bit offsets that moves(m, mask, lo) yields.
 
-    The sign is (-1)^(position-1) where position is the 1-based bead index.
+    The window holds the beads of v below its tails, `reach` slots either side
+    (two more above, where leftward candidates end) and `slot`.  Each diagram
+    becomes a mask once; each distinct nonzero output becomes a diagram once,
+    in the order the outputs first appear.
     """
-    pos = m.bead_index(i) if i < m.tail_start() else i - m.tail_start() + len(m.mu) + 1
-    if pos is None:
-        return None
-    sign = -1 if (pos - 1) % 2 else 1
-    hi = max(m.tail_start(), i + 1)
-    below = []
-    k = 1
-    while m.bead(k) < hi:
-        below.append(m.bead(k))
-        k += 1
-    below.remove(i)
-    return sign, maya_from_beads(below, hi)
-
-
-def _apply_key_op(op, v: FockVector, charge_shift: int) -> FockVector:
+    charge = v.charge + charge_shift
+    lo, hi = (None, None) if slot is None else (slot, slot + 1)
+    for m in v.coeffs:
+        first, tail = m.bead(1) - reach, m.tail_start() + reach + 2
+        if lo is None or first < lo:
+            lo = first
+        if hi is None or tail > hi:
+            hi = tail
     out: dict = {}
     for m, c in v.coeffs.items():
-        res = op(m)
-        if res is None:
-            continue
-        sign, m2 = res
-        val = c * sign
-        out[m2] = out[m2] + val if m2 in out else val
-    return FockVector(v.charge + charge_shift, out, v.ring, v.dual)
+        tail = m.tail_start()
+        mask = ((1 << (hi - tail)) - 1) << (tail - lo)
+        for k, part in enumerate(m.mu):
+            mask |= 1 << (k + m.charge - part - lo)
+        for sources, targets in moves(m, mask, lo):
+            res = _move(mask, sources, targets)
+            if res is not None:
+                sign, m2 = res
+                val = c * sign
+                out[m2] = out[m2] + val if m2 in out else val
+    coeffs = {}
+    for mask, c in out.items():
+        if c:
+            tail = (((1 << (hi - lo)) - 1) & ~mask).bit_length()  # every bit from here up is set
+            beads = [lo + b for b in range(tail) if mask >> b & 1]
+            coeffs[maya_from_beads(beads, lo + tail)] = c
+    return FockVector(charge, coeffs, v.ring, v.dual)
+
+
+# ---------------------------------------------------------------------------
+# the generators
 
 
 def psi(i: int, v: FockVector) -> FockVector:
-    return _apply_key_op(lambda m: psi_key(i, m), v, -1)
+    """Wedge a factor at slot i; the sign is (-1)^(number of beads below i)."""
+    return _apply(v, 0, lambda m, mask, lo: (((), (i - lo,)),), -1, i)
 
 
 def psi_star(i: int, v: FockVector) -> FockVector:
-    return _apply_key_op(lambda m: psi_star_key(i, m), v, +1)
+    """Remove the bead at slot i; the sign is (-1)^(number of beads below i)."""
+    return _apply(v, 0, lambda m, mask, lo: (((i - lo,), ()),), +1, i)
+
+
+def _on_key(op, i: int, m: MayaDiagram) -> tuple[int, MayaDiagram] | None:
+    image = op(i, FockVector(m.charge, {m: 1}))
+    return next(((c, m2) for m2, c in image.coeffs.items()), None)
+
+
+def psi_key(i: int, m: MayaDiagram) -> tuple[int, MayaDiagram] | None:
+    """psi_i on one diagram: None if slot i holds a bead, else (sign, diagram)."""
+    return _on_key(psi, i, m)
+
+
+def psi_star_key(i: int, m: MayaDiagram) -> tuple[int, MayaDiagram] | None:
+    """psi*_i on one diagram: None if slot i is a hole, else (sign, diagram)."""
+    return _on_key(psi_star, i, m)
 
 
 CliffordWord = tuple  # of (index, star) pairs, leftmost factor first
@@ -151,36 +184,11 @@ def apply_word(word: CliffordWord, v: FockVector) -> FockVector:
     """Apply a product of generators; the rightmost factor acts first."""
     for index, star in reversed(word):
         v = psi_star(index, v) if star else psi(index, v)
-        if v.is_zero():
-            return v
     return v
-
-
-def _word_on_key(word: CliffordWord, m: MayaDiagram) -> tuple[int, MayaDiagram] | None:
-    sign = 1
-    for index, star in reversed(word):
-        res = psi_star_key(index, m) if star else psi_key(index, m)
-        if res is None:
-            return None
-        s, m = res
-        sign *= s
-    return sign, m
-
-
-def _accumulate(out: dict, m: MayaDiagram, val):
-    out[m] = out[m] + val if m in out else val
 
 
 # ---------------------------------------------------------------------------
 # shuffle operators and the power-sum operators
-
-
-def _move_word(sources, offset: int) -> CliffordWord:
-    """The word psi_{j_d+o} ... psi_{j_1+o} psi*_{j_1} ... psi*_{j_d} for sorted sources."""
-    js = sorted(sources)
-    creators = [(j + offset, False) for j in reversed(js)]
-    annihilators = [(j, True) for j in js]
-    return tuple(creators + annihilators)
 
 
 def _candidate_beads(m: MayaDiagram, n: int, d: int, leftward: bool) -> list:
@@ -198,16 +206,21 @@ def _candidate_beads(m: MayaDiagram, n: int, d: int, leftward: bool) -> list:
 
 
 def _shuffle_apply(n: int, d: int, v: FockVector, offset: int) -> FockVector:
-    out: dict = {}
+    """The word psi_{j_d+o} ... psi_{j_1+o} psi*_{j_1} ... psi*_{j_d} summed
+    over the d-subsets j_1 < ... < j_d of the candidate beads."""
     leftward = offset < 0
-    for m, c in v.coeffs.items():
-        for subset in combinations(_candidate_beads(m, n, d, leftward), d):
-            res = _word_on_key(_move_word(subset, offset), m)
-            if res is None:
+
+    def moves(m, mask, lo):
+        bits = [1 << (b - lo) for b in _candidate_beads(m, n, d, leftward)]
+        for subset in combinations(bits, d):
+            moved = sum(subset)
+            landing = moved >> n if leftward else moved << n
+            if (mask ^ moved) & landing:  # a target is a bead that stays
                 continue
-            sign, m2 = res
-            _accumulate(out, m2, c * sign)
-    return FockVector(v.charge, out, v.ring, v.dual)
+            js = [bit.bit_length() - 1 for bit in subset]
+            yield js[::-1], [j + offset for j in js]
+
+    return _apply(v, n * d, moves)
 
 
 def shuffle(n: int, d: int, v: FockVector) -> FockVector:
@@ -228,15 +241,12 @@ def alpha(d: int, v: FockVector) -> FockVector:
     """Single-bead left shift by d: sum_j psi_{j-d} psi*_j."""
     if d < 1:
         raise ValueError("need d >= 1")
-    out: dict = {}
-    for m, c in v.coeffs.items():
+
+    def moves(m, mask, lo):
         for j in _candidate_beads(m, d, 1, leftward=True):
-            res = _word_on_key(((j - d, False), (j, True)), m)
-            if res is None:
-                continue
-            sign, m2 = res
-            _accumulate(out, m2, c * sign)
-    return FockVector(v.charge, out, v.ring, v.dual)
+            yield (j - lo,), (j - d - lo,)
+
+    return _apply(v, d, moves)
 
 
 # ---------------------------------------------------------------------------
@@ -270,35 +280,23 @@ def monomial_operator(lam: Partition, v: FockVector) -> FockVector:
     lam = tuple(lam)
     if not lam:
         return v
-    out: dict = {}
-    for m, c in v.coeffs.items():
+    reach = sum(lam)
+
+    def moves(m, mask, lo):
         # any surviving multi-move keeps bead indices within sum(lam) of the prefix
-        limit = len(m.mu) + sum(lam) + 2
-        cands = [m.bead(k) for k in range(1, limit + 1)]
-        bead_window = set(cands)
-        tail = cands[-1] + 1
+        cands = [m.bead(k) - lo for k in range(1, len(m.mu) + reach + 3)]
         for placement in _distinct_placements(cands, list(lam)):
-            removed = {b for b, _ in placement}
-            # each target must be a hole or a slot being vacated
-            dead = False
+            removed = targets = 0
             for b, part in placement:
-                t = b - part
-                if t not in removed and (t in bead_window or t >= tail):
-                    dead = True
-                    break
-            if dead:
+                removed |= 1 << b
+                targets |= 1 << (b - part)
+            if targets & mask & ~removed:  # a target is a bead that stays
                 continue
             # fixed representative word: psi_{i_l - a_l} ... psi_{i_1 - a_1} psi*_{i_1} ... psi*_{i_l}
             pairs = sorted(placement)  # by bead; any single representative per orbit works
-            js = [b for b, _ in pairs]
-            creators = [(b - part, False) for b, part in reversed(pairs)]
-            annihilators = [(b, True) for b in js]
-            res = _word_on_key(tuple(creators + annihilators), m)
-            if res is None:
-                continue
-            sign, m2 = res
-            _accumulate(out, m2, c * sign)
-    return FockVector(v.charge, out, v.ring, v.dual)
+            yield [b for b, _ in reversed(pairs)], [b - part for b, part in pairs]
+
+    return _apply(v, reach, moves)
 
 
 def multiply_p_times_m(s: int, lam: Partition) -> dict:
@@ -329,8 +327,10 @@ def multiply_p_times_m(s: int, lam: Partition) -> dict:
 
 def pairing(w: FockVector, v: FockVector):
     """<w, v> for a dual vector w and a primal vector v of the same charge."""
-    assert w.dual and not v.dual
-    assert w.charge == v.charge
+    if not w.dual or v.dual:
+        raise ValueError("pairing needs a dual vector on the left and a primal one on the right")
+    if w.charge != v.charge:
+        raise ValueError("pairing vectors of different charge")
     ring = v.ring
     total = ring.zero
     for m, c in w.coeffs.items():

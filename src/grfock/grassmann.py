@@ -75,9 +75,6 @@ class SubspaceBasis:
                 v = [(x - c * y) % self.p for x, y in zip(v, row)]
         return tuple(x % self.p for x in v)
 
-    def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
-
 
 def enumerate_points(p: int, n: int, k: int, max_points: int = DEFAULT_POINT_BUDGET):
     """Every k-plane in F_p^n exactly once, canonical reduced-echelon order."""

@@ -46,21 +46,19 @@ class StraighteningResult:
         return f"StraighteningResult({self.partition}, n={self.n}, {self.coeffs})"
 
 
-_memo: dict = {}
-
-
-def straighten_coeffs(lam: Partition, n: int, _trace: list | None = None) -> dict:
+def straighten_coeffs(lam: Partition, n: int, memo: dict, trace: list | None = None) -> dict:
     """Integer coefficients of s*_lam modulo the shuffle relations, on the
-    n-regular dual basis.  Memoized; each non-regular partition has a unique
-    (ell, rho) rewrite, so the result is canonical.
+    n-regular dual basis.  Each non-regular partition has a unique (ell, rho)
+    rewrite, so the result is canonical; `memo`, owned by the caller, keeps
+    the results already computed, and a rewrite is traced only when computed.
     """
     lam = tuple(lam)
     key = (n, lam)
-    if key in _memo:
-        return _memo[key]
+    if key in memo:
+        return memo[key]
     if is_n_regular(lam, n):
         result = {lam: 1}
-        _memo[key] = result
+        memo[key] = result
         return result
     ell, rho, d = gap_and_regularize(lam, n)
     image = shuffle_adjoint(n, d, basis_vector(rho, dual=True))
@@ -68,15 +66,15 @@ def straighten_coeffs(lam: Partition, n: int, _trace: list | None = None) -> dic
     lead = terms.pop(lam, 0)
     if lead not in (1, -1):
         raise ArithmeticError(f"leading coefficient {lead} is not a unit at {lam}")
-    if _trace is not None:
-        _trace.append((lam, ell, d, len(terms) + 1))
+    if trace is not None:
+        trace.append((lam, ell, d, len(terms) + 1))
     result: dict = {}
     for nu, c in terms.items():
-        sub = straighten_coeffs(nu, n, _trace)
+        sub = straighten_coeffs(nu, n, memo, trace)
         for reg, c2 in sub.items():
             result[reg] = result.get(reg, 0) + (-lead) * c * c2
     result = {reg: c for reg, c in result.items() if c}
-    _memo[key] = result
+    memo[key] = result
     return result
 
 
@@ -84,7 +82,7 @@ def straighten(lam: Partition, n: int) -> StraighteningResult:
     if n < 2:
         raise ValueError("n must be >= 2")
     trace: list = []
-    coeffs = straighten_coeffs(tuple(lam), n, trace)
+    coeffs = straighten_coeffs(tuple(lam), n, {}, trace)
     return StraighteningResult(tuple(lam), n, coeffs, tuple(trace))
 
 
@@ -94,9 +92,10 @@ def d_matrix(n: int, total: int) -> dict:
     By duality d_{lam,nu} is the coefficient of v*_lam in the straightening
     of s*_nu.
     """
+    memo: dict = {}
     out: dict = {}
     for nu in partitions_of(total):
-        for lam, c in straighten_coeffs(nu, n).items():
+        for lam, c in straighten_coeffs(nu, n, memo).items():
             out[(lam, nu)] = c
     return out
 

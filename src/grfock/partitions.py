@@ -13,16 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import lt
 
 
 Partition = tuple  # tuple[int, ...], weakly decreasing, strictly positive entries
 
 
 def check_partition(p) -> Partition:
-    p = tuple(int(x) for x in p)
-    if any(x <= 0 for x in p):
+    p = tuple(map(int, p))
+    if p and min(p) <= 0:
         raise ValueError(f"nonpositive part in {p}")
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+    if any(map(lt, p, p[1:])):
         raise ValueError(f"parts not weakly decreasing in {p}")
     return p
 
@@ -137,15 +138,16 @@ class MayaDiagram:
 def maya_from_beads(beads, tail_start: int) -> MayaDiagram:
     """Diagram whose beads below tail_start are exactly `beads`, all slots from tail_start on full."""
     beads = sorted(beads)
-    if any(b >= tail_start for b in beads):
+    if beads and beads[-1] >= tail_start:
         raise ValueError("bead at or above tail_start")
     if len(set(beads)) != len(beads):
         raise ValueError("repeated bead")
     charge = tail_start - len(beads)
-    mu = []
-    for k, b in enumerate(beads, start=1):
-        mu.append((k - 1) + charge - b)
-    return MayaDiagram(charge, tuple(x for x in mu if x != 0))
+    # strictly increasing beads below the tail give a partition padded with zeros
+    mu = [k + charge - b for k, b in enumerate(beads)]
+    while mu and not mu[-1]:
+        mu.pop()
+    return MayaDiagram(charge, tuple(mu))
 
 
 def maya_of_partition(p: Partition) -> MayaDiagram:

@@ -415,9 +415,6 @@ class HPoly:
     def degree(self) -> int:
         return max((sum(i * e for i, e in k) for k, _ in self.coeffs), default=0)
 
-    def map_coefficients(self, fn) -> "HPoly":
-        return HPoly.from_dict({k: fn(c) for k, c in self.coeffs})
-
     def is_integral(self) -> bool:
         return all(Fraction(c).denominator == 1 for _, c in self.coeffs)
 

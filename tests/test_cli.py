@@ -19,6 +19,8 @@ USAGE_ERRORS = [
     ["pluecker-ideal", "--k", "2"],
     ["pluecker-ideal", "--k", "5", "--n", "3"],
     ["export-generators", "--target", "tshuffle", "--k", "7"],
+    ["fpoints", "--budget", "-1"],
+    ["tangent", "--budget", "-1"],
 ]
 
 
@@ -44,6 +46,12 @@ def test_explicit_zero_is_not_replaced_by_the_default(capsys):
 def test_budget_exceeded_exits_3(capsys):
     assert cli.main(["fpoints", "--p", "2", "--dim", "2", "--budget", "0"]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "budget exceeded"
+
+
+def test_listing_points_to_an_existing_help_flag(capsys):
+    assert cli.main([]) == 0
+    assert "`grfock --help`" in capsys.readouterr().out
+    assert cli.main(["--help"]) == 0
 
 
 def test_failed_check_exits_1(monkeypatch, capsys):

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from itertools import combinations
+
 from grfock.fock import (
     FockVector,
     alpha,
@@ -11,11 +13,20 @@ from grfock.fock import (
     operator_matrix,
     pairing,
     psi,
+    psi_key,
     psi_star,
+    psi_star_key,
     shuffle,
     shuffle_adjoint,
 )
-from grfock.partitions import maya_from_beads, maya_of_partition, partition_of_maya, partitions_of, size
+from grfock.partitions import (
+    MayaDiagram,
+    maya_from_beads,
+    maya_of_partition,
+    partition_of_maya,
+    partitions_of,
+    size,
+)
 
 
 def labels(v: FockVector) -> dict:
@@ -25,6 +36,73 @@ def labels(v: FockVector) -> dict:
 
 def dual(p):
     return basis_vector(p, dual=True)
+
+
+# ---------------------------------------------------------------------------
+# an oracle: the generators on the bead list of one diagram, composed word by word
+
+
+def oracle_psi_key(i, m):
+    if m.is_bead(i):
+        return None
+    hi = max(m.tail_start(), i + 1)
+    beads = list(m.beads(m.beads_below(hi))) + [i]
+    return (-1) ** m.beads_below(i), maya_from_beads(beads, hi)
+
+
+def oracle_psi_star_key(i, m):
+    tail = m.tail_start()
+    pos = m.bead_index(i) if i < tail else i - tail + len(m.mu) + 1
+    if pos is None:
+        return None
+    hi = max(tail, i + 1)
+    beads = [b for b in m.beads(m.beads_below(hi)) if b != i]
+    return (-1) ** (pos - 1), maya_from_beads(beads, hi)
+
+
+def oracle_sum(words, m) -> dict:
+    """The sum of the words (rightmost factor first) on m, as {diagram: coefficient}."""
+    out = {}
+    for word in words:
+        sign = 1
+        m2 = m
+        for index, star in reversed(word):
+            res = (oracle_psi_star_key if star else oracle_psi_key)(index, m2)
+            if res is None:
+                break
+            s, m2 = res
+            sign *= s
+        else:
+            out[m2] = out.get(m2, 0) + sign
+    return {k: v for k, v in out.items() if v}
+
+
+def diagrams(max_size, charges):
+    return [MayaDiagram(c, mu) for c in charges for t in range(max_size + 1)
+            for mu in partitions_of(t)]
+
+
+def test_generators_match_the_oracle():
+    for m in diagrams(7, range(-2, 3)):
+        for i in range(m.bead(1) - 2, m.tail_start() + 3):
+            assert psi_key(i, m) == oracle_psi_key(i, m), (i, m)
+            assert psi_star_key(i, m) == oracle_psi_star_key(i, m), (i, m)
+
+
+def test_shuffles_and_alpha_match_the_oracle():
+    for m in diagrams(3, (-1, 0, 1)):
+        v = FockVector(m.charge, {m: 1})
+        for n in (2, 3):
+            for d in (1, 2, 3):
+                # every d-subset of the first beads, a wider set than the kernel's candidates
+                beads = m.beads(len(m.mu) + n * d + 3)
+                for op, o in ((shuffle, n), (shuffle_adjoint, -n)):
+                    words = [tuple([(j + o, False) for j in reversed(js)] + [(j, True) for j in js])
+                             for js in combinations(beads, d)]
+                    assert op(n, d, v).coeffs == oracle_sum(words, m), (op, n, d, m)
+        for d in (1, 2, 3, 4):
+            words = [((j - d, False), (j, True)) for j in m.beads(len(m.mu) + d + 3)]
+            assert alpha(d, v).coeffs == oracle_sum(words, m), (d, m)
 
 
 # ---------------------------------------------------------------------------
@@ -224,3 +302,17 @@ def test_operator_matrix_shapes():
     rows, cols, mat = operator_matrix(lambda v: shuffle_adjoint(2, 1, v), 0, 2, dual=True)
     assert rows == ((2,), (1, 1)) and cols == ((),)
     assert mat == [[-1, 1]]
+
+
+def test_bad_vectors_and_pairings_raise():
+    vac = basis_vector(())
+    with pytest.raises(ValueError):
+        FockVector(1, {maya_of_partition((1,)): 1})
+    with pytest.raises(ValueError):
+        vac + psi(-1, vac)
+    with pytest.raises(ValueError):
+        vac + dual(())
+    with pytest.raises(ValueError):
+        pairing(vac, vac)
+    with pytest.raises(ValueError):
+        pairing(psi(-1, dual(())), vac)

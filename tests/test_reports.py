@@ -1,4 +1,5 @@
-"""Every suite's report at default parameters is pinned by its digest.
+"""Every suite's report at default parameters, and the Fock-side suites' at
+one heavier parameter set, is pinned by its digest.
 
 The digest is the sha256 of the report as canonical JSON (sorted keys, no
 whitespace) without its ``wall_time_ms``, the only field that varies between
@@ -27,6 +28,11 @@ PINNED = {
     "export-generators": "b37c83846c3a147af4b26d0541aff99bbc52cc16e41f98761a8bee5e1ba87f8a",
 }
 
+HEAVY = {
+    "straighten --n 2 --size 14": "b4c491072c2b858726ed8e8dbe1669edd1553f7e1a9d06f8517ebea7fc363129",
+    "shuffle-span --n 2 --size 14": "e22f1855172124281f2941a316656550c37d71e0d524c846380a2a9b7ad3ab5c",
+}
+
 
 def report_digest(report: dict) -> str:
     report = {key: value for key, value in report.items() if key != "wall_time_ms"}
@@ -43,3 +49,11 @@ def test_default_report_digest(suite):
     report = cli.run(suite, cli.build_parser().parse_args([suite]))
     assert report["totals"]["fail"] == 0
     assert report_digest(report) == PINNED[suite]
+
+
+@pytest.mark.parametrize("argv", sorted(HEAVY))
+def test_heavy_report_digest(argv):
+    args = cli.build_parser().parse_args(argv.split())
+    report = cli.run(args.command, args)
+    assert report["totals"]["fail"] == 0
+    assert report_digest(report) == HEAVY[argv]
