@@ -1,7 +1,7 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
-
-from itertools import combinations
 
 from grfock.fock import (
     FockVector,
