@@ -263,7 +263,8 @@ def suite_straighten(args) -> list:
             for lam in pt.partitions_of(s):
                 coeffs = klmw.straighten_coeffs(lam, n, memo)
                 regular = all(pt.is_n_regular(q, n) for q in coeffs)
-                classes = all(pt.weight_class(q, n) == pt.weight_class(lam, n) for q in coeffs)
+                lam_class = pt.weight_class(lam, n)
+                classes = all(pt.weight_class(q, n) == lam_class for q in coeffs)
                 if pt.is_n_regular(lam, n):
                     sound = coeffs == {lam: 1}
                     below = True
@@ -296,12 +297,6 @@ def suite_kf(args) -> list:
     return checks
 
 
-def _jordan_types(nmax):
-    for n in range(1, nmax + 1):
-        for blocks in pt.partitions_of(n):
-            yield blocks
-
-
 def suite_fpoints(args) -> list:
     ps = (2, 3) if args.p is None else (_prime(args.p),)
     nmax = 4 if args.dim is None else _bounded(args.dim, "dim", 1)
@@ -309,13 +304,12 @@ def suite_fpoints(args) -> list:
     checks = []
     rows = []
     for p in ps:
-        for blocks in _jordan_types(nmax):
-            n = sum(blocks)
-            T = gr.jordan_matrix(blocks)
-            for k in range(0, n + 1):
-                row = gr.fpoints_row(T, k, p, max_points=budget)
-                row["jordan_type"] = list(blocks)
-                rows.append(row)
+        for n in range(1, nmax + 1):
+            types = pt.partitions_of(n)
+            Ts = [gr.jordan_matrix(blocks) for blocks in types]
+            by_k = [gr.fpoints_rows(Ts, k, p, max_points=budget) for k in range(0, n + 1)]
+            for i, blocks in enumerate(types):
+                rows.extend({**k_rows[i], "jordan_type": list(blocks)} for k_rows in by_k)
     ok = all(r["equal"] for r in rows)
     checks.append(check("fpoints-st-equals-gt", ok, rows=rows))
     return checks
@@ -326,7 +320,7 @@ def suite_tangent(args) -> list:
     nmax = 5 if args.dim is None else _bounded(args.dim, "dim", 1)
     budget = _bounded(args.budget, "budget", 0)
     checks = []
-    for blocks in _jordan_types(nmax):
+    for blocks in (b for n in range(1, nmax + 1) for b in pt.partitions_of(n)):
         if all(b == 1 for b in blocks):
             continue  # zero operator
         n = sum(blocks)

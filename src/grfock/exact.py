@@ -229,7 +229,8 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
     for d in range(1, n):
         if n % d == 0:
             q, r = num.divmod_monic(cyclotomic_polynomial(d))
-            assert r.is_zero()
+            if not r.is_zero():
+                raise ArithmeticError(f"Phi_{d} does not divide t^{n} - 1 over the smaller factors")
             num = q
     return num
 
@@ -440,8 +441,8 @@ class IntMatrix:
     entries: tuple  # tuple of row tuples of ints
 
     def __post_init__(self):
-        assert len(self.entries) == self.rows
-        assert all(len(r) == self.cols for r in self.entries)
+        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+            raise ValueError(f"entries do not form a {self.rows} x {self.cols} matrix")
 
     @staticmethod
     def from_rows(rows, cols: int | None = None) -> "IntMatrix":
@@ -540,8 +541,8 @@ class PolyMatrix:
 
     def __post_init__(self):
         n = len(self.labels)
-        assert len(self.entries) == n
-        assert all(len(r) == n for r in self.entries)
+        if len(self.entries) != n or any(len(r) != n for r in self.entries):
+            raise ValueError(f"entries do not form a {n} x {n} matrix")
 
     @property
     def size(self) -> int:
@@ -561,7 +562,8 @@ class PolyMatrix:
         return True
 
     def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
-        assert self.size == other.size
+        if self.size != other.size:
+            raise ValueError(f"size {self.size} times size {other.size}")
         n = self.size
         rows = []
         for i in range(n):

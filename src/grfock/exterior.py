@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .exact import Ring, ZZ, minors
+from .exact import MixedRingError, Ring, ZZ, minors
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +95,8 @@ class ExtTensor:
     def __post_init__(self):
         clean = {}
         for key, c in self.coeffs.items():
-            assert len(key) == self.k and all(1 <= i <= self.n for i in key)
-            assert tuple(sorted(key)) == tuple(key)
+            if len(key) != self.k or list(key) != sorted(key) or not all(0 < i <= self.n for i in key):
+                raise ValueError(f"key {key} is not a sorted {self.k}-tuple from 1..{self.n}")
             if not self.ring.is_zero(c):
                 clean[key] = c
         self.coeffs = clean
@@ -105,7 +105,8 @@ class ExtTensor:
         return not self.coeffs
 
     def __add__(self, other: "ExtTensor") -> "ExtTensor":
-        assert (self.n, self.k) == (other.n, other.k)
+        if (self.n, self.k) != (other.n, other.k):
+            raise ValueError(f"wedge^{self.k} of {self.n} plus wedge^{other.k} of {other.n}")
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
             out[key] = out[key] + c if key in out else c
@@ -143,7 +144,8 @@ class TwoTensor:
         k, l = self.degrees
         clean = {}
         for (a, b), c in self.coeffs.items():
-            assert len(a) == k and len(b) == l
+            if len(a) != k or len(b) != l:
+                raise ValueError(f"key {(a, b)} does not have degrees {(k, l)}")
             if not self.ring.is_zero(c):
                 clean[(a, b)] = c
         self.coeffs = clean
@@ -152,7 +154,8 @@ class TwoTensor:
         return not self.coeffs
 
     def __add__(self, other: "TwoTensor") -> "TwoTensor":
-        assert self.degrees == other.degrees and self.n == other.n
+        if (self.n, self.degrees) != (other.n, other.degrees):
+            raise ValueError(f"degrees {self.degrees} of {self.n} plus {other.degrees} of {other.n}")
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
             out[key] = out[key] + c if key in out else c
@@ -174,7 +177,10 @@ class TwoTensor:
 
 
 def tensor_product(u: ExtTensor, v: ExtTensor) -> TwoTensor:
-    assert u.n == v.n and u.ring is v.ring
+    if u.n != v.n:
+        raise ValueError(f"tensor of vectors in dimensions {u.n} and {v.n}")
+    if u.ring is not v.ring:
+        raise MixedRingError(f"{u.ring} vs {v.ring}")
     out = {}
     for a, ca in u.coeffs.items():
         for b, cb in v.coeffs.items():

@@ -1,9 +1,13 @@
 """Pluecker generators, degree-2 ideal comparison against the KP two-tensors,
-invariant-subspace schemes at the level of generators and finite-field points,
-and tangent-space probes.
+finite-field points of the invariant-subspace schemes G^T and S^T, and
+tangent-space probes.
 
 Finite-field point enumeration works with plain ints reduced mod p for speed;
 everything signed goes through the exterior-algebra Clifford compositions.
+Each Gr(k,n)(F_p) is enumerated once per (p, n, k), shared by every n x n
+operator: ``fpoints_rows`` takes each point's Pluecker vector and pivots once
+and tests every operator against them, each operator reduced mod p and its
+shuffle matrices built once per enumeration.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from .exterior import (
     subset_word,
     sort_with_sign,
     t_shuffle,
-    wedge_image,
 )
 
 
@@ -61,19 +64,7 @@ class SubspaceBasis:
         return len(self.rows)
 
     def pivots(self) -> tuple:
-        out = []
-        for row in self.rows:
-            out.append(next(j for j, x in enumerate(row) if x))
-        return tuple(out)
-
-    def reduce(self, vec) -> tuple:
-        """Residual of vec after subtracting the unique row combination."""
-        v = list(vec)
-        for row, piv in zip(self.rows, self.pivots()):
-            c = v[piv] % self.p
-            if c:
-                v = [(x - c * y) % self.p for x, y in zip(v, row)]
-        return tuple(x % self.p for x in v)
+        return tuple(next(j for j, x in enumerate(row) if x) for row in self.rows)
 
 
 def enumerate_points(p: int, n: int, k: int, max_points: int = DEFAULT_POINT_BUDGET):
@@ -87,15 +78,8 @@ def enumerate_points(p: int, n: int, k: int, max_points: int = DEFAULT_POINT_BUD
     count = gaussian_binomial(n, k, p)
     if count > max_points:
         raise BudgetError(f"Gr({k},{n})(F_{p}) has {count} points, budget {max_points}")
-    if k == 0:
-        yield SubspaceBasis(p, n, ())
-        return
     for pivots in combinations(range(n), k):
-        free = []
-        for i in range(k):
-            for j in range(pivots[i] + 1, n):
-                if j not in pivots:
-                    free.append((i, j))
+        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots]
         for values in product(range(p), repeat=len(free)):
             rows = [[0] * n for _ in range(k)]
             for i, piv in enumerate(pivots):
@@ -187,10 +171,10 @@ def _plucker_quadric(alpha: tuple, beta: tuple, d: int, symmetric: bool) -> dict
 # degree-2 functionals of the KP two-tensors
 
 
-def omega_functional(C: tuple, D: tuple, d: int, n: int, T=None) -> dict:
-    """(e*_C (x) e*_D) composed with Omega_d (or Omega_d^T), over ordered pairs.
+def omega_functional(C: tuple, D: tuple, d: int, n: int) -> dict:
+    """(e*_C (x) e*_D) composed with Omega_d, over ordered pairs.
 
-    Coefficient of X_A (x) X_B is <e*_C, (T)e_I ^ e_A> <e*_D, psi*_I e_B>
+    Coefficient of X_A (x) X_B is <e*_C, e_I ^ e_A> <e*_D, psi*_I e_B>
     summed over d-subsets I.
     """
     out: dict = {}
@@ -199,21 +183,18 @@ def omega_functional(C: tuple, D: tuple, d: int, n: int, T=None) -> dict:
             continue
         B = tuple(sorted(I + D))
         res = ext_word_on_key(subset_word(I, True), B)
-        assert res is not None and res[1] == D
-        sign_r = res[0]
-        targets = {I: 1} if T is None else wedge_image(T, I)
-        for J, weight in targets.items():
-            if not set(J) <= set(C):
-                continue
-            A = tuple(sorted(set(C) - set(J)))
-            res2 = ext_word_on_key(subset_word(J, False), A)
-            if res2 is None or res2[1] != C:
-                continue
-            sign_l = res2[0]
-            key = (A, B)
-            out[key] = out.get(key, 0) + weight * sign_l * sign_r
-            if not out[key]:
-                del out[key]
+        if res is None or res[1] != D:
+            raise ValueError(f"D = {D} is not strictly increasing")
+        if not set(I) <= set(C):
+            continue
+        A = tuple(sorted(set(C) - set(I)))
+        res2 = ext_word_on_key(subset_word(I, False), A)
+        if res2 is None or res2[1] != C:
+            continue
+        key = (A, B)
+        out[key] = out.get(key, 0) + res2[0] * res[0]
+        if not out[key]:
+            del out[key]
     return out
 
 
@@ -227,13 +208,13 @@ def _symmetrize(ordered: dict) -> dict:
     return out
 
 
-def omega_quadric_functionals(k: int, n: int, T=None, dmin: int = 1) -> list:
-    """All lambda . omega_d (or omega_d^T) as dicts over unordered pairs."""
+def omega_quadric_functionals(k: int, n: int, dmin: int = 1) -> list:
+    """All lambda . omega_d as dicts over unordered pairs."""
     out = []
     for d in range(dmin, min(k, n - k) + 1):
         for C in combinations(range(1, n + 1), k + d):
             for D in combinations(range(1, n + 1), k - d):
-                q = _symmetrize(omega_functional(C, D, d, n, T))
+                q = _symmetrize(omega_functional(C, D, d, n))
                 if q:
                     out.append(q)
     return out
@@ -290,7 +271,7 @@ def incidence_degree2_ideal_equal(k: int, l: int, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# integer operators, nilpotency, the invariant-subspace generators
+# integer operators and nilpotency
 
 
 def jordan_matrix(blocks, n: int | None = None) -> tuple:
@@ -324,37 +305,33 @@ def is_nilpotent(T) -> bool:
     return all(all(x == 0 for x in row) for row in M)
 
 
-def gt_generators(T, k: int) -> tuple[list, list]:
-    """Degree-2 vectors of the omega^T functionals plus the Pluecker lattice.
-
-    Only nilpotent T is accepted here (the invertible variant is the primed
-    scheme; its equations use omega^T directly without the I+T detour).
-    """
-    n = len(T)
-    if not is_nilpotent(T):
-        raise ValueError("gt_generators needs a nilpotent operator")
-    index = grassmann_pair_index(k, n)
-    shuffle_vecs = vectors_over(index, omega_quadric_functionals(k, n, T=T))
-    plucker_vecs = vectors_over(index, plucker_quadrics(k, n))
-    return shuffle_vecs, plucker_vecs
-
-
 # ---------------------------------------------------------------------------
 # field points of G^T and S^T
 
 
 def _operator_modp(T, p: int) -> tuple:
-    return tuple(tuple(x % p for x in row) for row in T)
+    """T mod p as sparse rows: row i lists the (j, T[i][j] mod p) that are nonzero."""
+    return tuple(tuple((j, x % p) for j, x in enumerate(row) if x % p) for row in T)
 
 
-def apply_modp(T, vec, p: int) -> tuple:
-    n = len(vec)
-    return tuple(sum(T[i][j] * vec[j] for j in range(n)) % p for i in range(n))
+def apply_modp(Tp, vec, p: int) -> list:
+    """T vec mod p for T given as _operator_modp(T, p)."""
+    return [sum([x * vec[j] for j, x in row]) % p for row in Tp]
 
 
-def is_invariant(basis: SubspaceBasis, T) -> bool:
-    Tp = _operator_modp(T, basis.p)
-    return all(not any(basis.reduce(apply_modp(Tp, row, basis.p))) for row in basis.rows)
+def is_invariant(basis: SubspaceBasis, Tp, pivots: tuple) -> bool:
+    """Whether T maps the row space of basis into itself, for T given as
+    _operator_modp(T, basis.p) and pivots = basis.pivots()."""
+    p, rows = basis.p, basis.rows
+    for row in rows:
+        v = apply_modp(Tp, row, p)
+        for r, piv in zip(rows, pivots):
+            c = v[piv]
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, r)]
+        if any(v):
+            return False
+    return True
 
 
 def shuffle_matrices_modp(T, k: int, p: int) -> list:
@@ -386,24 +363,33 @@ def _st_member(plucker: dict, sh_mats: list, p: int) -> bool:
 
 
 def gt_points(T, k: int, p: int, max_points: int = DEFAULT_POINT_BUDGET) -> list:
-    return [U for U in enumerate_points(p, len(T), k, max_points) if is_invariant(U, T)]
+    Tp = _operator_modp(T, p)
+    return [U for U in enumerate_points(p, len(T), k, max_points)
+            if is_invariant(U, Tp, U.pivots())]
 
 
-def fpoints_row(T, k: int, p: int, max_points: int = DEFAULT_POINT_BUDGET) -> dict:
-    """One report row: counts of Gr, G^T, S^T points and whether the sets agree."""
-    n = len(T)
-    sh = shuffle_matrices_modp(T, k, p)
-    total = gt = st = 0
-    same = True
+def fpoints_rows(Ts, k: int, p: int, max_points: int = DEFAULT_POINT_BUDGET) -> list:
+    """One report row per n x n operator in Ts: counts of Gr, G^T, S^T points
+    and whether the sets agree, from a single pass over Gr(k,n)(F_p)."""
+    n = len(Ts[0])
+    ops = [(_operator_modp(T, p), shuffle_matrices_modp(T, k, p)) for T in Ts]
+    gt = [0] * len(ops)
+    st = [0] * len(ops)
+    same = [True] * len(ops)
+    total = 0
     for U in enumerate_points(p, n, k, max_points):
         total += 1
-        g = is_invariant(U, T)
-        s = _st_member(plucker_vector(U), sh, p)
-        gt += g
-        st += s
-        if g != s:
-            same = False
-    return {"p": p, "n": n, "k": k, "gr": total, "gt": gt, "st": st, "equal": same}
+        plucker = plucker_vector(U)
+        pivots = U.pivots()
+        for i, (Tp, sh) in enumerate(ops):
+            g = is_invariant(U, Tp, pivots)
+            s = _st_member(plucker, sh, p)
+            gt[i] += g
+            st[i] += s
+            if g != s:
+                same[i] = False
+    return [{"p": p, "n": n, "k": k, "gr": total, "gt": gt[i], "st": st[i], "equal": same[i]}
+            for i in range(len(ops))]
 
 
 # ---------------------------------------------------------------------------

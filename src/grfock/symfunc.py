@@ -43,7 +43,8 @@ class SymPoly:
             raise DegreeOverflowError(f"degree bound {self.degree_bound} exceeds nvars {self.nvars}")
         clean = {}
         for exp, c in self.coeffs.items():
-            assert len(exp) == self.nvars
+            if len(exp) != self.nvars:
+                raise ValueError(f"exponent {exp} does not have {self.nvars} variables")
             if sum(exp) > self.degree_bound:
                 raise DegreeOverflowError(f"monomial {exp} exceeds degree bound {self.degree_bound}")
             if c:
@@ -57,7 +58,8 @@ class SymPoly:
         return bool(self.coeffs)
 
     def __add__(self, other: "SymPoly") -> "SymPoly":
-        assert self.nvars == other.nvars
+        if self.nvars != other.nvars:
+            raise ValueError(f"{self.nvars} variables plus {other.nvars}")
         out = dict(self.coeffs)
         for exp, c in other.coeffs.items():
             out[exp] = out.get(exp, 0) + c
@@ -73,7 +75,8 @@ class SymPoly:
         return SymPoly(self.nvars, {e: c * v for e, v in self.coeffs.items()}, self.degree_bound)
 
     def __mul__(self, other: "SymPoly") -> "SymPoly":
-        assert self.nvars == other.nvars
+        if self.nvars != other.nvars:
+            raise ValueError(f"{self.nvars} variables times {other.nvars}")
         out: dict = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():

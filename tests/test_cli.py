@@ -48,6 +48,13 @@ def test_budget_exceeded_exits_3(capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "budget exceeded"
 
 
+def test_first_enumeration_over_budget_is_reported(capsys):
+    # Gr(1,4)(F_2) has 15 points; Gr(2,4)(F_2) is the first with more than 30
+    assert cli.main(["fpoints", "--p", "2", "--dim", "4", "--budget", "30"]) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "budget exceeded", "detail": "Gr(2,4)(F_2) has 35 points, budget 30"}
+
+
 def test_listing_points_to_an_existing_help_flag(capsys):
     assert cli.main([]) == 0
     assert "`grfock --help`" in capsys.readouterr().out

@@ -262,3 +262,34 @@ def test_lattice_basis_gives_rank_and_equality():
     assert lattice_basis(a) == ((1, 0, 1), (0, 1, 1))
     assert lattice_rank(a) == 2 and lattice_rank([], 3) == 0
     assert lattice_equal(a, b) is False and lattice_equal(a, a[1:])
+
+
+# ---------------------------------------------------------------------------
+# bad input raises, also under python -O
+
+
+def test_cyclotomic_polynomial_raises_on_a_nonzero_remainder(monkeypatch):
+    divmod_monic = IntPoly.divmod_monic
+    monkeypatch.setattr(IntPoly, "divmod_monic",
+                        lambda self, other: (divmod_monic(self, other)[0], IntPoly.const(1)))
+    with pytest.raises(ArithmeticError):
+        cyclotomic_polynomial.__wrapped__(6)
+
+
+def test_int_matrix_rejects_entries_of_the_wrong_shape():
+    assert IntMatrix(2, 1, ((1,), (2,))).cols == 1
+    with pytest.raises(ValueError):
+        IntMatrix(2, 1, ((1,),))
+    with pytest.raises(ValueError):
+        IntMatrix(2, 1, ((1,), (2, 3)))
+
+
+def test_poly_matrix_rejects_bad_shapes_and_sizes():
+    one, zero = IntPoly.const(1), IntPoly()
+    a = PolyMatrix((0, 1), ((one, zero), (zero, one)))
+    with pytest.raises(ValueError):
+        PolyMatrix((0, 1), ((one, zero),))
+    with pytest.raises(ValueError):
+        PolyMatrix((0, 1), ((one,), (zero, one)))
+    with pytest.raises(ValueError):
+        a.matmul(PolyMatrix((0,), ((one,),)))

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from grfock.exact import GF, IntPoly, QQ, ZT, ZZ
+from grfock.exact import GF, IntPoly, MixedRingError, QQ, ZT, ZZ
 from grfock.exterior import (
     ExtTensor,
     TwoTensor,
@@ -331,3 +331,33 @@ def test_sym_operator_power_sum_vs_iterated():
     T = rnd_op(n, QQ)
     tau = rnd_ext(n, k, QQ)
     assert sym_operator_apply(p_poly(1, k), T, tau) == t_shuffle(1, T, tau)
+
+
+def test_ext_tensor_rejects_bad_keys_and_mixed_degrees():
+    with pytest.raises(ValueError):
+        ExtTensor(3, 2, {(1,): 1})
+    with pytest.raises(ValueError):
+        ExtTensor(3, 2, {(2, 1): 1})
+    with pytest.raises(ValueError):
+        ExtTensor(3, 2, {(1, 4): 1})
+    with pytest.raises(ValueError):
+        basis_wedge(3, (1, 2)) + basis_wedge(3, (1,))
+    with pytest.raises(ValueError):
+        basis_wedge(3, (1, 2)) + basis_wedge(4, (1, 2))
+
+
+def test_two_tensor_rejects_bad_keys_and_mixed_degrees():
+    with pytest.raises(ValueError):
+        TwoTensor(3, (2, 1), {((1,), (2,)): 1})
+    u = tensor_product(basis_wedge(3, (1, 2)), basis_wedge(3, (3,)))
+    with pytest.raises(ValueError):
+        u + tensor_product(basis_wedge(3, (1,)), basis_wedge(3, (2, 3)))
+    with pytest.raises(ValueError):
+        u + tensor_product(basis_wedge(4, (1, 2)), basis_wedge(4, (3,)))
+
+
+def test_tensor_product_rejects_mixed_dimensions_and_rings():
+    with pytest.raises(ValueError):
+        tensor_product(basis_wedge(3, (1,)), basis_wedge(4, (1,)))
+    with pytest.raises(MixedRingError):
+        tensor_product(basis_wedge(3, (1,)), basis_wedge(3, (1,), GF(5)))

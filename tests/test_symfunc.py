@@ -6,6 +6,7 @@ from grfock.exact import GF, IntPoly, QQ, ZZ, cyclotomic_reduce
 from grfock.partitions import maya_of_partition, MayaDiagram, partitions_of, transpose
 from grfock.symfunc import (
     DegreeOverflowError,
+    SymPoly,
     HPoly,
     charge,
     det_coeffs_principal_nilpotent,
@@ -407,3 +408,13 @@ def test_toeplitz_minor_of_partition_label_is_transposed_jt():
     for total in range(0, 6):
         for lam in partitions_of(total):
             assert toeplitz_minor(hv, maya_of_partition(lam)) == jacobi_trudi_value(transpose(lam), hv)
+
+
+def test_sym_poly_rejects_mixed_variable_counts():
+    x = SymPoly(2, {(1, 0): 1, (0, 1): 1})
+    with pytest.raises(ValueError):
+        SymPoly(2, {(1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        x + SymPoly(3, {})
+    with pytest.raises(ValueError):
+        x * SymPoly(3, {})
