@@ -260,11 +260,11 @@ def suite_straighten(args) -> list:
         memo: dict = {}
         violations = []
         for s in range(0, smax + 1):
+            weight = {lam: pt.weight_class(lam, n) for lam in pt.partitions_of(s)}
             for lam in pt.partitions_of(s):
                 coeffs = klmw.straighten_coeffs(lam, n, memo)
                 regular = all(pt.is_n_regular(q, n) for q in coeffs)
-                lam_class = pt.weight_class(lam, n)
-                classes = all(pt.weight_class(q, n) == lam_class for q in coeffs)
+                classes = all(weight.get(q) == weight[lam] for q in coeffs)
                 if pt.is_n_regular(lam, n):
                     sound = coeffs == {lam: 1}
                     below = True

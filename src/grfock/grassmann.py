@@ -175,26 +175,20 @@ def omega_functional(C: tuple, D: tuple, d: int, n: int) -> dict:
     """(e*_C (x) e*_D) composed with Omega_d, over ordered pairs.
 
     Coefficient of X_A (x) X_B is <e*_C, e_I ^ e_A> <e*_D, psi*_I e_B>
-    summed over d-subsets I.
+    summed over d-subsets I; C and D are strictly increasing subsets of 1..n.
     """
+    for S in (C, D):
+        if tuple(S) != tuple(sorted(set(S))) or not set(S) <= set(range(1, n + 1)):
+            raise ValueError(f"{S} is not a strictly increasing subset of 1..{n}")
     out: dict = {}
-    for I in combinations(range(1, n + 1), d):
+    for I in combinations(C, d):
         if set(I) & set(D):
             continue
         B = tuple(sorted(I + D))
-        res = ext_word_on_key(subset_word(I, True), B)
-        if res is None or res[1] != D:
-            raise ValueError(f"D = {D} is not strictly increasing")
-        if not set(I) <= set(C):
-            continue
-        A = tuple(sorted(set(C) - set(I)))
-        res2 = ext_word_on_key(subset_word(I, False), A)
-        if res2 is None or res2[1] != C:
-            continue
-        key = (A, B)
-        out[key] = out.get(key, 0) + res2[0] * res[0]
-        if not out[key]:
-            del out[key]
+        A = tuple(c for c in C if c not in I)
+        sign_B, _ = ext_word_on_key(subset_word(I, True), B)
+        sign_A, _ = ext_word_on_key(subset_word(I, False), A)
+        out[(A, B)] = sign_A * sign_B
     return out
 
 

@@ -6,14 +6,17 @@ coefficients, and Frobenius twists expressed in the h-generators.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
+from operator import lt
 
 from .exact import IntPoly, PolyMatrix, Ring, QQ, det, invert_unitriangular
-from .partitions import MayaDiagram, Partition, is_n_regular, partitions_of
+from .partitions import MayaDiagram, Partition, check_partition, is_n_regular, partitions_of
 
 
 class DegreeOverflowError(ValueError):
@@ -197,82 +200,37 @@ def frobenius_twist(f: SymPoly, n: int) -> SymPoly:
 # tableaux, charge, Kostka-Foulkes
 
 
-def semistandard_tableaux(shape: Partition, content: Partition):
-    """All SSYT of the given shape and content (rows weak, columns strict)."""
-    shape = tuple(shape)
-    letters = len(content)
-    remaining = list(content)
-    rows: list = [[] for _ in shape]
-
-    def fill(r: int, c: int):
-        if r == len(shape):
-            yield [tuple(row) for row in rows]
-            return
-        nr, nc = (r, c + 1) if c + 1 < shape[r] else (r + 1, 0)
-        lo = rows[r][c - 1] if c > 0 else 1
-        above = rows[r - 1][c] + 1 if r > 0 else 1
-        lo = max(lo, above)
-        for letter in range(lo, letters + 1):
-            if remaining[letter - 1] > 0:
-                remaining[letter - 1] -= 1
-                rows[r].append(letter)
-                yield from fill(nr, nc)
-                rows[r].pop()
-                remaining[letter - 1] += 1
-
-    if sum(shape) != sum(content):
-        return
-    yield from fill(0, 0) if shape else iter([[]])
-
-
-def reading_word(tableau) -> tuple:
-    """Rows read left to right, bottom row first."""
-    word = []
-    for row in reversed(tableau):
-        word.extend(row)
-    return tuple(word)
-
-
 def charge(word) -> int:
-    """Lascoux-Schutzenberger charge of a word with partition content.
+    """Lascoux-Schutzenberger charge of a word whose content is a partition.
 
-    Standard subwords are extracted by picking the rightmost 1 and then each
-    next letter scanning leftward cyclically; the charge of a standard word
-    adds index(r)+1 ... indices grow by one exactly when the next letter sits
-    to the right of the previous one.
+    The word splits into standard subwords.  Each takes the rightmost unused
+    1, then for each next letter the nearest unused occurrence to the left of
+    the letter before, wrapping round to the rightmost unused one when there
+    is none.  Within a subword the index of the 1 is 0 and goes up by one at
+    each wrap; the charge is the sum of the indices of all letters.
     """
-    word = list(word)
+    at: dict = {}  # letter -> its unused positions, ascending
+    for i, letter in enumerate(word):
+        at.setdefault(letter, []).append(i)
+    counts = [len(at.get(letter, ())) for letter in range(1, len(at) + 1)]
+    if not all(counts) or any(map(lt, counts, counts[1:])):
+        raise ValueError("content is not a partition")
     total = 0
-    positions = list(range(len(word)))
-    while positions:
-        present = {word[i] for i in positions}
-        ones = [i for i in positions if word[i] == 1]
-        if not ones:
-            raise ValueError("content is not a partition")
-        cur = max(ones)
-        selected = [cur]
-        letter = 2
-        while letter in present:
-            scan = [i for i in positions if i < cur][::-1] + [i for i in positions if i > cur][::-1]
-            found = None
-            for i in scan:
-                if word[i] == letter and i not in selected:
-                    found = i
-                    break
-            if found is None:
-                break
-            selected.append(found)
-            cur = found
-            letter += 1
-        ordered = sorted(selected)
-        letters_in_order = [word[i] for i in ordered]
-        pos_of = {letter: idx for idx, letter in enumerate(letters_in_order)}
+    ones = at.get(1, [])
+    while ones:
+        cur = ones.pop()
         index = 0
-        for r in range(2, len(selected) + 1):
-            if pos_of[r] > pos_of[r - 1]:
+        for letter in range(2, len(at) + 1):
+            pos = at[letter]
+            if not pos:
+                break
+            left = bisect_left(pos, cur)
+            if left:
+                cur = pos.pop(left - 1)
+            else:
+                cur = pos.pop()
                 index += 1
             total += index
-        positions = [i for i in positions if i not in selected]
     return total
 
 
@@ -281,27 +239,71 @@ def n_of(lam: Partition) -> int:
     return sum(i * part for i, part in enumerate(lam))
 
 
+def _add_strips(rows, mu, i, cap, code, base, counts):
+    """Grow the tableau whose rows hold the letters 1..i by a horizontal strip
+    of mu[i] letters i+1, then by the later strips; at the end count the
+    charge of the reading word (rows left to right, bottom row first) under
+    the shape's code, sum len(rows[r]) * base[r]."""
+    if i == len(mu):
+        counts[code][charge([letter for row in reversed(rows) for letter in row])] += 1
+        return
+    r = min(i, len(rows) - 1)
+    while r and not rows[r - 1]:  # the strip reaches one row below the shape
+        r -= 1
+    _fill_strip(rows, mu, i, r, mu[i], cap, code, base, counts)
+
+
+def _fill_strip(rows, mu, i, r, left, cap, code, base, counts):
+    """Place `left` cells of the strip of letter i+1 in rows r, r-1, ..., 0.
+
+    Rows are filled bottom up, so row r-1 still has its length from before
+    the strip, and row r may gain at most that many cells minus its own.
+    Row 0 takes what is left.  No row grows past cap[r].
+    """
+    row = rows[r]
+    start = len(row)
+    if r == 0:
+        if start + left <= cap[0]:
+            row.extend([i + 1] * left)
+            _add_strips(rows, mu, i + 1, cap, code + left * base[0], base, counts)
+            del row[start:]
+        return
+    for k in range(min(left, cap[r] - start, len(rows[r - 1]) - start) + 1):
+        _fill_strip(rows, mu, i, r - 1, left - k, cap, code + k * base[r], base, counts)
+        row.append(i + 1)
+    del row[start:]
+
+
+def _kf_column(mu: Partition, cap: Partition, convention: str) -> dict:
+    """{lam: K_{lam,mu}(t)} over the shapes lam inside cap with a tableau of
+    content mu, from one pass over those tableaux."""
+    if convention not in ("charge", "cocharge"):
+        raise ValueError(f"unknown convention {convention!r}")
+    top = n_of(mu)
+    counts = defaultdict(lambda: [0] * (top + 1))  # shape code -> count by charge
+    radix = sum(mu) + 1
+    base = [radix**r for r in range(len(cap))]
+    _add_strips([[] for _ in cap], mu, 0, cap, 0, base, counts)
+    out = {}
+    for code, by_charge in counts.items():
+        shape = []
+        while code:
+            code, part = divmod(code, radix)
+            shape.append(part)
+        out[tuple(shape)] = IntPoly(by_charge[::-1] if convention == "cocharge" else by_charge)
+    return out
+
+
 def kostka_foulkes(lam: Partition, mu: Partition, convention: str = "charge") -> IntPoly:
     """K_{lam,mu}(t) as the t-count of SSYT(lam, mu) by charge.
 
-    convention="cocharge" is the documented fallback switch: it grades by
-    n(mu) - charge instead.
+    convention="cocharge" grades by n(mu) - charge instead.  Only shapes
+    inside lam are grown, so one pair costs a fraction of its column.
     """
-    lam, mu = tuple(lam), tuple(mu)
+    lam, mu = check_partition(lam), check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("sizes differ")
-    coeffs: dict = {}
-    for T in semistandard_tableaux(lam, mu):
-        ch = charge(reading_word(T))
-        if convention == "cocharge":
-            ch = n_of(mu) - ch
-        coeffs[ch] = coeffs.get(ch, 0) + 1
-    if not coeffs:
-        return IntPoly()
-    out = [0] * (max(coeffs) + 1)
-    for deg, c in coeffs.items():
-        out[deg] = c
-    return IntPoly(out)
+    return _kf_column(mu, lam, convention).get(lam, IntPoly())
 
 
 @dataclass(frozen=True)
@@ -320,11 +322,8 @@ class KFMatrices:
 def kf_transition_matrices(total: int, n: int, convention: str = "charge") -> KFMatrices:
     labels = partitions_of(total)  # descending lex refines dominance
     size = len(labels)
-    K_rows = tuple(
-        tuple(kostka_foulkes(labels[i], labels[j], convention) for j in range(size))
-        for i in range(size)
-    )
-    K = PolyMatrix(labels, K_rows)
+    columns = [_kf_column(mu, (total,) * len(mu), convention) for mu in labels]
+    K = PolyMatrix(labels, tuple(tuple(col.get(lam, IntPoly()) for col in columns) for lam in labels))
     C = invert_unitriangular(K)
     regular = tuple(p for p in labels if is_n_regular(p, n))
     reg_idx = [labels.index(p) for p in regular]

@@ -41,6 +41,18 @@ def test_omega_functional_rejects_an_unsorted_D():
         omega_functional((1, 2, 3), (3, 1), 1, 4)
 
 
+@pytest.mark.parametrize("C, D", [
+    ((1, 2, 3), (1, 1)),  # a repeated index in D
+    ((3, 2, 1), (1,)),    # C decreasing
+    ((1, 1, 2), (3,)),    # a repeated index in C
+    ((1, 2, 9), (3,)),    # C leaves 1..4
+    ((1, 2, 3), (0,)),    # D leaves 1..4
+])
+def test_omega_functional_rejects_sets_that_are_not_increasing_subsets(C, D):
+    with pytest.raises(ValueError):
+        omega_functional(C, D, 1, 4)
+
+
 def _oracle_row(T, k, p):
     """Counts of Gr, G^T and S^T points by rank tests and exterior-algebra shuffles."""
     n, ring = len(T), GF(p)

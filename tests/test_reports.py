@@ -33,6 +33,8 @@ HEAVY = {
     "shuffle-span --n 2 --size 14": "e22f1855172124281f2941a316656550c37d71e0d524c846380a2a9b7ad3ab5c",
     "fpoints --p 2 --dim 5": "1e3578b1af77a29c46575b1a2d1a11688f4fe834476ab4bc6bbf6dd9d40c3474",
     "tangent --p 3 --dim 4": "8ac65f78484ba7da92eeca67864dc1cf5738f9b63740d0c3952e0955094a3281",
+    "kf --n 2 --size 9": "e9e7ab21263420a532a2779a712b8096d4a1a8fe587e3611962bfa324b14f089",
+    "kf --n 3 --size 9": "7c561213cc8520360070638e38884faf35262f443f20ffa54208a4885ecaccbe",
 }
 
 

@@ -21,10 +21,8 @@ from grfock.symfunc import (
     n_of,
     p_poly,
     power_sum_in_h,
-    reading_word,
     s_poly,
     schur_expand,
-    semistandard_tableaux,
     sym_basis,
     toeplitz_minor,
     twist_in_h_basis,
@@ -90,8 +88,88 @@ def test_frobenius_twist_examples():
 # tableaux, charge, Kostka-Foulkes
 
 
+def _semistandard_tableaux(shape, content):
+    """All SSYT of the given shape and content, filled one cell at a time
+    (rows weak, columns strict): an oracle for the strip enumeration."""
+    shape = tuple(shape)
+    letters = len(content)
+    remaining = list(content)
+    rows: list = [[] for _ in shape]
+
+    def fill(r: int, c: int):
+        if r == len(shape):
+            yield [tuple(row) for row in rows]
+            return
+        nr, nc = (r, c + 1) if c + 1 < shape[r] else (r + 1, 0)
+        lo = rows[r][c - 1] if c > 0 else 1
+        above = rows[r - 1][c] + 1 if r > 0 else 1
+        lo = max(lo, above)
+        for letter in range(lo, letters + 1):
+            if remaining[letter - 1] > 0:
+                remaining[letter - 1] -= 1
+                rows[r].append(letter)
+                yield from fill(nr, nc)
+                rows[r].pop()
+                remaining[letter - 1] += 1
+
+    if sum(shape) != sum(content):
+        return
+    yield from fill(0, 0) if shape else iter([[]])
+
+
+def _reading_word(tableau) -> tuple:
+    """Rows read left to right, bottom row first."""
+    word = []
+    for row in reversed(tableau):
+        word.extend(row)
+    return tuple(word)
+
+
+def _charge_oracle(word) -> int:
+    """Charge by scanning: each standard subword is found by rescanning the
+    unused positions, and its index grows when a letter sits to the right of
+    the letter before."""
+    word = list(word)
+    total = 0
+    positions = list(range(len(word)))
+    while positions:
+        present = {word[i] for i in positions}
+        ones = [i for i in positions if word[i] == 1]
+        if not ones:
+            raise ValueError("content is not a partition")
+        cur = max(ones)
+        selected = [cur]
+        letter = 2
+        while letter in present:
+            scan = [i for i in positions if i < cur][::-1] + [i for i in positions if i > cur][::-1]
+            found = None
+            for i in scan:
+                if word[i] == letter and i not in selected:
+                    found = i
+                    break
+            if found is None:
+                break
+            selected.append(found)
+            cur = found
+            letter += 1
+        ordered = sorted(selected)
+        letters_in_order = [word[i] for i in ordered]
+        pos_of = {letter: idx for idx, letter in enumerate(letters_in_order)}
+        index = 0
+        for r in range(2, len(selected) + 1):
+            if pos_of[r] > pos_of[r - 1]:
+                index += 1
+            total += index
+        positions = [i for i in positions if i not in selected]
+    return total
+
+
+def _oracle_charges(lam, mu) -> list:
+    return [_charge_oracle(_reading_word(T)) for T in _semistandard_tableaux(lam, mu)]
+
+
 def test_reading_word_and_charge():
-    assert reading_word([(1, 2), (3,)]) == (3, 1, 2)
+    assert _reading_word([(1, 2), (3,)]) == (3, 1, 2)
     assert charge((1, 2)) == 1
     assert charge((2, 1)) == 0
     assert charge((3, 1, 2)) == 2
@@ -109,6 +187,48 @@ def test_kostka_foulkes_examples():
             assert kostka_foulkes(lam, lam) == IntPoly((1,))
     with pytest.raises(ValueError):
         kostka_foulkes((2,), (1, 1, 1))
+
+
+def test_charge_matches_the_scanning_oracle():
+    words = 0
+    for total in range(0, 9):
+        for lam in partitions_of(total):
+            for mu in partitions_of(total):
+                for T in _semistandard_tableaux(lam, mu):
+                    word = _reading_word(T)
+                    assert charge(word) == _charge_oracle(word), word
+                    words += 1
+    assert words == 2768  # every SSYT of partition content with at most 8 cells
+
+
+@pytest.mark.parametrize("word", [(1, 0), (2,), (1, 3), (1, 2, 2)])
+def test_charge_rejects_content_that_is_not_a_partition(word):
+    with pytest.raises(ValueError):
+        charge(word)
+
+
+def test_kostka_foulkes_matches_the_cell_by_cell_oracle():
+    for total in range(0, 8):
+        labels = partitions_of(total)
+        K = kf_transition_matrices(total, 2).K.entries
+        for i, lam in enumerate(labels):
+            for j, mu in enumerate(labels):
+                by_charge = [0] * (n_of(mu) + 1)
+                for ch in _oracle_charges(lam, mu):
+                    by_charge[ch] += 1
+                expected = IntPoly(by_charge)
+                assert kostka_foulkes(lam, mu) == expected == K[i][j], (lam, mu)
+                assert kostka_foulkes(lam, mu, "cocharge") == IntPoly(by_charge[::-1]), (lam, mu)
+
+
+def test_unknown_convention_and_non_partitions_are_rejected():
+    with pytest.raises(ValueError):
+        kostka_foulkes((2,), (1, 1), "cocharg")
+    with pytest.raises(ValueError):
+        kf_transition_matrices(2, 2, "cocharg")
+    for lam, mu in (((2,), (2, 0)), ((3,), (1, 2)), ((1, 2), (2, 1))):
+        with pytest.raises(ValueError):
+            kostka_foulkes(lam, mu)
 
 
 def _kostka_count_oracle(lam, mu):
@@ -153,7 +273,7 @@ def test_kostka_at_one_counts_ssyt():
             for mu in partitions_of(total):
                 k1 = kostka_foulkes(lam, mu)(1)
                 assert k1 == _kostka_count_oracle(lam, mu), (lam, mu)
-                assert k1 == sum(1 for _ in semistandard_tableaux(lam, mu))
+                assert k1 == sum(1 for _ in _semistandard_tableaux(lam, mu))
 
 
 def test_kostka_degree_bound():
