@@ -19,7 +19,7 @@ import time
 from itertools import combinations
 
 from . import __version__
-from .exact import QQ, ZZ, _is_prime
+from .exact import QQ, _is_prime
 from . import exterior as ext
 from . import fock
 from . import grassmann as gr
@@ -57,23 +57,21 @@ def _prime(p: int) -> int:
 def suite_clifford(args) -> list:
     n = 5 if args.n is None else _bounded(args.n, "n", 1)
     checks = []
-    ring = ZZ
     keys = [tuple(c) for r in range(n + 1) for c in combinations(range(1, n + 1), r)]
     bad = 0
     for key in keys:
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                a = _ext_apply([(i, False), (j, True)], key)
-                b = _ext_apply([(j, True), (i, False)], key)
-                expected = {key: 1} if i == j else {}
-                if _dict_sum(a, b) != expected:
-                    bad += 1
-                if _dict_sum(_ext_apply([(i, False), (j, False)], key),
-                             _ext_apply([(j, False), (i, False)], key)):
-                    bad += 1
-                if _dict_sum(_ext_apply([(i, True), (j, True)], key),
-                             _ext_apply([(j, True), (i, True)], key)):
-                    bad += 1
+                a = ext.ext_word_on_key(((i, False), (j, True)), key)
+                b = ext.ext_word_on_key(((j, True), (i, False)), key)
+                if i == j:
+                    bad += {a, b} != {None, (1, key)}
+                else:
+                    bad += not _cancel(a, b)
+                bad += not _cancel(ext.ext_word_on_key(((i, False), (j, False)), key),
+                                   ext.ext_word_on_key(((j, False), (i, False)), key))
+                bad += not _cancel(ext.ext_word_on_key(((i, True), (j, True)), key),
+                                   ext.ext_word_on_key(((j, True), (i, True)), key))
     checks.append(check(f"finite-clifford-relations-n{n}", bad == 0,
                         basis_vectors=len(keys), index_pairs=n * n, violations=bad))
 
@@ -96,61 +94,48 @@ def suite_clifford(args) -> list:
     return checks
 
 
-def _ext_apply(word, key) -> dict:
-    res = ext.ext_word_on_key(tuple(word), key)
-    return {} if res is None else {res[1]: res[0]}
-
-
-def _dict_sum(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v}
+def _cancel(a, b) -> bool:
+    """Whether two (sign, key)-or-None results sum to zero."""
+    if a is None or b is None:
+        return a is b
+    return a == (-b[0], b[1])
 
 
 def suite_signs(args) -> list:
     n = 5 if args.n is None else _bounded(args.n, "n", 1)
-    univ = range(1, n + 1)
-    allsub = [tuple(c) for r in range(n + 1) for c in combinations(univ, r)]
-    basis = allsub
+    allsub = [tuple(c) for r in range(n + 1) for c in combinations(range(1, n + 1), r)]
+    psi = {S: tuple((i, False) for i in S) for S in allsub}
+    psi_star = {S: tuple((i, True) for i in S) for S in allsub}
     bad1 = 0
     for J in allsub:
         for m in range(len(J) + 1):
             for K in combinations(J, m):
+                # psi_J = sgn(K, J) psi_{J-K} psi_K
                 s = ext.sgn_KJ(K, J)
-                JK = tuple(sorted(set(J) - set(K)))
-                for b in basis:
-                    lhs = _ext_apply(ext.subset_word(J, False), b)
-                    r = _ext_apply(ext.subset_word(K, False), b)
-                    rhs = {}
-                    for key, c in r.items():
-                        for key2, c2 in _ext_apply(ext.subset_word(JK, False), key).items():
-                            rhs[key2] = rhs.get(key2, 0) + s * c * c2
-                    rhs = {k: v for k, v in rhs.items() if v}
-                    if lhs != rhs:
-                        bad1 += 1
+                JK = tuple(j for j in J if j not in K)
+                for b in allsub:
+                    lhs = ext.ext_word_on_key(psi[J], b)
+                    rhs = ext.ext_word_on_key(psi[JK] + psi[K], b)
+                    bad1 += lhs != (None if rhs is None else (s * rhs[0], rhs[1]))
     bad2 = 0
     for I in allsub:
         for J in allsub:
-            for b in basis:
-                lhs = {}
-                for key, c in _ext_apply(ext.subset_word(J, True), b).items():
-                    for key2, c2 in _ext_apply(ext.subset_word(I, False), key).items():
-                        lhs[key2] = lhs.get(key2, 0) + c * c2
-                lhs = {k: v for k, v in lhs.items() if v}
+            # psi_I psi*_J = sum over K in I & J of sgn(I, J, K) psi*_{J-K} psi_{I-K}
+            inter = tuple(i for i in I if i in J)
+            terms = [
+                (ext.sgn_IJK(I, J, K),
+                 psi_star[tuple(j for j in J if j not in K)] + psi[tuple(i for i in I if i not in K)])
+                for m in range(len(inter) + 1) for K in combinations(inter, m)
+            ]
+            for b in allsub:
+                lhs = ext.ext_word_on_key(psi[I] + psi_star[J], b)
                 rhs = {}
-                inter = tuple(sorted(set(I) & set(J)))
-                for m in range(len(inter) + 1):
-                    for K in combinations(inter, m):
-                        s = ext.sgn_IJK(I, J, K)
-                        IK = tuple(sorted(set(I) - set(K)))
-                        JK = tuple(sorted(set(J) - set(K)))
-                        for key, c in _ext_apply(ext.subset_word(IK, False), b).items():
-                            for key2, c2 in _ext_apply(ext.subset_word(JK, True), key).items():
-                                rhs[key2] = rhs.get(key2, 0) + s * c * c2
-                rhs = {k: v for k, v in rhs.items() if v}
-                if lhs != rhs:
-                    bad2 += 1
+                for s, word in terms:
+                    r = ext.ext_word_on_key(word, b)
+                    if r is not None:
+                        rhs[r[1]] = rhs.get(r[1], 0) + s * r[0]
+                rhs = {key: c for key, c in rhs.items() if c}
+                bad2 += rhs != ({} if lhs is None else {lhs[1]: lhs[0]})
     bad3 = 0
     univ6 = range(1, 7)
     sub6 = [tuple(c) for r in range(5) for c in combinations(univ6, r)]

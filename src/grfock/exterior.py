@@ -2,8 +2,11 @@
 operators, the sign bookkeeping of the commutation lemmas, KP two-tensors and
 their T-deformations, and T-shuffle operators.
 
-Basis indices are 1..n.  All signed operations are compositions of the two
-generator actions on sorted index tuples.
+Basis indices are 1..n and keys are sorted index tuples.  Inside a signed
+operation a key becomes the int with bit i set for each index i, and every
+sign comes from ``fock._move``, the one Clifford kernel of the Fock space too.
+``sgn_KJ``, ``sgn_IJK`` and ``epsilon_d`` are closed-form oracles that the
+``signs`` suite checks the kernel against.
 """
 
 from __future__ import annotations
@@ -12,15 +15,11 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .exact import MixedRingError, Ring, ZZ, minors
+from .fock import _move
 
 
 # ---------------------------------------------------------------------------
 # sign functions
-
-
-def sign_R_minus_one(R) -> int:
-    """(-1)^(r_1 - 1) ... (-1)^(r_d - 1) for a set of positions."""
-    return -1 if sum(r - 1 for r in R) % 2 else 1
 
 
 def sgn_KJ(K, J) -> int:
@@ -65,18 +64,27 @@ def epsilon_d(J, K, d: int, universe=None) -> int:
     return values.pop()
 
 
+def _mask(key) -> int:
+    mask = 0
+    for i in key:
+        mask |= 1 << i
+    return mask
+
+
+def _key(mask: int) -> tuple:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def sort_with_sign(seq) -> tuple[int, tuple] | None:
-    """Sort a sequence of indices, returning (sign, sorted tuple); None on repeats."""
-    seq = list(seq)
-    if len(set(seq)) != len(seq):
-        return None
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(len(seq) - 1, i, -1):
-            if seq[j - 1] > seq[j]:
-                seq[j - 1], seq[j] = seq[j], seq[j - 1]
-                sign = -sign
-    return sign, tuple(seq)
+    """Sort a sequence of indices, returning (sign, sorted tuple); None on repeats.
+    The wedge of the e_s is the psi_s applied to 1, last index first."""
+    res = _move(0, (), reversed(seq))
+    return None if res is None else (res[0], _key(res[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +184,11 @@ class TwoTensor:
         )
 
 
+def _pair_keys(out: dict) -> dict:
+    """{(mask, mask): c} as {(key, key): c}, in the same order."""
+    return {(_key(a), _key(b)): c for (a, b), c in out.items()}
+
+
 def tensor_product(u: ExtTensor, v: ExtTensor) -> TwoTensor:
     if u.n != v.n:
         raise ValueError(f"tensor of vectors in dimensions {u.n} and {v.n}")
@@ -192,52 +205,33 @@ def tensor_product(u: ExtTensor, v: ExtTensor) -> TwoTensor:
 # Clifford generators on keys
 
 
-def ext_psi_key(i: int, key) -> tuple[int, tuple] | None:
-    if i in key:
-        return None
-    below = sum(1 for a in key if a < i)
-    sign = -1 if below % 2 else 1
-    return sign, tuple(sorted(key + (i,)))
-
-
-def ext_psi_star_key(i: int, key) -> tuple[int, tuple] | None:
-    if i not in key:
-        return None
-    pos = key.index(i)  # 0-based; sign is (-1)^pos
-    sign = -1 if pos % 2 else 1
-    return sign, key[:pos] + key[pos + 1 :]
-
-
 def ext_word_on_key(word, key) -> tuple[int, tuple] | None:
     """Apply a product of (index, star) generators, rightmost factor first."""
-    sign = 1
+    mask, sign = _mask(key), 1
     for index, star in reversed(word):
-        res = ext_psi_star_key(index, key) if star else ext_psi_key(index, key)
+        res = _move(mask, (index,), ()) if star else _move(mask, (), (index,))
         if res is None:
             return None
-        s, key = res
+        s, mask = res
         sign *= s
-    return sign, key
-
-
-def subset_word(I, star: bool):
-    """psi_I = psi_{i_1} ... psi_{i_r} for increasing I (or the starred version)."""
-    return tuple((i, star) for i in sorted(I))
+    return sign, _key(mask)
 
 
 def clifford(I, star: bool, v: ExtTensor) -> ExtTensor:
-    """Apply psi_I or psi*_I to a tensor."""
-    word = subset_word(I, star)
-    shift = -len(tuple(I)) if star else len(tuple(I))
+    """Apply psi_I or psi*_I to a tensor: psi_I = psi_{i_1} ... psi_{i_r} for
+    increasing I (likewise starred), so the largest index acts first."""
+    down = sorted(I, reverse=True)
+    sources, targets = (down, ()) if star else ((), down)
     out: dict = {}
     for key, c in v.coeffs.items():
-        res = ext_word_on_key(word, key)
+        res = _move(_mask(key), sources, targets)
         if res is None:
             continue
-        sign, key2 = res
+        sign, mask = res
         val = c * sign
-        out[key2] = out[key2] + val if key2 in out else val
-    return ExtTensor(v.n, v.k + shift, out, v.ring)
+        out[mask] = out[mask] + val if mask in out else val
+    shift = -len(down) if star else len(down)
+    return ExtTensor(v.n, v.k + shift, {_key(m): c for m, c in out.items()}, v.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +290,18 @@ def omega_apply(d: int, tt: TwoTensor) -> TwoTensor:
     """Omega_d = sum over d-subsets I of psi_I (x) psi*_I on a two-tensor."""
     k, l = tt.degrees
     out: dict = {}
-    ring = tt.ring
     for (a, b), c in tt.coeffs.items():
+        am, bm = _mask(a), _mask(b)
         for I in combinations(b, d):
-            right = ext_word_on_key(subset_word(I, True), b)
-            left = ext_word_on_key(subset_word(I, False), a)
-            if right is None or left is None:
+            down = I[::-1]
+            left = _move(am, (), down)
+            if left is None:
                 continue
             sl, a2 = left
-            sr, b2 = right
+            sr, b2 = _move(bm, down, ())
             val = c * (sl * sr)
             out[(a2, b2)] = out[(a2, b2)] + val if (a2, b2) in out else val
-    return TwoTensor(tt.n, (k + d, l - d), out, ring)
+    return TwoTensor(tt.n, (k + d, l - d), _pair_keys(out), tt.ring)
 
 
 def omega(d: int, u: ExtTensor, v: ExtTensor) -> TwoTensor:
@@ -329,19 +323,17 @@ def omega_T_apply(d: int, T, tt: TwoTensor) -> TwoTensor:
     ring = tt.ring
     out: dict = {}
     for (a, b), c in tt.coeffs.items():
+        am, bm = _mask(a), _mask(b)
         for I in combinations(b, d):
-            right = ext_word_on_key(subset_word(I, True), b)
-            if right is None:
-                continue
-            sr, b2 = right
+            sr, b2 = _move(bm, I[::-1], ())
             for J, m in wedge_image(T, I, ring).items():
-                left = ext_word_on_key(subset_word(J, False), a)
+                left = _move(am, (), J[::-1])
                 if left is None:
                     continue
                 sl, a2 = left
                 val = c * m * (sl * sr)
                 out[(a2, b2)] = out[(a2, b2)] + val if (a2, b2) in out else val
-    return TwoTensor(tt.n, (k + d, l - d), out, ring)
+    return TwoTensor(tt.n, (k + d, l - d), _pair_keys(out), ring)
 
 
 def omega_T(d: int, T, u: ExtTensor, v: ExtTensor) -> TwoTensor:
@@ -361,13 +353,13 @@ def eta_T(d: int, T, tau: ExtTensor) -> TwoTensor:
 # T-shuffle operators
 
 
-def t_shuffle(d: int, T, tau: ExtTensor, check: bool = False) -> ExtTensor:
+def t_shuffle(d: int, T, tau: ExtTensor) -> ExtTensor:
     """sh_d^T in the basis-free form sum_I e_I wedge iota_{T*(e*_I)}(.)
 
-    The interior products compose in decreasing index order; that is the
-    unique reading that agrees with the defining subset-replacement formula
-    (and with the (I + tT) expansion).  With check=True the subset form is
-    evaluated too and the two must agree exactly.
+    The interior products compose in decreasing index order, so the smallest
+    j is contracted first; that is the unique reading that agrees with the
+    defining subset-replacement formula (``t_shuffle_subset_form``) and with
+    the (I + tT) expansion.
     """
     if d == 0:
         return tau
@@ -376,24 +368,16 @@ def t_shuffle(d: int, T, tau: ExtTensor, check: bool = False) -> ExtTensor:
     ring = tau.ring
     out: dict = {}
     for key, c in tau.coeffs.items():
+        mask = _mask(key)
         for J in combinations(key, d):
-            # contraction word psi*_{j_d} ... psi*_{j_1}: smallest index first
-            word = tuple((j, True) for j in sorted(J, reverse=True))
-            res = ext_word_on_key(word, key)
-            if res is None:
-                continue
-            sj, key2 = res
             for I, m in wedge_image(T, J, ring).items():
-                left = ext_word_on_key(subset_word(I, False), key2)
-                if left is None:
+                res = _move(mask, J, I[::-1])
+                if res is None:
                     continue
-                si, key3 = left
-                val = c * m * (si * sj)
-                out[key3] = out[key3] + val if key3 in out else val
-    result = ExtTensor(tau.n, tau.k, out, ring)
-    if check and result != t_shuffle_subset_form(d, T, tau):
-        raise ArithmeticError("shuffle formulas disagree")
-    return result
+                sign, mask2 = res
+                val = c * m * sign
+                out[mask2] = out[mask2] + val if mask2 in out else val
+    return ExtTensor(tau.n, tau.k, {_key(m): c for m, c in out.items()}, ring)
 
 
 def t_shuffle_subset_form(d: int, T, tau: ExtTensor) -> ExtTensor:

@@ -2,11 +2,12 @@
 
 Vectors are finitely supported tables MayaDiagram -> scalar at a fixed charge.
 Every signed operation (psi/psi_star, Clifford words, the shuffles, alpha and
-the monomial operator) runs on one bitmask kernel, the single source of
-Fock-side signs: inside a window of slots [lo, hi), a diagram is an int whose
-bit i - lo marks a bead at slot i (slots below lo are holes, slots from hi up
-beads), and psi_i sets that bit, psi*_i clears it, each with sign
-(-1)^(popcount of the bits below it).  MayaDiagram stays the public type.
+the monomial operator) runs on one bitmask kernel, ``_move``.  It is the
+exterior algebra's kernel too, and so the single source of Clifford signs.
+Inside a window of slots [lo, hi), a diagram is an int whose bit i - lo marks
+a bead at slot i (slots below lo are holes, slots from hi up beads), and psi_i
+sets that bit, psi*_i clears it, each with sign (-1)^(popcount of the bits
+below it).  MayaDiagram stays the public type.
 
 Charge bookkeeping follows the storage convention i_k = (k-1) + charge - mu_k:
 adding a wedge factor (psi) lowers the stored charge by one, removing one
@@ -92,7 +93,9 @@ def _move(mask: int, sources, targets) -> tuple[int, int] | None:
     the order given: (sign, mask), or None if a source is clear or a target set.
 
     psi*_i clears bit i and psi_i sets it, each with sign (-1)^(beads below i),
-    the parity of the bits below it.  This is the only place signs arise.
+    the parity of the bits below it.  Every Clifford sign, in the Fock space
+    and in the exterior algebra (``exterior``, where bit i is index i), arises
+    here.
     """
     odd = 0
     for b in sources:

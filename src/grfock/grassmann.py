@@ -3,7 +3,7 @@ finite-field points of the invariant-subspace schemes G^T and S^T, and
 tangent-space probes.
 
 Finite-field point enumeration works with plain ints reduced mod p for speed;
-everything signed goes through the exterior-algebra Clifford compositions.
+every sign comes from the exterior-algebra Clifford kernel.
 Each Gr(k,n)(F_p) is enumerated once per (p, n, k), shared by every n x n
 operator: ``fpoints_rows`` takes each point's Pluecker vector and pivots once
 and tests every operator against them, each operator reduced mod p and its
@@ -19,7 +19,6 @@ from .exact import Ring, ZZ, GF, lattice_basis, lattice_equal, minors
 from .exterior import (
     ExtTensor,
     ext_word_on_key,
-    subset_word,
     sort_with_sign,
     t_shuffle,
 )
@@ -186,8 +185,8 @@ def omega_functional(C: tuple, D: tuple, d: int, n: int) -> dict:
             continue
         B = tuple(sorted(I + D))
         A = tuple(c for c in C if c not in I)
-        sign_B, _ = ext_word_on_key(subset_word(I, True), B)
-        sign_A, _ = ext_word_on_key(subset_word(I, False), A)
+        sign_B, _ = ext_word_on_key([(i, True) for i in I], B)
+        sign_A, _ = ext_word_on_key([(i, False) for i in I], A)
         out[(A, B)] = sign_A * sign_B
     return out
 

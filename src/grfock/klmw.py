@@ -130,13 +130,13 @@ def shuffle_span_dim(n: int, total: int) -> int:
 # Kostka-Foulkes cross-check
 
 
-def kf_compare(n: int, total: int, convention: str = "charge") -> dict:
+def kf_compare(n: int, total: int) -> dict:
     """Compare D(zeta) entrywise with the straightening d-matrix.
 
     Every entry of D(t) reduced modulo Phi_n must be a rational integer; the
     report carries the first discrepancy if any.
     """
-    kf = kf_transition_matrices(total, n, convention)
+    kf = kf_transition_matrices(total, n)
     dm = d_matrix(n, total)
     mismatches = []
     entries = {}
@@ -156,7 +156,7 @@ def kf_compare(n: int, total: int, convention: str = "charge") -> dict:
                     "D_poly": repr(kf.D[i][j]),
                 })
     return {
-        "n": n, "size": total, "convention": convention,
+        "n": n, "size": total,
         "match": not mismatches,
         "entries": entries,
         "mismatches": mismatches,

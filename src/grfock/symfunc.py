@@ -319,10 +319,11 @@ class KFMatrices:
     D: tuple                 # rows indexed by regular_labels, columns by labels
 
 
-def kf_transition_matrices(total: int, n: int, convention: str = "charge") -> KFMatrices:
+def kf_transition_matrices(total: int, n: int) -> KFMatrices:
+    """K graded by charge, whose diagonal is 1, and the matrices built from its inverse."""
     labels = partitions_of(total)  # descending lex refines dominance
     size = len(labels)
-    columns = [_kf_column(mu, (total,) * len(mu), convention) for mu in labels]
+    columns = [_kf_column(mu, (total,) * len(mu), "charge") for mu in labels]
     K = PolyMatrix(labels, tuple(tuple(col.get(lam, IntPoly()) for col in columns) for lam in labels))
     C = invert_unitriangular(K)
     regular = tuple(p for p in labels if is_n_regular(p, n))

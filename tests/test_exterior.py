@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -26,9 +26,7 @@ from grfock.exterior import (
     sgn_IJK,
     sgn_KJ,
     shuffle_generating_identity,
-    sign_R_minus_one,
     sort_with_sign,
-    subset_word,
     sym_operator_apply,
     t_shuffle,
     t_shuffle_subset_form,
@@ -65,11 +63,6 @@ def rnd_decomposable(n, k, ring):
 
 # ---------------------------------------------------------------------------
 # signs
-
-
-def test_sign_R_minus_one_examples():
-    assert sign_R_minus_one({1}) == 1
-    assert sign_R_minus_one({2, 3}) == -1
 
 
 def test_sgn_KJ_examples():
@@ -110,6 +103,26 @@ def test_sort_with_sign():
     assert sort_with_sign((1, 1)) is None
 
 
+def _bubble_sort_with_sign(seq):
+    """Oracle: sort by adjacent swaps, flipping the sign at each swap."""
+    seq = list(seq)
+    if len(set(seq)) != len(seq):
+        return None
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(len(seq) - 1, i, -1):
+            if seq[j - 1] > seq[j]:
+                seq[j - 1], seq[j] = seq[j], seq[j - 1]
+                sign = -sign
+    return sign, tuple(seq)
+
+
+def test_sort_with_sign_matches_the_bubble_sort():
+    for r in range(5):
+        for seq in product(range(1, 6), repeat=r):
+            assert sort_with_sign(seq) == _bubble_sort_with_sign(seq), seq
+
+
 # ---------------------------------------------------------------------------
 # Clifford operators
 
@@ -123,6 +136,42 @@ def test_clifford_examples():
     assert r.coeffs == {(1,): -1}
     e13 = basis_wedge(3, (1, 3))
     assert clifford((1,), False, e13).is_zero()
+
+
+def _psi_oracle(i, key):
+    """psi_i on a sorted tuple: sign (-1)^(number of entries below i)."""
+    if i in key:
+        return None
+    below = sum(1 for a in key if a < i)
+    return (-1 if below % 2 else 1), tuple(sorted(key + (i,)))
+
+
+def _psi_star_oracle(i, key):
+    """psi*_i on a sorted tuple: sign (-1)^(position of i)."""
+    if i not in key:
+        return None
+    pos = key.index(i)
+    return (-1 if pos % 2 else 1), key[:pos] + key[pos + 1 :]
+
+
+def _word_oracle(word, key):
+    sign = 1
+    for index, star in reversed(word):
+        res = _psi_star_oracle(index, key) if star else _psi_oracle(index, key)
+        if res is None:
+            return None
+        s, key = res
+        sign *= s
+    return sign, key
+
+
+def test_ext_word_on_key_matches_the_tuple_scan():
+    letters = [(i, star) for i in range(1, 6) for star in (False, True)]
+    keys = [c for r in range(6) for c in combinations(range(1, 6), r)]
+    for r in range(4):
+        for word in product(letters, repeat=r):
+            for key in keys:
+                assert ext_word_on_key(word, key) == _word_oracle(word, key), (word, key)
 
 
 def test_finite_clifford_relations_exhaustive():
@@ -226,7 +275,7 @@ def test_t_shuffle_top_degree_is_wedge_power():
         k = rng.randint(1, n)
         T = rnd_op(n, QQ)
         tau = rnd_ext(n, k, QQ)
-        assert t_shuffle(k, T, tau, check=True) == wedge_apply(T, tau)
+        assert t_shuffle(k, T, tau) == t_shuffle_subset_form(k, T, tau) == wedge_apply(T, tau)
 
 
 def test_t_shuffle_zero_and_identity_degrees():

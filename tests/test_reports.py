@@ -1,5 +1,6 @@
-"""Every suite's report at default parameters, and the Fock-side and
-finite-field suites' at one heavier parameter set, is pinned by its digest.
+"""Every suite's report at default parameters is pinned by its digest, and so
+are heavier parameter sets of the Fock-side, finite-field, Clifford,
+Pluecker-ideal, T-shuffle export and divided-power suites.
 
 The digest is the sha256 of the report as canonical JSON (sorted keys, no
 whitespace) without its ``wall_time_ms``, the only field that varies between
@@ -35,6 +36,11 @@ HEAVY = {
     "tangent --p 3 --dim 4": "8ac65f78484ba7da92eeca67864dc1cf5738f9b63740d0c3952e0955094a3281",
     "kf --n 2 --size 9": "e9e7ab21263420a532a2779a712b8096d4a1a8fe587e3611962bfa324b14f089",
     "kf --n 3 --size 9": "7c561213cc8520360070638e38884faf35262f443f20ffa54208a4885ecaccbe",
+    "clifford --n 7 --size 8": "3c3cfa808260a834e0a1e9e6674923d05d77328f359fbdf9d2dfd54661ff6c60",
+    "pluecker-ideal --k 3 --n 7": "711ae7ca7965acc53a3634a9a0af608863bde6fb45d41da7898559b59151bb3c",
+    "export-generators --target tshuffle --jordan 4,2 --k 3":
+        "312689bf604e79fefc92cad3dca72db3289caee0455ab6968a239161f6c07c8f",
+    "divided-powers --seed 7": "431f814c22db5929a83d3f22a7e4eb32e767b70a3b14ff335be5aa12ce120d66",
 }
 
 

@@ -220,8 +220,6 @@ def test_kostka_foulkes_matches_the_cell_by_cell_oracle():
 def test_unknown_convention_and_non_partitions_are_rejected():
     with pytest.raises(ValueError):
         kostka_foulkes((2,), (1, 1), "cocharg")
-    with pytest.raises(ValueError):
-        kf_transition_matrices(2, 2, "cocharg")
     for lam, mu in (((2,), (2, 0)), ((3,), (1, 2)), ((1, 2), (2, 1))):
         with pytest.raises(ValueError):
             kostka_foulkes(lam, mu)
