@@ -1,11 +1,14 @@
-"""Exact arithmetic kernel: rationals, prime fields, Z[t], cyclotomic quotients,
-the one determinant and minor routine of the package (``minors``, with ``det``
-its entry on a square grid), integer matrices with Hermite normal form, and
-unitriangular inversion over Z[t].
+"""Exact arithmetic kernel: rationals, prime fields, Z[t] with division by a
+monic divisor and the cyclotomic polynomials, the one determinant and minor
+routine (``minors``, with ``det`` its entry on a square grid), integer matrices
+with Hermite normal form, and the one matrix product ``matmul`` with
+unitriangular inversion over Z[t].  Outside Hermite normal form a matrix is a
+tuple of row tuples.
 
 Scalars form a closed set of ring roles.  Elements of different rings never
 coerce into each other (a PrimeField value added to a Fraction is a TypeError);
-plain Python ints lift canonically into every ring.
+plain Python ints lift canonically into every ring, and every scalar is falsy
+exactly at zero.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 
 class MixedRingError(TypeError):
@@ -235,81 +239,6 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
     return num
 
 
-@dataclass(frozen=True)
-class Cyclo:
-    """An element of Z[t]/Phi_n(t), stored as the residue of degree < deg Phi_n."""
-
-    residue: IntPoly
-    n: int
-
-    def __post_init__(self):
-        phi = cyclotomic_polynomial(self.n)
-        if self.residue.degree >= phi.degree:
-            _, r = self.residue.divmod_monic(phi)
-            object.__setattr__(self, "residue", r)
-
-    def _check(self, other: "Cyclo"):
-        if self.n != other.n:
-            raise MixedRingError(f"Z[zeta_{self.n}] vs Z[zeta_{other.n}]")
-
-    def _lift(self, other):
-        if isinstance(other, int):
-            return Cyclo(IntPoly.const(other), self.n)
-        if isinstance(other, IntPoly):
-            return Cyclo(other, self.n)
-        if isinstance(other, Cyclo):
-            self._check(other)
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Cyclo(self.residue + o.residue, self.n)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclo(-self.residue, self.n)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Cyclo(self.residue * o.residue, self.n)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.residue.is_zero()
-
-    def is_integer(self) -> bool:
-        return self.residue.degree <= 0
-
-    def integer_value(self) -> int:
-        if not self.is_integer():
-            raise ValueError(f"{self!r} is not a rational integer")
-        return self.residue.coeffs[0] if self.residue.coeffs else 0
-
-    def __repr__(self):
-        return f"({self.residue!r} mod Phi_{self.n})"
-
-
-def cyclotomic_reduce(p: IntPoly, n: int) -> Cyclo:
-    """Residue of p modulo the n-th cyclotomic polynomial."""
-    return Cyclo(p, n)
-
-
 # ---------------------------------------------------------------------------
 # ring descriptors, for code generic over the scalar role
 
@@ -327,9 +256,6 @@ class Ring:
     @property
     def one(self):
         return self.from_int(1)
-
-    def is_zero(self, x) -> bool:
-        return x == self.zero
 
     def inv(self, x):
         raise NotImplementedError(f"{self.name} is not a field")
@@ -365,9 +291,6 @@ class PrimeField(Ring):
     def from_int(self, k):
         return Fp(k, self.p)
 
-    def is_zero(self, x):
-        return x.value == 0
-
     def inv(self, x):
         return x.inv()
 
@@ -377,9 +300,6 @@ class _IntPolyRing(Ring):
 
     def from_int(self, k):
         return IntPoly.const(k)
-
-    def is_zero(self, x):
-        return x.is_zero()
 
 
 ZZ = _IntegerRing()
@@ -453,13 +373,6 @@ class IntMatrix:
             cols = len(rows[0])
         return IntMatrix(len(rows), cols, tuple(rows))
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
 
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, int]:
     """Row-style Hermite normal form.
@@ -528,65 +441,39 @@ def lattice_rank(vecs, ncols: int | None = None) -> int:
     return len(lattice_basis(vecs, ncols))
 
 
+
+
 # ---------------------------------------------------------------------------
-# polynomial matrices over Z[t]
+# matrices as tuples of row tuples
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
-    """A square matrix over Z[t], rows/columns tied to an ordered index set."""
+def matmul(A, B, zero=0) -> tuple:
+    """The product A B of two matrices given as sequences of rows.
 
-    labels: tuple
-    entries: tuple  # tuple of row tuples of IntPoly
-
-    def __post_init__(self):
-        n = len(self.labels)
-        if len(self.entries) != n or any(len(r) != n for r in self.entries):
-            raise ValueError(f"entries do not form a {n} x {n} matrix")
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
-    def is_unitriangular(self) -> bool:
-        one = IntPoly.const(1)
-        for i in range(self.size):
-            if self.entries[i][i] != one:
-                return False
-            for j in range(i):
-                if not self.entries[i][j].is_zero():
-                    return False
-        return True
-
-    def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.size != other.size:
-            raise ValueError(f"size {self.size} times size {other.size}")
-        n = self.size
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                s = IntPoly()
-                for k in range(n):
-                    s = s + self.entries[i][k] * other.entries[k][j]
-                row.append(s)
-            rows.append(tuple(row))
-        return PolyMatrix(self.labels, tuple(rows))
+    Entries may come from any ring; ``zero`` is that ring's zero and starts
+    every sum, so an entry is a ring element even where A or B holds ints.
+    """
+    widths = set(map(len, B))
+    if len(widths) > 1 or any(len(row) != len(B) for row in A):
+        raise ValueError(f"rows of lengths {sorted(set(map(len, A)))} "
+                         f"times {len(B)} rows of lengths {sorted(widths)}")
+    columns = tuple(zip(*B))
+    return tuple(tuple(sum(map(mul, row, col), zero) for col in columns) for row in A)
 
 
-def invert_unitriangular(m: PolyMatrix) -> PolyMatrix:
+def invert_unitriangular(rows) -> tuple:
     """Inverse of an upper unitriangular matrix over Z[t]; exact back substitution."""
-    if not m.is_unitriangular():
+    n = len(rows)
+    one = IntPoly.const(1)
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"rows of lengths {sorted(set(map(len, rows)))} do not form a {n} x {n} matrix")
+    if any(rows[i][i] != one or any(rows[i][:i]) for i in range(n)):
         raise ValueError("matrix is not unitriangular for its index order")
-    n = m.size
-    inv = [[IntPoly.const(1) if i == j else IntPoly() for j in range(n)] for i in range(n)]
+    inv = [[one if i == j else IntPoly() for j in range(n)] for i in range(n)]
     for j in range(n):
         for i in range(j - 1, -1, -1):
             s = IntPoly()
             for k in range(i + 1, j + 1):
-                s = s + m.entries[i][k] * inv[k][j]
+                s = s + rows[i][k] * inv[k][j]
             inv[i][j] = -s
-    return PolyMatrix(m.labels, tuple(tuple(row) for row in inv))
+    return tuple(tuple(row) for row in inv)

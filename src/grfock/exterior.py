@@ -7,6 +7,13 @@ operation a key becomes the int with bit i set for each index i, and every
 sign comes from ``fock._move``, the one Clifford kernel of the Fock space too.
 ``sgn_KJ``, ``sgn_IJK`` and ``epsilon_d`` are closed-form oracles that the
 ``signs`` suite checks the kernel against.
+
+Paper claims that only tier-1 pins (tests/test_exterior.py): the generating
+identity, ``shuffle_generating_identity`` (``test_generating_identity_random``);
+Omega^T through the shuffles, ``omega_T_apply`` and ``eta_T``
+(``test_omega_T_additivity_QQ_and_F5``, ``test_eta_T_matches_omega_of_wedged``);
+the Frobenius-twist reading sh_d^T = e_d(T_1, ..., T_k), ``sym_operator_apply``
+(``test_sym_operator_examples``).
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .exact import MixedRingError, Ring, ZZ, minors
+from .exact import MixedRingError, Ring, ZZ, matmul, minors
 from .fock import _move
 
 
@@ -105,7 +112,7 @@ class ExtTensor:
         for key, c in self.coeffs.items():
             if len(key) != self.k or list(key) != sorted(key) or not all(0 < i <= self.n for i in key):
                 raise ValueError(f"key {key} is not a sorted {self.k}-tuple from 1..{self.n}")
-            if not self.ring.is_zero(c):
+            if c:
                 clean[key] = c
         self.coeffs = clean
 
@@ -154,7 +161,7 @@ class TwoTensor:
         for (a, b), c in self.coeffs.items():
             if len(a) != k or len(b) != l:
                 raise ValueError(f"key {(a, b)} does not have degrees {(k, l)}")
-            if not self.ring.is_zero(c):
+            if c:
                 clean[(a, b)] = c
         self.coeffs = clean
 
@@ -252,14 +259,6 @@ def identity_operator(n: int, ring: Ring = ZZ) -> tuple:
 
 def add_operators(S, T, ring: Ring = ZZ) -> tuple:
     return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(S, T))
-
-
-def compose_operators(S, T, ring: Ring = ZZ) -> tuple:
-    n = len(S)
-    return tuple(
-        tuple(sum((S[i][k] * T[k][j] for k in range(n)), ring.zero) for j in range(n))
-        for i in range(n)
-    )
 
 
 def wedge_image(T, J, ring: Ring = ZZ) -> dict:
@@ -392,7 +391,7 @@ def t_shuffle_subset_form(d: int, T, tau: ExtTensor) -> ExtTensor:
             # factors: e_{key[r]} for r not in R, T e_{key[r]} for r in R
             columns = [[(ring.one, key[r])] if r not in R else
                        [(T[i - 1][key[r] - 1], i) for i in range(1, n + 1)
-                        if not ring.is_zero(T[i - 1][key[r] - 1])]
+                        if T[i - 1][key[r] - 1]]
                        for r in range(len(key))]
             for pick in product(*columns):
                 coeff = c
@@ -448,7 +447,7 @@ def sym_operator_apply(f, T, tau: ExtTensor) -> ExtTensor:
     maxpow = max((max(exp) for exp in f.coeffs if exp), default=0)
     powers = [identity_operator(n, ring)]
     for _ in range(maxpow):
-        powers.append(compose_operators(powers[-1], T, ring))
+        powers.append(matmul(powers[-1], T, ring.zero))
     out: dict = {}
     for exp, fc in f.coeffs.items():
         coeff_f = ring.from_int(fc) if isinstance(fc, int) else fc
@@ -457,7 +456,7 @@ def sym_operator_apply(f, T, tau: ExtTensor) -> ExtTensor:
             for slot in range(tau.k):
                 M = powers[exp[slot]]
                 col = [(M[i - 1][key[slot] - 1], i) for i in range(1, n + 1)
-                       if not ring.is_zero(M[i - 1][key[slot] - 1])]
+                       if M[i - 1][key[slot] - 1]]
                 columns.append(col)
             for pick in product(*columns):
                 coeff = c * coeff_f

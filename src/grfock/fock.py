@@ -12,6 +12,11 @@ below it).  MayaDiagram stays the public type.
 Charge bookkeeping follows the storage convention i_k = (k-1) + charge - mu_k:
 adding a wedge factor (psi) lowers the stored charge by one, removing one
 (psi_star) raises it.
+
+A paper claim that only tier-1 pins (tests/test_fock.py): boson-fermion
+multiplicativity, through ``monomial_operator`` and ``multiply_p_times_m``
+(``test_monomial_operator_is_multiplicative``) and ``operator_matrix``
+(``test_operator_matrix_shapes``).
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .exact import Ring, ZZ, GF, lattice_basis, lattice_equal, minors
+from .exact import Ring, ZZ, GF, lattice_basis, lattice_equal, matmul, minors
 from .exterior import (
     ExtTensor,
     ext_word_on_key,
@@ -283,19 +283,12 @@ def jordan_matrix(blocks, n: int | None = None) -> tuple:
     return tuple(tuple(r) for r in rows)
 
 
-def int_matmul(A, B) -> tuple:
-    n = len(A)
-    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)) for i in range(n))
-
-
 def is_nilpotent(T) -> bool:
-    n = len(T)
+    """Whether T^n = 0 for the n x n matrix T."""
     M = T
-    for _ in range(n):
-        if all(all(x == 0 for x in row) for row in M):
-            return True
-        M = int_matmul(M, T)
-    return all(all(x == 0 for x in row) for row in M)
+    for _ in range(len(T) - 1):
+        M = matmul(M, T)
+    return not any(map(any, M))
 
 
 # ---------------------------------------------------------------------------

@@ -8,22 +8,18 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .exact import IntMatrix, cyclotomic_reduce, hermite_normal_form
+from .exact import IntMatrix, ZZ, cyclotomic_polynomial, hermite_normal_form
 from .fock import basis_vector, shuffle_adjoint
-from .grassmann import jordan_matrix, is_nilpotent
+from .grassmann import is_nilpotent
 from .exterior import ExtTensor, t_shuffle
-from .exact import GF, ZZ
 from .partitions import (
     MayaDiagram,
     Partition,
     gap_and_regularize,
     is_n_regular,
-    maya_of_partition,
     n_jump_raises,
-    n_regular_partitions,
     partition_of_maya,
     partitions_of,
-    size,
     weight_class,
 )
 from .symfunc import kf_transition_matrices
@@ -138,15 +134,16 @@ def kf_compare(n: int, total: int) -> dict:
     """
     kf = kf_transition_matrices(total, n)
     dm = d_matrix(n, total)
+    phi = cyclotomic_polynomial(n)
     mismatches = []
     entries = {}
     for i, lam in enumerate(kf.regular_labels):
         for j, nu in enumerate(kf.labels):
-            residue = cyclotomic_reduce(kf.D[i][j], n)
-            if not residue.is_integer():
+            _, residue = kf.D[i][j].divmod_monic(phi)
+            if residue.degree > 0:
                 raise ArithmeticError(
-                    f"D({lam},{nu}) at zeta_{n} is not an integer: {residue!r}")
-            val = residue.integer_value()
+                    f"D({lam},{nu}) at zeta_{n} is not an integer: {residue!r} mod Phi_{n}")
+            val = residue(0)
             entries[(lam, nu)] = val
             expected = dm.get((lam, nu), 0)
             if val != expected:

@@ -2,6 +2,11 @@
 variables, plus Kostka-Foulkes polynomials via the charge statistic,
 Hall-Littlewood transition matrices, the block-Toeplitz determinant
 coefficients, and Frobenius twists expressed in the h-generators.
+
+A paper claim that only tier-1 pins (tests/test_symfunc.py): the Frobenius-twist
+reading of the shuffles, through ``SymPoly``, ``schur_expand``
+(``test_schur_expand_jacobi_trudi_consistency``) and ``frobenius_twist``
+(``test_frobenius_twist_examples``).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from itertools import permutations
 from math import factorial
 from operator import lt
 
-from .exact import IntPoly, PolyMatrix, Ring, QQ, det, invert_unitriangular
+from .exact import IntPoly, Ring, QQ, det, invert_unitriangular, matmul
 from .partitions import MayaDiagram, Partition, check_partition, is_n_regular, partitions_of
 
 
@@ -312,9 +317,9 @@ class KFMatrices:
 
     labels: tuple            # all partitions of the size, dominance-compatible order
     regular_labels: tuple    # the n-regular ones, same order
-    K: PolyMatrix
-    C: PolyMatrix
-    A: PolyMatrix
+    K: tuple                 # rows and columns indexed by labels
+    C: tuple                 # rows and columns indexed by labels
+    A: tuple                 # rows and columns indexed by regular_labels
     B: tuple                 # rows indexed by regular_labels, columns by labels
     D: tuple                 # rows indexed by regular_labels, columns by labels
 
@@ -322,25 +327,14 @@ class KFMatrices:
 def kf_transition_matrices(total: int, n: int) -> KFMatrices:
     """K graded by charge, whose diagonal is 1, and the matrices built from its inverse."""
     labels = partitions_of(total)  # descending lex refines dominance
-    size = len(labels)
     columns = [_kf_column(mu, (total,) * len(mu), "charge") for mu in labels]
-    K = PolyMatrix(labels, tuple(tuple(col.get(lam, IntPoly()) for col in columns) for lam in labels))
+    K = tuple(tuple(col.get(lam, IntPoly()) for col in columns) for lam in labels)
     C = invert_unitriangular(K)
     regular = tuple(p for p in labels if is_n_regular(p, n))
     reg_idx = [labels.index(p) for p in regular]
-    C_reg = PolyMatrix(regular, tuple(tuple(C.entries[i][j] for j in reg_idx) for i in reg_idx))
-    A = invert_unitriangular(C_reg)
-    B = tuple(tuple(C.entries[i][j] for j in range(size)) for i in reg_idx)
-    D_rows = []
-    for i in range(len(regular)):
-        row = []
-        for j in range(size):
-            s = IntPoly()
-            for k in range(len(regular)):
-                s = s + A.entries[i][k] * B[k][j]
-            row.append(s)
-        D_rows.append(tuple(row))
-    return KFMatrices(labels, regular, K, C, A, B, tuple(D_rows))
+    B = tuple(C[i] for i in reg_idx)
+    A = invert_unitriangular(tuple(tuple(row[j] for j in reg_idx) for row in B))
+    return KFMatrices(labels, regular, K, C, A, B, matmul(A, B, IntPoly()))
 
 
 # ---------------------------------------------------------------------------

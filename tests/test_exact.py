@@ -5,21 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grfock.exact import (
-    Cyclo,
     Fp,
     GF,
     IntMatrix,
     IntPoly,
     MixedRingError,
-    PolyMatrix,
     QQ,
     cyclotomic_polynomial,
-    cyclotomic_reduce,
     hermite_normal_form,
     invert_unitriangular,
     lattice_basis,
     lattice_equal,
     lattice_rank,
+    matmul,
 )
 
 
@@ -73,23 +71,25 @@ def test_cyclotomic_examples():
     assert cyclotomic_polynomial(4) == IntPoly((1, 0, 1))
     assert cyclotomic_polynomial(6) == IntPoly((1, -1, 1))
     # n=2: t -> -1
-    assert cyclotomic_reduce(IntPoly.t(), 2).residue == IntPoly((-1,))
+    assert IntPoly.t().divmod_monic(cyclotomic_polynomial(2))[1] == IntPoly((-1,))
     # n=3: t^3 -> 1
-    assert cyclotomic_reduce(IntPoly.t(3), 3).integer_value() == 1
+    assert IntPoly.t(3).divmod_monic(cyclotomic_polynomial(3))[1] == IntPoly((1,))
     # n=4: t^2+1 -> 0
-    assert cyclotomic_reduce(IntPoly((1, 0, 1)), 4).is_zero()
+    assert not IntPoly((1, 0, 1)).divmod_monic(cyclotomic_polynomial(4))[1]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7, 11])
 def test_cyclotomic_prime_geometric_sum(n):
     geo = IntPoly((1,) * n)
-    assert cyclotomic_reduce(geo, n).is_zero()
+    assert not geo.divmod_monic(cyclotomic_polynomial(n))[1]
 
 
-def test_cyclo_ring_arithmetic():
-    z = Cyclo(IntPoly.t(), 3)
-    assert (z * z + z + 1).is_zero()
-    assert (z * z * z).integer_value() == 1
+def test_residues_mod_phi3():
+    t, phi = IntPoly.t(), cyclotomic_polynomial(3)
+    assert not (t * t + t + 1).divmod_monic(phi)[1]
+    assert (t * t * t).divmod_monic(phi)[1] == IntPoly((1,))
+    # t^2 is not an integer at a primitive cube root of unity
+    assert (t * t).divmod_monic(phi)[1] == -t - 1
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +97,9 @@ def test_cyclo_ring_arithmetic():
 
 
 def test_hnf_examples():
-    h, rank = hermite_normal_form(IntMatrix.identity(2))
-    assert h == IntMatrix.identity(2) and rank == 2
+    identity = IntMatrix.from_rows([[1, 0], [0, 1]])
+    h, rank = hermite_normal_form(identity)
+    assert h == identity and rank == 2
     h, rank = hermite_normal_form(IntMatrix.from_rows([[0, 0, 0]] * 3))
     assert rank == 0 and all(all(x == 0 for x in row) for row in h.entries)
     h, rank = hermite_normal_form(IntMatrix.from_rows([[2, 4], [0, 3]]))
@@ -203,20 +204,21 @@ def test_hnf_preserves_row_space(vectors):
 
 
 def _poly_matrix_from_ints(rows):
-    ents = tuple(tuple(IntPoly.const(x) if isinstance(x, int) else x for x in row) for row in rows)
-    return PolyMatrix(tuple(range(len(rows))), ents)
+    return tuple(tuple(IntPoly.const(x) if isinstance(x, int) else x for x in row) for row in rows)
 
 
 def test_invert_unitriangular_examples():
     t = IntPoly.t()
     ident = _poly_matrix_from_ints([[1, 0], [0, 1]])
-    assert invert_unitriangular(ident).entries == ident.entries
+    assert invert_unitriangular(ident) == ident
     m = _poly_matrix_from_ints([[1, t], [0, 1]])
     inv = invert_unitriangular(m)
-    assert inv.entries == ((IntPoly((1,)), -t), (IntPoly(), IntPoly((1,))))
-    assert m.matmul(inv).entries == ident.entries
+    assert inv == ((IntPoly((1,)), -t), (IntPoly(), IntPoly((1,))))
+    assert matmul(m, inv, IntPoly()) == ident
     with pytest.raises(ValueError):
         invert_unitriangular(_poly_matrix_from_ints([[2, 0], [0, 1]]))
+    with pytest.raises(ValueError):
+        invert_unitriangular(_poly_matrix_from_ints([[1, 0], [t, 1]]))
 
 
 @settings(max_examples=25, deadline=None)
@@ -236,13 +238,13 @@ def test_invert_unitriangular_random(size, data):
                     st.lists(st.integers(min_value=-4, max_value=4), min_size=deg + 1, max_size=deg + 1))
                 row.append(IntPoly(coeffs))
         rows.append(tuple(row))
-    m = PolyMatrix(tuple(range(size)), tuple(rows))
+    m = tuple(rows)
     inv = invert_unitriangular(m)
-    prod = m.matmul(inv)
+    prod = matmul(m, inv, IntPoly())
     for i in range(size):
         for j in range(size):
             expected = IntPoly.const(1) if i == j else IntPoly()
-            assert prod.entries[i][j] == expected
+            assert prod[i][j] == expected
 
 
 def test_invert_unitriangular_degree2_kostka():
@@ -253,7 +255,7 @@ def test_invert_unitriangular_degree2_kostka():
     assert kostka_foulkes((2,), (1, 1)) == t
     assert kostka_foulkes((2,), (2,)) == IntPoly((1,))
     m = _poly_matrix_from_ints([[1, t], [0, 1]])
-    assert invert_unitriangular(m).entries[0][1] == -t
+    assert invert_unitriangular(m)[0][1] == -t
 
 
 def test_lattice_basis_gives_rank_and_equality():
@@ -284,12 +286,16 @@ def test_int_matrix_rejects_entries_of_the_wrong_shape():
         IntMatrix(2, 1, ((1,), (2, 3)))
 
 
-def test_poly_matrix_rejects_bad_shapes_and_sizes():
+def test_matmul_and_inversion_reject_bad_shapes():
     one, zero = IntPoly.const(1), IntPoly()
-    a = PolyMatrix((0, 1), ((one, zero), (zero, one)))
+    a = ((one, zero), (zero, one))
     with pytest.raises(ValueError):
-        PolyMatrix((0, 1), ((one, zero),))
+        invert_unitriangular(((one, zero),))
     with pytest.raises(ValueError):
-        PolyMatrix((0, 1), ((one,), (zero, one)))
+        invert_unitriangular(((one,), (zero, one)))
     with pytest.raises(ValueError):
-        a.matmul(PolyMatrix((0,), ((one,),)))
+        matmul(a, ((one,),), zero)
+    with pytest.raises(ValueError):
+        matmul(((1, 2),), ((1,), (2, 3)))
+    assert matmul(((1, 2),), ((3,), (4,))) == ((11,),)
+    assert matmul(((1, 2), (3, 4)), ((0, 1), (1, 0))) == ((2, 1), (4, 3))

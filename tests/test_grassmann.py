@@ -8,6 +8,7 @@ from grfock.grassmann import (
     enumerate_points,
     fpoints_rows,
     gaussian_binomial,
+    is_nilpotent,
     jordan_matrix,
     omega_functional,
     wedge_of_rows,
@@ -19,6 +20,14 @@ def test_jordan_matrix_rejects_blocks_of_the_wrong_size():
     assert jordan_matrix((2, 1), 3) == ((0, 1, 0), (0, 0, 0), (0, 0, 0))
     with pytest.raises(ValueError):
         jordan_matrix((2, 1), 4)
+
+
+def test_is_nilpotent_on_jordan_types_and_non_examples():
+    for n in range(1, 6):
+        for blocks in partitions_of(n):
+            assert is_nilpotent(jordan_matrix(blocks))
+    assert not is_nilpotent(((0, 1), (1, 0)))
+    assert not is_nilpotent(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def test_gaussian_binomial():

@@ -1,4 +1,10 @@
-from grfock.klmw import d_matrix, shuffle_span_dim, straighten
+from dataclasses import replace
+
+import pytest
+
+from grfock import klmw
+from grfock.exact import IntPoly
+from grfock.klmw import d_matrix, kf_compare, shuffle_span_dim, straighten
 from grfock.partitions import Cmp, compare_mlex, is_n_regular, n_regular_partitions, partitions_of
 
 
@@ -25,3 +31,28 @@ def test_shuffle_span_dim_counts_the_non_regular_partitions():
         for m in range(0, 9):
             expected = len(partitions_of(m)) - len(n_regular_partitions(n, m))
             assert shuffle_span_dim(n, m) == expected, (n, m)
+
+
+def _kf_with_d00_equal_to_t(monkeypatch):
+    real = klmw.kf_transition_matrices
+
+    def patched(total, n):
+        kf = real(total, n)
+        row0 = (IntPoly.t(),) + kf.D[0][1:]
+        return replace(kf, D=(row0,) + kf.D[1:])
+
+    monkeypatch.setattr(klmw, "kf_transition_matrices", patched)
+
+
+def test_kf_compare_reads_each_entry_at_a_root_of_unity(monkeypatch):
+    _kf_with_d00_equal_to_t(monkeypatch)
+    report = kf_compare(2, 2)
+    assert report["entries"][((2,), (2,))] == -1  # t at zeta_2 = -1
+    assert not report["match"]
+    assert report["mismatches"][0]["d_straighten"] == 1
+
+
+def test_kf_compare_rejects_an_entry_that_is_not_an_integer(monkeypatch):
+    _kf_with_d00_equal_to_t(monkeypatch)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        kf_compare(3, 2)

@@ -1,6 +1,7 @@
 """Every suite's report at default parameters is pinned by its digest, and so
 are heavier parameter sets of the Fock-side, finite-field, Clifford,
-Pluecker-ideal, T-shuffle export and divided-power suites.
+Pluecker-ideal, T-shuffle export, divided-power, determinant-identity and
+n-dominance suites, and of the Kostka-Foulkes check at n = 2, 3 and 5.
 
 The digest is the sha256 of the report as canonical JSON (sorted keys, no
 whitespace) without its ``wall_time_ms``, the only field that varies between
@@ -41,6 +42,9 @@ HEAVY = {
     "export-generators --target tshuffle --jordan 4,2 --k 3":
         "312689bf604e79fefc92cad3dca72db3289caee0455ab6968a239161f6c07c8f",
     "divided-powers --seed 7": "431f814c22db5929a83d3f22a7e4eb32e767b70a3b14ff335be5aa12ce120d66",
+    "kf --n 5 --size 8": "a125f328ebd35666eb84250028c6c4621b6fd1de1b36e5922ac4444edc34d34e",
+    "det-identity --n 3 --k 7": "60c2371f5104203bc4cfc2ec5b77380421356fd94dea5e236117a40b458ccbae",
+    "ndominance --n 2 --size 18": "73e6e5075c2a32b20a15bc31d14f642fd83b49336a6b4006bf53bd543357cfb1",
 }
 
 
