@@ -129,9 +129,6 @@ class IntPoly:
         # degree of the zero polynomial is -1 by convention
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -185,7 +182,7 @@ class IntPoly:
 
     def divmod_monic(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
         """Quotient and remainder by a monic divisor; exact over Z."""
-        if divisor.is_zero() or divisor.coeffs[-1] != 1:
+        if not divisor or divisor.coeffs[-1] != 1:
             raise ValueError("divisor must be monic")
         rem = list(self.coeffs)
         d = divisor.degree
@@ -233,7 +230,7 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
     for d in range(1, n):
         if n % d == 0:
             q, r = num.divmod_monic(cyclotomic_polynomial(d))
-            if not r.is_zero():
+            if r:
                 raise ArithmeticError(f"Phi_{d} does not divide t^{n} - 1 over the smaller factors")
             num = q
     return num
@@ -439,8 +436,6 @@ def lattice_basis(vecs, ncols: int | None = None) -> tuple:
 
 def lattice_rank(vecs, ncols: int | None = None) -> int:
     return len(lattice_basis(vecs, ncols))
-
-
 
 
 # ---------------------------------------------------------------------------

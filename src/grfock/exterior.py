@@ -393,19 +393,25 @@ def t_shuffle_subset_form(d: int, T, tau: ExtTensor) -> ExtTensor:
                        [(T[i - 1][key[r] - 1], i) for i in range(1, n + 1)
                         if T[i - 1][key[r] - 1]]
                        for r in range(len(key))]
-            for pick in product(*columns):
-                coeff = c
-                letters = []
-                for val, idx in pick:
-                    coeff = coeff * val
-                    letters.append(idx)
-                res = sort_with_sign(letters)
-                if res is None:
-                    continue
-                sign, skey = res
-                val = coeff * sign
-                out[skey] = out[skey] + val if skey in out else val
+            _accumulate_slot_products(out, c, columns)
     return ExtTensor(tau.n, tau.k, out, ring)
+
+
+def _accumulate_slot_products(out: dict, c, columns: list) -> None:
+    """Add c times the wedge of one (coefficient, index) pick per slot to out,
+    for every pick from the per-slot column lists."""
+    for pick in product(*columns):
+        coeff = c
+        letters = []
+        for val, idx in pick:
+            coeff = coeff * val
+            letters.append(idx)
+        res = sort_with_sign(letters)
+        if res is None:
+            continue
+        sign, skey = res
+        val = coeff * sign
+        out[skey] = out[skey] + val if skey in out else val
 
 
 def shuffle_generating_identity(T, tau: ExtTensor, t_scalar, ring: Ring) -> tuple:
@@ -458,16 +464,5 @@ def sym_operator_apply(f, T, tau: ExtTensor) -> ExtTensor:
                 col = [(M[i - 1][key[slot] - 1], i) for i in range(1, n + 1)
                        if M[i - 1][key[slot] - 1]]
                 columns.append(col)
-            for pick in product(*columns):
-                coeff = c * coeff_f
-                letters = []
-                for val, idx in pick:
-                    coeff = coeff * val
-                    letters.append(idx)
-                res = sort_with_sign(letters)
-                if res is None:
-                    continue
-                sign, skey = res
-                val = coeff * sign
-                out[skey] = out[skey] + val if skey in out else val
+            _accumulate_slot_products(out, c * coeff_f, columns)
     return ExtTensor(tau.n, tau.k, out, ring)

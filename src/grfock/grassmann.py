@@ -2,6 +2,11 @@
 finite-field points of the invariant-subspace schemes G^T and S^T, and
 tangent-space probes.
 
+The degree-2 lattices are compared one torus-weight block at a time: every
+Pluecker quadric and KP functional is homogeneous for the weight A + B (a
+multiset) of its pairs (A, B), so each lattice is the direct sum of its blocks,
+the lattices are equal exactly when every block is, and ranks add over blocks.
+
 Finite-field point enumeration works with plain ints reduced mod p for speed;
 every sign comes from the exterior-algebra Clifford kernel.
 Each Gr(k,n)(F_p) is enumerated once per (p, n, k), shared by every n x n
@@ -227,15 +232,6 @@ def omega_bihom_functionals(k: int, l: int, n: int) -> list:
     return out
 
 
-def grassmann_pair_index(k: int, n: int) -> list:
-    keys = list(combinations(range(1, n + 1), k))
-    return [(a, b) for i, a in enumerate(keys) for b in keys[i:]]
-
-
-def incidence_pair_index(k: int, l: int, n: int) -> list:
-    return [(a, b) for a in combinations(range(1, n + 1), k) for b in combinations(range(1, n + 1), l)]
-
-
 def vectors_over(index: list, dicts: list) -> list:
     pos = {key: i for i, key in enumerate(index)}
     out = []
@@ -247,20 +243,34 @@ def vectors_over(index: list, dicts: list) -> list:
     return out
 
 
+def _pair_weight(key: tuple) -> tuple:
+    """Torus weight of the pair (A, B): the multiset A + B, sorted."""
+    return tuple(sorted(key[0] + key[1]))
+
+
+def _graded_lattices(plucker: list, omega: list) -> tuple[bool, int, int]:
+    """(equal lattices, Pluecker rank, KP rank), one weight block at a time; a
+    block's index is the sorted union of the keys that occur in it."""
+    blocks: dict = {}
+    for side, dicts in enumerate((plucker, omega)):
+        for q in dicts:
+            blocks.setdefault(_pair_weight(next(iter(q))), ([], []))[side].append(q)
+    equal, pl_rank, om_rank = True, 0, 0
+    for sides in blocks.values():
+        index = sorted({key for qs in sides for q in qs for key in q})
+        pl, om = (lattice_basis(vectors_over(index, qs), len(index)) for qs in sides)
+        equal, pl_rank, om_rank = equal and pl == om, pl_rank + len(pl), om_rank + len(om)
+    return equal, pl_rank, om_rank
+
+
 def degree2_ideal_equal(k: int, n: int) -> tuple[bool, int, int]:
     """(Pluecker lattice == KP-two-tensor lattice, Pluecker rank, KP rank) inside
-    the degree-2 coordinates, from one Hermite normal form per side."""
-    index = grassmann_pair_index(k, n)
-    pl = lattice_basis(vectors_over(index, plucker_quadrics(k, n)), len(index))
-    om = lattice_basis(vectors_over(index, omega_quadric_functionals(k, n)), len(index))
-    return pl == om, len(pl), len(om)
+    the degree-2 coordinates."""
+    return _graded_lattices(plucker_quadrics(k, n), omega_quadric_functionals(k, n))
 
 
 def incidence_degree2_ideal_equal(k: int, l: int, n: int) -> bool:
-    index = incidence_pair_index(k, l, n)
-    pl = vectors_over(index, incidence_quadrics(k, l, n))
-    om = vectors_over(index, omega_bihom_functionals(k, l, n))
-    return lattice_equal(pl, om) if index else True
+    return _graded_lattices(incidence_quadrics(k, l, n), omega_bihom_functionals(k, l, n))[0]
 
 
 # ---------------------------------------------------------------------------

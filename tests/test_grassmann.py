@@ -1,16 +1,25 @@
+from itertools import combinations
+
 import pytest
 
-from grfock.exact import GF
+from grfock.exact import GF, lattice_basis
 from grfock.exterior import t_shuffle
 from grfock.grassmann import (
+    _pair_weight,
     _rank_modp,
     degree2_ideal_equal,
     enumerate_points,
     fpoints_rows,
     gaussian_binomial,
+    incidence_degree2_ideal_equal,
+    incidence_quadrics,
     is_nilpotent,
     jordan_matrix,
+    omega_bihom_functionals,
     omega_functional,
+    omega_quadric_functionals,
+    plucker_quadrics,
+    vectors_over,
     wedge_of_rows,
 )
 from grfock.partitions import partitions_of
@@ -42,6 +51,50 @@ def test_degree2_ideal_equal_reports_both_ranks():
     # Gr(2,4): one Pluecker quadric, spanned by the KP two-tensors as well
     assert degree2_ideal_equal(2, 4) == (True, 1, 1)
     assert degree2_ideal_equal(1, 4) == (True, 0, 0)
+
+
+def _generator_families(n):
+    """(label, dicts) for every generator family with n <= 6: the Grassmannian
+    side for k <= n and the incidence side for l <= k <= n."""
+    for k in range(n + 1):
+        yield (k, n), plucker_quadrics(k, n)
+        yield (k, n), omega_quadric_functionals(k, n)
+        for l in range(k + 1):
+            yield (k, l, n), incidence_quadrics(k, l, n)
+            yield (k, l, n), omega_bihom_functionals(k, l, n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_degree2_generator_lies_in_one_torus_weight(n):
+    # the premise of the graded comparison: the block key of a generator is
+    # the same whichever of its pairs it is read from
+    for label, dicts in _generator_families(n):
+        for q in dicts:
+            assert q, label
+            assert len({_pair_weight(key) for key in q}) == 1, (label, q)
+
+
+def _dense_lattice(index, plucker, omega):
+    """(equal, Pluecker rank, KP rank) from one Hermite normal form per side
+    over the whole pair index."""
+    pl = lattice_basis(vectors_over(index, plucker), len(index))
+    om = lattice_basis(vectors_over(index, omega), len(index))
+    return pl == om, len(pl), len(om)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_graded_degree2_comparison_matches_the_dense_one(n):
+    subsets = {k: list(combinations(range(1, n + 1), k)) for k in range(n + 1)}
+    for k in range(n + 1):
+        keys = subsets[k]
+        index = [(a, b) for i, a in enumerate(keys) for b in keys[i:]]
+        dense = _dense_lattice(index, plucker_quadrics(k, n), omega_quadric_functionals(k, n))
+        assert degree2_ideal_equal(k, n) == dense, (k, n)
+        for l in range(k + 1):
+            index = [(a, b) for a in subsets[k] for b in subsets[l]]
+            dense = _dense_lattice(index, incidence_quadrics(k, l, n),
+                                   omega_bihom_functionals(k, l, n))
+            assert incidence_degree2_ideal_equal(k, l, n) == dense[0], (k, l, n)
 
 
 def test_omega_functional_rejects_an_unsorted_D():
