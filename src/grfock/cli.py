@@ -305,26 +305,24 @@ def suite_tangent(args) -> list:
     nmax = 5 if args.dim is None else _bounded(args.dim, "dim", 1)
     budget = _bounded(args.budget, "budget", 0)
     checks = []
-    for blocks in (b for n in range(1, nmax + 1) for b in pt.partitions_of(n)):
-        if all(b == 1 for b in blocks):
-            continue  # zero operator
-        n = sum(blocks)
-        T = gr.jordan_matrix(blocks)
-        best = None
-        table = []
+    for n in range(1, nmax + 1):
+        types = [b for b in pt.partitions_of(n) if any(x > 1 for x in b)]  # T != 0
+        Ts = [gr.jordan_matrix(blocks) for blocks in types]
+        best = [None] * len(types)
+        points = [0] * len(types)
         for k in range(1, n):
-            pts = gr.gt_points(T, k, p, max_points=budget)
-            expectation = math.floor(math.log(max(len(pts), 1), p)) if pts else 0
-            for U in pts:
-                dim = gr.tangent_dim_gt(U, T)
-                excess = dim - expectation
-                table.append({"k": k, "pivots": list(U.pivots()), "tangent": dim,
-                              "expected": expectation})
-                if best is None or excess > best["excess"]:
-                    best = {"k": k, "tangent": dim, "expected": expectation, "excess": excess}
-        ok = best is not None and best["excess"] > 0
-        checks.append(check(f"tangent-excess-type-{'-'.join(map(str, blocks))}", ok,
-                            best=best, points=len(table)))
+            for i, pts in enumerate(gr.gt_points(Ts, k, p, max_points=budget)):
+                expectation = math.floor(math.log(max(len(pts), 1), p)) if pts else 0
+                points[i] += len(pts)
+                for U in pts:
+                    dim = gr.tangent_dim_gt(U, Ts[i])
+                    excess = dim - expectation
+                    if best[i] is None or excess > best[i]["excess"]:
+                        best[i] = {"k": k, "tangent": dim, "expected": expectation,
+                                   "excess": excess}
+        for blocks, b, count in zip(types, best, points):
+            checks.append(check(f"tangent-excess-type-{'-'.join(map(str, blocks))}",
+                                b is not None and b["excess"] > 0, best=b, points=count))
     # the single-block witness direction e_k -> e_{k+1}
     for n in range(2, nmax + 1):
         T = gr.jordan_matrix((n,))

@@ -1,9 +1,10 @@
 """Exact arithmetic kernel: rationals, prime fields, Z[t] with division by a
-monic divisor and the cyclotomic polynomials, the one determinant and minor
-routine (``minors``, with ``det`` its entry on a square grid), integer matrices
-with Hermite normal form, and the one matrix product ``matmul`` with
-unitriangular inversion over Z[t].  Outside Hermite normal form a matrix is a
-tuple of row tuples.
+monic divisor and the cyclotomic polynomials, the one sparse-vector arithmetic
+(``SparseVector``, of the exterior tensors and the Fock vectors), the one
+determinant and minor routine (``minors``, with ``det`` its entry on a square
+grid), integer matrices with Hermite normal form, and the one matrix product
+``matmul`` with unitriangular inversion over Z[t].  Outside Hermite normal form
+a matrix is a tuple of row tuples.
 
 Scalars form a closed set of ring roles.  Elements of different rings never
 coerce into each other (a PrimeField value added to a Fraction is a TypeError);
@@ -13,7 +14,7 @@ exactly at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -307,6 +308,44 @@ ZT = _IntPolyRing()
 @lru_cache(maxsize=None)
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
+
+
+# ---------------------------------------------------------------------------
+# sparse vectors
+
+
+class SparseVector:
+    """The arithmetic of a dataclass holding a table ``coeffs`` (key -> nonzero
+    scalar of ``ring``).  Its other fields name the space the vector lies in:
+    vectors of one type add only within one space, and never across types."""
+
+    def _space(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self) if f.name not in ("coeffs", "ring"))
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._space() != other._space():
+            raise ValueError(f"{type(self).__name__} in {self._space()} plus one in {other._space()}")
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            out[key] = out[key] + c if key in out else c
+        return replace(self, coeffs=out)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + other.scale(self.ring.from_int(-1))
+
+    def scale(self, c):
+        return replace(self, coeffs={key: c * v for key, v in self.coeffs.items()})
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self._space() == other._space()
+                and self.coeffs == other.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .exact import MixedRingError, Ring, ZZ, matmul, minors
+from .exact import MixedRingError, Ring, SparseVector, ZZ, matmul, minors
 from .fock import _move
 
 
@@ -98,8 +98,8 @@ def sort_with_sign(seq) -> tuple[int, tuple] | None:
 # tensors
 
 
-@dataclass
-class ExtTensor:
+@dataclass(eq=False)
+class ExtTensor(SparseVector):
     """Element of the k-th exterior power of an n-dimensional space."""
 
     n: int
@@ -116,38 +116,14 @@ class ExtTensor:
                 clean[key] = c
         self.coeffs = clean
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "ExtTensor") -> "ExtTensor":
-        if (self.n, self.k) != (other.n, other.k):
-            raise ValueError(f"wedge^{self.k} of {self.n} plus wedge^{other.k} of {other.n}")
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out[key] + c if key in out else c
-        return ExtTensor(self.n, self.k, out, self.ring)
-
-    def __sub__(self, other: "ExtTensor") -> "ExtTensor":
-        return self + other.scale(self.ring.from_int(-1))
-
-    def scale(self, c) -> "ExtTensor":
-        return ExtTensor(self.n, self.k, {key: c * v for key, v in self.coeffs.items()}, self.ring)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtTensor)
-            and (self.n, self.k) == (other.n, other.k)
-            and self.coeffs == other.coeffs
-        )
-
 
 def basis_wedge(n: int, key, ring: Ring = ZZ) -> ExtTensor:
     key = tuple(sorted(key))
     return ExtTensor(n, len(key), {key: ring.one}, ring)
 
 
-@dataclass
-class TwoTensor:
+@dataclass(eq=False)
+class TwoTensor(SparseVector):
     """Element of (k-th wedge) tensor (l-th wedge) of one n-dimensional space."""
 
     n: int
@@ -164,31 +140,6 @@ class TwoTensor:
             if c:
                 clean[(a, b)] = c
         self.coeffs = clean
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "TwoTensor") -> "TwoTensor":
-        if (self.n, self.degrees) != (other.n, other.degrees):
-            raise ValueError(f"degrees {self.degrees} of {self.n} plus {other.degrees} of {other.n}")
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out[key] + c if key in out else c
-        return TwoTensor(self.n, self.degrees, out, self.ring)
-
-    def __sub__(self, other: "TwoTensor") -> "TwoTensor":
-        return self + other.scale(self.ring.from_int(-1))
-
-    def scale(self, c) -> "TwoTensor":
-        return TwoTensor(self.n, self.degrees, {key: c * v for key, v in self.coeffs.items()}, self.ring)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwoTensor)
-            and self.n == other.n
-            and self.degrees == other.degrees
-            and self.coeffs == other.coeffs
-        )
 
 
 def _pair_keys(out: dict) -> dict:
@@ -257,7 +208,7 @@ def identity_operator(n: int, ring: Ring = ZZ) -> tuple:
     return tuple(tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(n))
 
 
-def add_operators(S, T, ring: Ring = ZZ) -> tuple:
+def add_operators(S, T) -> tuple:
     return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(S, T))
 
 
@@ -377,6 +328,16 @@ def t_shuffle(d: int, T, tau: ExtTensor) -> ExtTensor:
                 val = c * m * sign
                 out[mask2] = out[mask2] + val if mask2 in out else val
     return ExtTensor(tau.n, tau.k, {_key(m): c for m, c in out.items()}, ring)
+
+
+def t_shuffle_matrices(T, k: int) -> list:
+    """Matrices of sh_d^T on the k-th wedge over Z, d = 1..k, as column dicts
+    {key: {key2: nonzero int}}; every entry is an integer polynomial in the
+    entries of T, so reducing it mod p gives the matrix over F_p."""
+    n = len(T)
+    keys = list(combinations(range(1, n + 1), k))
+    return [{key: t_shuffle(d, T, ExtTensor(n, k, {key: 1})).coeffs for key in keys}
+            for d in range(1, k + 1)]
 
 
 def t_shuffle_subset_form(d: int, T, tau: ExtTensor) -> ExtTensor:

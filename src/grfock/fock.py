@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .exact import Ring, ZZ
+from .exact import Ring, SparseVector, ZZ
 from .partitions import (
     MayaDiagram,
     Partition,
@@ -35,8 +35,8 @@ from .partitions import (
 )
 
 
-@dataclass
-class FockVector:
+@dataclass(eq=False)
+class FockVector(SparseVector):
     """Finitely supported coefficient table over Maya diagrams of one charge."""
 
     charge: int
@@ -51,33 +51,8 @@ class FockVector:
         if not all(self.coeffs.values()):
             self.coeffs = {m: c for m, c in self.coeffs.items() if c}
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        if (self.charge, self.dual) != (other.charge, other.dual):
-            raise ValueError("adding vectors of different charge or duality")
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out[m] + c if m in out else c
-        return FockVector(self.charge, out, self.ring, self.dual)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + other.scale(self.ring.from_int(-1))
-
-    def scale(self, c) -> "FockVector":
-        return FockVector(self.charge, {m: c * v for m, v in self.coeffs.items()}, self.ring, self.dual)
-
     def coefficient(self, m: MayaDiagram):
         return self.coeffs.get(m, self.ring.zero)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FockVector)
-            and self.charge == other.charge
-            and self.dual == other.dual
-            and self.coeffs == other.coeffs
-        )
 
     def to_json(self) -> list:
         items = sorted(self.coeffs.items(), key=lambda kv: kv[0].mu)

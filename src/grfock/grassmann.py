@@ -7,12 +7,18 @@ Pluecker quadric and KP functional is homogeneous for the weight A + B (a
 multiset) of its pairs (A, B), so each lattice is the direct sum of its blocks,
 the lattices are equal exactly when every block is, and ranks add over blocks.
 
+The Gr(k,n) generators are the k = l incidence generators, symmetrised: a
+quadric or functional on Gr(k,n) is the bihomogeneous one on wedge^k (x)
+wedge^k read on the diagonal tau (x) tau, where X_A X_B = X_B X_A, so its
+ordered pairs (A, B) and (B, A) merge into one unordered pair.  For l = k the
+bihomogeneous range d <= l, k + d <= n is the Grassmannian's d <= min(k, n - k).
+
 Finite-field point enumeration works with plain ints reduced mod p for speed;
 every sign comes from the exterior-algebra Clifford kernel.
 Each Gr(k,n)(F_p) is enumerated once per (p, n, k), shared by every n x n
-operator: ``fpoints_rows`` takes each point's Pluecker vector and pivots once
-and tests every operator against them, each operator reduced mod p and its
-shuffle matrices built once per enumeration.
+operator: ``fpoints_rows`` and ``gt_points`` take each point's pivots (and
+Pluecker vector) once and test every operator against them, each operator
+reduced mod p and its shuffle matrices built once per enumeration.
 """
 
 from __future__ import annotations
@@ -20,13 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .exact import Ring, ZZ, GF, lattice_basis, lattice_equal, matmul, minors
-from .exterior import (
-    ExtTensor,
-    ext_word_on_key,
-    sort_with_sign,
-    t_shuffle,
-)
+from .exact import Ring, ZZ, lattice_basis, lattice_equal, matmul, minors
+from .exterior import ExtTensor, ext_word_on_key, sort_with_sign, t_shuffle_matrices
 
 
 DEFAULT_POINT_BUDGET = 500_000
@@ -119,34 +120,27 @@ def plucker_vector(basis: SubspaceBasis) -> dict:
 
 def plucker_quadrics(k: int, n: int) -> list:
     """All P_{alpha,beta,d} as dicts over unordered pairs of k-subsets."""
-    out = []
-    subsets = list(combinations(range(1, n + 1), k))
-    for alpha in subsets:
-        for beta in subsets:
-            for d in range(1, k + 1):
-                q = _plucker_quadric(alpha, beta, d, symmetric=True)
-                if q:
-                    out.append(q)
-    return out
+    return [q for q in map(_symmetrize, _quadrics(k, k, n)) if q]
 
 
 def incidence_quadrics(k: int, l: int, n: int) -> list:
     """All P_{alpha (x) beta, d} as dicts over ordered pairs (k-subset, l-subset)."""
+    return [q for q in _quadrics(k, l, n) if q]
+
+
+def _quadrics(k: int, l: int, n: int):
+    """Each P_{alpha (x) beta, d} over ordered pairs, zero ones included."""
     if not (n >= k >= l >= 0):
         raise ValueError("need n >= k >= l >= 0")
-    out = []
     for alpha in combinations(range(1, n + 1), k):
         for beta in combinations(range(1, n + 1), l):
             for d in range(1, l + 1):
-                q = _plucker_quadric(alpha, beta, d, symmetric=False)
-                if q:
-                    out.append(q)
-    return out
+                yield _plucker_quadric(alpha, beta, d)
 
 
-def _plucker_quadric(alpha: tuple, beta: tuple, d: int, symmetric: bool) -> dict:
+def _plucker_quadric(alpha: tuple, beta: tuple, d: int) -> dict:
     """X_alpha X_beta minus the d-fold exchange sum, with wedge-reordering signs."""
-    k, l = len(alpha), len(beta)
+    k = len(alpha)
     out: dict = {}
 
     def accumulate(A_seq, B_seq, coeff):
@@ -156,10 +150,9 @@ def _plucker_quadric(alpha: tuple, beta: tuple, d: int, symmetric: bool) -> dict
             return
         sa, A = ra
         sb, B = rb
-        key = (A, B) if (not symmetric or A <= B) else (B, A)
-        out[key] = out.get(key, 0) + coeff * sa * sb
-        if not out[key]:
-            del out[key]
+        out[(A, B)] = out.get((A, B), 0) + coeff * sa * sb
+        if not out[(A, B)]:
+            del out[(A, B)]
 
     accumulate(alpha, beta, 1)
     for positions in combinations(range(k), d):
@@ -206,30 +199,22 @@ def _symmetrize(ordered: dict) -> dict:
     return out
 
 
-def omega_quadric_functionals(k: int, n: int, dmin: int = 1) -> list:
+def omega_quadric_functionals(k: int, n: int) -> list:
     """All lambda . omega_d as dicts over unordered pairs."""
-    out = []
-    for d in range(dmin, min(k, n - k) + 1):
-        for C in combinations(range(1, n + 1), k + d):
-            for D in combinations(range(1, n + 1), k - d):
-                q = _symmetrize(omega_functional(C, D, d, n))
-                if q:
-                    out.append(q)
-    return out
+    return [q for q in map(_symmetrize, _omega_functionals(k, k, n)) if q]
 
 
 def omega_bihom_functionals(k: int, l: int, n: int) -> list:
     """All (kappa (x) lambda) . Omega_d as dicts over ordered pairs."""
-    out = []
-    for d in range(1, l + 1):
-        if k + d > n:
-            break
+    return [q for q in _omega_functionals(k, l, n) if q]
+
+
+def _omega_functionals(k: int, l: int, n: int):
+    """Each (kappa (x) lambda) . Omega_d over ordered pairs, zero ones included."""
+    for d in range(1, min(l, n - k) + 1):
         for C in combinations(range(1, n + 1), k + d):
             for D in combinations(range(1, n + 1), l - d):
-                q = omega_functional(C, D, d, n)
-                if q:
-                    out.append(q)
-    return out
+                yield omega_functional(C, D, d, n)
 
 
 def vectors_over(index: list, dicts: list) -> list:
@@ -332,19 +317,8 @@ def is_invariant(basis: SubspaceBasis, Tp, pivots: tuple) -> bool:
 
 def shuffle_matrices_modp(T, k: int, p: int) -> list:
     """Matrices of sh_d^T on the k-th wedge over F_p, d = 1..k, as column dicts."""
-    n = len(T)
-    ring = GF(p)
-    Tring = tuple(tuple(ring.from_int(x) for x in row) for row in T)
-    keys = list(combinations(range(1, n + 1), k))
-    mats = []
-    for d in range(1, k + 1):
-        cols = {}
-        for key in keys:
-            tau = ExtTensor(n, k, {key: ring.one}, ring)
-            img = t_shuffle(d, Tring, tau)
-            cols[key] = {key2: c.value for key2, c in img.coeffs.items()}
-        mats.append(cols)
-    return mats
+    return [{key: {key2: c % p for key2, c in col.items() if c % p} for key, col in cols.items()}
+            for cols in t_shuffle_matrices(T, k)]
 
 
 def _st_member(plucker: dict, sh_mats: list, p: int) -> bool:
@@ -358,10 +332,17 @@ def _st_member(plucker: dict, sh_mats: list, p: int) -> bool:
     return True
 
 
-def gt_points(T, k: int, p: int, max_points: int = DEFAULT_POINT_BUDGET) -> list:
-    Tp = _operator_modp(T, p)
-    return [U for U in enumerate_points(p, len(T), k, max_points)
-            if is_invariant(U, Tp, U.pivots())]
+def gt_points(Ts, k: int, p: int, max_points: int = DEFAULT_POINT_BUDGET) -> list:
+    """The T-invariant points of Gr(k,n)(F_p), one list per n x n operator T in
+    Ts, in enumeration order, from a single pass over Gr(k,n)(F_p)."""
+    ops = [_operator_modp(T, p) for T in Ts]
+    out = [[] for _ in ops]
+    for U in enumerate_points(p, len(Ts[0]), k, max_points):
+        pivots = U.pivots()
+        for Tp, pts in zip(ops, out):
+            if is_invariant(U, Tp, pivots):
+                pts.append(U)
+    return out
 
 
 def fpoints_rows(Ts, k: int, p: int, max_points: int = DEFAULT_POINT_BUDGET) -> list:

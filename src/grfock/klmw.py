@@ -6,12 +6,10 @@ connectivity experiments, and ideal-generator export.
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .exact import IntMatrix, ZZ, cyclotomic_polynomial, hermite_normal_form
+from .exact import IntMatrix, cyclotomic_polynomial, hermite_normal_form
 from .fock import basis_vector, shuffle_adjoint
 from .grassmann import is_nilpotent
-from .exterior import ExtTensor, t_shuffle
+from .exterior import t_shuffle_matrices
 from .partitions import (
     MayaDiagram,
     Partition,
@@ -250,18 +248,14 @@ def emit_sato_shuffle_generators(n: int, max_degree: int) -> str:
 
 def emit_t_shuffle_generators(T, k: int) -> str:
     """Linear forms lambda . sh_d^T in coordinates X[k-subset], d = 1..k."""
-    n = len(T)
     if not is_nilpotent(T):
         raise ValueError("export expects a nilpotent operator")
     lines = ["ring: X indexed by subset; char: 0"]
-    keys = list(combinations(range(1, n + 1), k))
     gens = []
-    for d in range(1, k + 1):
+    for cols in t_shuffle_matrices(T, k):
         rows: dict = {}
-        for key in keys:
-            tau = ExtTensor(n, k, {key: 1}, ZZ)
-            img = t_shuffle(d, T, tau)
-            for key2, c in img.coeffs.items():
+        for key, col in cols.items():
+            for key2, c in col.items():
                 rows.setdefault(key2, []).append((key, c))
         for key2 in sorted(rows):
             terms = sorted(((_serialize_ints(key), c) for key, c in rows[key2]))

@@ -14,7 +14,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
@@ -371,7 +370,7 @@ class HPoly:
         return bool(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = HPoly.const(other)
         out = self.as_dict()
         for k, c in other.coeffs:
@@ -384,7 +383,7 @@ class HPoly:
         return HPoly(tuple((k, -c) for k, c in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = HPoly.const(other)
         return self + (-other)
 
@@ -392,7 +391,7 @@ class HPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if other == 0:
                 return HPoly()
             return HPoly(tuple((k, c * other) for k, c in self.coeffs))
@@ -411,14 +410,6 @@ class HPoly:
 
     def degree(self) -> int:
         return max((sum(i * e for i, e in k) for k, _ in self.coeffs), default=0)
-
-    def is_integral(self) -> bool:
-        return all(Fraction(c).denominator == 1 for _, c in self.coeffs)
-
-    def to_integer(self) -> "HPoly":
-        if not self.is_integral():
-            raise ValueError("non-integral coefficients")
-        return HPoly.from_dict({k: int(c) for k, c in self.coeffs})
 
     def __repr__(self):
         if not self.coeffs:
@@ -500,18 +491,22 @@ def power_sum_in_h(j: int) -> HPoly:
 
 
 def twist_in_h_basis(n: int, k: int) -> HPoly:
-    """h_k^{(n)} expressed in the h-generators; the result clears to Z."""
+    """h_k^{(n)} expressed in the h-generators, from k! h_k(x^n) = sum over
+    lam |- k of (k!/z_lam) p_{n lam}: summed over Z, then divided exactly by k!."""
     if n == 1:
         return HPoly.gen(k) if k else HPoly.const(1)
     total = HPoly()
     for lam in partitions_of(k):
-        term = HPoly.const(Fraction(1, z_of(lam)))
+        term = HPoly.const(factorial(k) // z_of(lam))
         for part in lam:
             term = term * power_sum_in_h(n * part)
         total = total + term
-    if not total.is_integral():
-        raise ArithmeticError("twist did not clear to integer coefficients")
-    return total.to_integer()
+    out = {}
+    for key, c in total.coeffs:
+        out[key], remainder = divmod(c, factorial(k))
+        if remainder:
+            raise ArithmeticError("twist did not clear to integer coefficients")
+    return HPoly.from_dict(out)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from grfock import cli
+from grfock import cli, grassmann
 
 USAGE_ERRORS = [
     ["fpoints", "--p", "4"],
@@ -71,3 +71,17 @@ def test_passing_suite_exits_0(capsys):
     assert cli.main(["pluecker-ideal", "--k", "2", "--n", "4"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["totals"] == {"pass": 2, "fail": 0}
+
+
+def test_tangent_enumerates_each_grassmannian_once(monkeypatch, capsys):
+    # one pass per (n, k) with 1 <= k < n <= 4, shared by every Jordan type
+    calls = []
+    enumerate_points = grassmann.enumerate_points
+
+    def counted(p, n, k, *rest, **kwargs):
+        calls.append((n, k))
+        return enumerate_points(p, n, k, *rest, **kwargs)
+
+    monkeypatch.setattr(grassmann, "enumerate_points", counted)
+    assert cli.main(["tangent", "--p", "2", "--dim", "4"]) == 0
+    assert sorted(calls) == [(n, k) for n in range(2, 5) for k in range(1, n)]

@@ -19,6 +19,9 @@ from grfock.exact import (
     lattice_rank,
     matmul,
 )
+from grfock.exterior import ExtTensor, TwoTensor
+from grfock.fock import FockVector
+from grfock.partitions import maya_of_partition
 
 
 # ---------------------------------------------------------------------------
@@ -299,3 +302,31 @@ def test_matmul_and_inversion_reject_bad_shapes():
         matmul(((1, 2),), ((1,), (2, 3)))
     assert matmul(((1, 2),), ((3,), (4,))) == ((11,),)
     assert matmul(((1, 2), (3, 4)), ((0, 1), (1, 0))) == ((2, 1), (4, 3))
+
+
+# ---------------------------------------------------------------------------
+# sparse vectors
+
+
+def _one_vector_of_each_type():
+    return [
+        ExtTensor(4, 2, {(1, 2): 3, (2, 4): -1}),
+        TwoTensor(4, (2, 1), {((1, 3), (2,)): 2}, QQ),
+        FockVector(0, {maya_of_partition((2, 1)): GF(5).from_int(4)}, GF(5), dual=True),
+    ]
+
+
+def test_sparse_vectors_share_one_arithmetic():
+    vectors = _one_vector_of_each_type()
+    for v in vectors:
+        assert (v - v).is_zero()
+        scaled = v.scale(v.ring.from_int(2))
+        assert scaled._space() == v._space() and type(scaled) is type(v)
+        assert scaled == v + v
+    for v, w in product(vectors, repeat=2):
+        if type(v) is type(w):
+            continue
+        assert v != w
+        with pytest.raises(TypeError):
+            v + w
+

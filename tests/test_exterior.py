@@ -250,7 +250,7 @@ def test_omega_T_additivity_QQ_and_F5():
             T1, T2 = rnd_op(n, ring), rnd_op(n, ring)
             tt = tensor_product(rnd_ext(n, k, ring), rnd_ext(n, l, ring))
             for d in range(1, min(l, n - k) + 1):
-                lhs = omega_T_apply(d, add_operators(T1, T2, ring), tt)
+                lhs = omega_T_apply(d, add_operators(T1, T2), tt)
                 rhs = None
                 for a in range(d + 1):
                     term = omega_T_apply(a, T1, omega_T_apply(d - a, T2, tt))

@@ -3,22 +3,26 @@ from itertools import combinations
 import pytest
 
 from grfock.exact import GF, lattice_basis
-from grfock.exterior import t_shuffle
+from grfock.exterior import ExtTensor, t_shuffle
 from grfock.grassmann import (
+    _operator_modp,
     _pair_weight,
     _rank_modp,
     degree2_ideal_equal,
     enumerate_points,
     fpoints_rows,
     gaussian_binomial,
+    gt_points,
     incidence_degree2_ideal_equal,
     incidence_quadrics,
+    is_invariant,
     is_nilpotent,
     jordan_matrix,
     omega_bihom_functionals,
     omega_functional,
     omega_quadric_functionals,
     plucker_quadrics,
+    shuffle_matrices_modp,
     vectors_over,
     wedge_of_rows,
 )
@@ -142,3 +146,30 @@ def test_fpoints_rows_match_an_independent_recount(p, n):
         for T, row in zip(Ts, rows):
             assert row == _oracle_row(T, k, p)
             assert row["gr"] == gaussian_binomial(n, k, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_gt_points_lists_the_invariant_points_of_each_operator(p):
+    for n in range(1, 5):
+        Ts = [jordan_matrix(blocks) for blocks in partitions_of(n)]
+        for k in range(n + 1):
+            by_operator = gt_points(Ts, k, p)
+            for T, pts, row in zip(Ts, by_operator, fpoints_rows(Ts, k, p)):
+                assert len(pts) == row["gt"]
+                assert all(is_invariant(U, _operator_modp(T, p), U.pivots()) for U in pts)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_shuffle_matrices_modp_equal_the_shuffles_over_the_prime_field(p):
+    ring = GF(p)
+    for blocks in [(3,), (2, 2), (3, 1, 1), (4, 2)]:
+        T = jordan_matrix(blocks)
+        n = len(T)
+        for k in range(1, n + 1):
+            mats = shuffle_matrices_modp(T, k, p)
+            assert len(mats) == k
+            for d, cols in enumerate(mats, start=1):
+                for key, col in cols.items():
+                    tau = ExtTensor(n, k, {key: ring.one}, ring)
+                    image = t_shuffle(d, T, tau)
+                    assert col == {key2: c.value for key2, c in image.coeffs.items()}
