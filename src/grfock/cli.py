@@ -242,12 +242,12 @@ def suite_straighten(args) -> list:
     smax = 10 if args.size is None else _bounded(args.size, "size", 0)
     checks = []
     for n in ns:
-        memo: dict = {}
         violations = []
         for s in range(0, smax + 1):
-            weight = {lam: pt.weight_class(lam, n) for lam in pt.partitions_of(s)}
+            table = klmw.straighten_coeffs(n, s)
+            weight = {lam: pt.weight_class(lam, n) for lam in table}
             for lam in pt.partitions_of(s):
-                coeffs = klmw.straighten_coeffs(lam, n, memo)
+                coeffs = table[lam]
                 regular = all(pt.is_n_regular(q, n) for q in coeffs)
                 classes = all(weight.get(q) == weight[lam] for q in coeffs)
                 if pt.is_n_regular(lam, n):
@@ -344,10 +344,9 @@ def suite_ndominance(args) -> list:
                                 components=len(r["components"]),
                                 classes=len(r["classes"]),
                                 split_classes=[
-                                    {"class": [list(w[0]), w[1]] if isinstance(w, tuple) else w,
-                                     "members": [list(x) for x in s0["members"]]}
-                                    for s0 in r["split_classes"]
-                                    for w in [s0["class"]]
+                                    {"class": [list(split["class"][0]), split["class"][1]],
+                                     "members": [list(x) for x in split["members"]]}
+                                    for split in r["split_classes"]
                                 ]))
     return checks
 

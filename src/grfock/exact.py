@@ -9,7 +9,9 @@ a matrix is a tuple of row tuples.
 Scalars form a closed set of ring roles.  Elements of different rings never
 coerce into each other (a PrimeField value added to a Fraction is a TypeError);
 plain Python ints lift canonically into every ring, and every scalar is falsy
-exactly at zero.
+exactly at zero.  No suite builds ``Fp``, ``PrimeField`` or ``GF`` (F_p points
+use plain ints); tier-1 tests do: test_exact's field axioms and mixed rings, the
+F_5 cases of test_minors and test_exterior, and test_grassmann's oracles.
 """
 
 from __future__ import annotations

@@ -16,14 +16,15 @@ bihomogeneous range d <= l, k + d <= n is the Grassmannian's d <= min(k, n - k).
 Finite-field point enumeration works with plain ints reduced mod p for speed;
 every sign comes from the exterior-algebra Clifford kernel.
 Each Gr(k,n)(F_p) is enumerated once per (p, n, k), shared by every n x n
-operator: ``fpoints_rows`` and ``gt_points`` take each point's pivots (and
-Pluecker vector) once and test every operator against them, each operator
-reduced mod p and its shuffle matrices built once per enumeration.
+operator: ``fpoints_rows`` and ``gt_points`` take each point's Pluecker vector
+once and test every operator against it, each operator reduced mod p and its
+shuffle matrices built once per enumeration.  ``_residual`` is the one F_p
+reduction: invariance, the tangent spaces of G^T and their rank all use it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .exact import Ring, ZZ, lattice_basis, lattice_equal, matmul, minors
@@ -63,13 +64,15 @@ class SubspaceBasis:
     p: int
     n: int
     rows: tuple  # k row tuples of ints in [0, p)
+    pivots: tuple = field(init=False, repr=False, compare=False)  # leading column per row
+
+    def __post_init__(self):
+        object.__setattr__(self, "pivots",
+                           tuple(next(j for j, x in enumerate(row) if x) for row in self.rows))
 
     @property
     def k(self) -> int:
         return len(self.rows)
-
-    def pivots(self) -> tuple:
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.rows)
 
 
 def enumerate_points(p: int, n: int, k: int, max_points: int = DEFAULT_POINT_BUDGET):
@@ -300,17 +303,22 @@ def apply_modp(Tp, vec, p: int) -> list:
     return [sum([x * vec[j] for j, x in row]) % p for row in Tp]
 
 
-def is_invariant(basis: SubspaceBasis, Tp, pivots: tuple) -> bool:
+def _residual(v, rows, pivots, p: int) -> list:
+    """v (entries in [0, p)) reduced mod p by rows, each 1 at its pivot and 0 at
+    the pivots before it; zero exactly when v lies in the span of rows."""
+    for r, piv in zip(rows, pivots):
+        c = v[piv]
+        if c:
+            v = [(x - c * y) % p for x, y in zip(v, r)]
+    return v
+
+
+def is_invariant(basis: SubspaceBasis, Tp) -> bool:
     """Whether T maps the row space of basis into itself, for T given as
-    _operator_modp(T, basis.p) and pivots = basis.pivots()."""
-    p, rows = basis.p, basis.rows
+    _operator_modp(T, basis.p)."""
+    p, rows, pivots = basis.p, basis.rows, basis.pivots
     for row in rows:
-        v = apply_modp(Tp, row, p)
-        for r, piv in zip(rows, pivots):
-            c = v[piv]
-            if c:
-                v = [(x - c * y) % p for x, y in zip(v, r)]
-        if any(v):
+        if any(_residual(apply_modp(Tp, row, p), rows, pivots, p)):
             return False
     return True
 
@@ -338,9 +346,8 @@ def gt_points(Ts, k: int, p: int, max_points: int = DEFAULT_POINT_BUDGET) -> lis
     ops = [_operator_modp(T, p) for T in Ts]
     out = [[] for _ in ops]
     for U in enumerate_points(p, len(Ts[0]), k, max_points):
-        pivots = U.pivots()
         for Tp, pts in zip(ops, out):
-            if is_invariant(U, Tp, pivots):
+            if is_invariant(U, Tp):
                 pts.append(U)
     return out
 
@@ -357,9 +364,8 @@ def fpoints_rows(Ts, k: int, p: int, max_points: int = DEFAULT_POINT_BUDGET) -> 
     for U in enumerate_points(p, n, k, max_points):
         total += 1
         plucker = plucker_vector(U)
-        pivots = U.pivots()
         for i, (Tp, sh) in enumerate(ops):
-            g = is_invariant(U, Tp, pivots)
+            g = is_invariant(U, Tp)
             s = _st_member(plucker, sh, p)
             gt[i] += g
             st[i] += s
@@ -377,67 +383,47 @@ def tangent_dim_gt(U: SubspaceBasis, T) -> int:
     """dim of {phi: U -> V/U | Tbar . phi = phi . T|_U} over F_p.
 
     This is the kernel of the linearization of the invariance condition at U;
-    U must itself be T-invariant.
+    U must itself be T-invariant.  T|_U is read at the pivots of U's reduced
+    basis, and Tbar on V/U is the residual of T's columns at the non-pivots.
     """
     p, n, k = U.p, U.n, U.k
-    Tp = _operator_modp(T, p)
-    pivots = U.pivots()
-    nonpivots = [j for j in range(n) if j not in pivots]
     q = n - k
     if k == 0 or q == 0:
         return 0
-
-    def reduce_with_coeffs(vec):
-        v = list(vec)
-        coeffs = []
-        for row, piv in zip(U.rows, pivots):
-            c = v[piv] % p
-            coeffs.append(c)
-            if c:
-                v = [(x - c * y) % p for x, y in zip(v, row)]
-        return coeffs, tuple(v[j] % p for j in nonpivots)
-
+    Tp = _operator_modp(T, p)
+    rows, pivots = U.rows, U.pivots
+    nonpivots = [j for j in range(n) if j not in pivots]
     A = []
-    for row in U.rows:
-        coeffs, resid = reduce_with_coeffs(apply_modp(Tp, row, p))
-        if any(resid):
+    for row in rows:
+        image = apply_modp(Tp, row, p)
+        if any(_residual(image, rows, pivots, p)):
             raise ValueError("subspace is not T-invariant")
-        A.append(coeffs)
+        A.append([image[piv] for piv in pivots])
     Tbar = []  # q x q, columns indexed by nonpivot basis vectors
     for j in nonpivots:
-        e = [0] * n
-        e[j] = 1
-        _, resid = reduce_with_coeffs(apply_modp(Tp, e, p))
-        Tbar.append(resid)
+        resid = _residual([T[i][j] % p for i in range(n)], rows, pivots, p)
+        Tbar.append([resid[b] for b in nonpivots])
     # unknowns phi[i][a]; equations Tbar . phi_i - sum_j A[i][j] phi_j = 0
-    rows = []
+    equations = []
     for i in range(k):
         for b in range(q):
             row = [0] * (k * q)
-            for a in range(q):
-                row[i * q + a] = (row[i * q + a] + Tbar[a][b]) % p
+            row[i * q:(i + 1) * q] = [Tbar[a][b] for a in range(q)]
             for j in range(k):
                 row[j * q + b] = (row[j * q + b] - A[i][j]) % p
-            rows.append(row)
-    rank = _rank_modp(rows, p)
-    return k * q - rank
+            equations.append(row)
+    return k * q - _rank(equations, p)
 
 
-def _rank_modp(rows, p: int) -> int:
-    m = [list(r) for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] % p), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        for r in range(len(m)):
-            if r != rank and m[r][col] % p:
-                f = m[r][col] * inv % p
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+def _rank(vectors, p: int) -> int:
+    """Rank over F_p: each vector's residual against the ones kept before is
+    kept, scaled to 1 at its first nonzero entry, when it is not zero."""
+    rows, pivots = [], []
+    for v in vectors:
+        r = _residual(v, rows, pivots, p)
+        piv = next((j for j, x in enumerate(r) if x), None)
+        if piv is not None:
+            inv = pow(r[piv], p - 2, p)
+            rows.append([x * inv % p for x in r])
+            pivots.append(piv)
+    return len(rows)

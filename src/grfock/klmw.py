@@ -2,6 +2,11 @@
 relations, the d-matrix of the dual basis, finite-rank verification of the
 shuffle-span theorem, the Kostka-Foulkes cross-check, n-dominance
 connectivity experiments, and ideal-generator export.
+
+Straightening is one pass over the partitions of a size in increasing mlex
+order, resting on one invariant: every term of a rewrite other than the
+partition rewritten is mlex-smaller, so it is done when it is needed.  The
+pass checks this and raises ArithmeticError where it fails.
 """
 
 from __future__ import annotations
@@ -12,9 +17,9 @@ from .grassmann import is_nilpotent
 from .exterior import t_shuffle_matrices
 from .partitions import (
     MayaDiagram,
-    Partition,
     gap_and_regularize,
     is_n_regular,
+    mlex_key,
     n_jump_raises,
     partition_of_maya,
     partitions_of,
@@ -27,57 +32,37 @@ from .symfunc import kf_transition_matrices
 # straightening
 
 
-class StraighteningResult:
-    """Expansion of a dual basis vector over n-regular partitions, with trace."""
+def straighten_coeffs(n: int, total: int, trace: list | None = None) -> dict:
+    """{lam: {n-regular partition: int}}: the coefficients of s*_lam modulo the
+    shuffle relations on the n-regular dual basis, for every lam of size total.
 
-    def __init__(self, partition: Partition, n: int, coeffs: dict, trace: tuple):
-        self.partition = partition
-        self.n = n
-        self.coeffs = coeffs  # n-regular Partition -> int
-        self.trace = trace    # (partition, ell, d, term_count) per rewrite
-
-    def __repr__(self):
-        return f"StraighteningResult({self.partition}, n={self.n}, {self.coeffs})"
-
-
-def straighten_coeffs(lam: Partition, n: int, memo: dict, trace: list | None = None) -> dict:
-    """Integer coefficients of s*_lam modulo the shuffle relations, on the
-    n-regular dual basis.  Each non-regular partition has a unique (ell, rho)
-    rewrite, so the result is canonical; `memo`, owned by the caller, keeps
-    the results already computed, and a rewrite is traced only when computed.
+    One pass in increasing mlex order: each non-regular lam has a unique
+    (ell, rho) rewrite whose other terms nu are already done; a term that is not
+    raises ArithmeticError.  A rewrite appends (lam, ell, d, term_count) to trace.
     """
-    lam = tuple(lam)
-    key = (n, lam)
-    if key in memo:
-        return memo[key]
-    if is_n_regular(lam, n):
-        result = {lam: 1}
-        memo[key] = result
-        return result
-    ell, rho, d = gap_and_regularize(lam, n)
-    image = shuffle_adjoint(n, d, basis_vector(rho, dual=True))
-    terms = {partition_of_maya(m): c for m, c in image.coeffs.items()}
-    lead = terms.pop(lam, 0)
-    if lead not in (1, -1):
-        raise ArithmeticError(f"leading coefficient {lead} is not a unit at {lam}")
-    if trace is not None:
-        trace.append((lam, ell, d, len(terms) + 1))
-    result: dict = {}
-    for nu, c in terms.items():
-        sub = straighten_coeffs(nu, n, memo, trace)
-        for reg, c2 in sub.items():
-            result[reg] = result.get(reg, 0) + (-lead) * c * c2
-    result = {reg: c for reg, c in result.items() if c}
-    memo[key] = result
-    return result
-
-
-def straighten(lam: Partition, n: int) -> StraighteningResult:
     if n < 2:
         raise ValueError("n must be >= 2")
-    trace: list = []
-    coeffs = straighten_coeffs(tuple(lam), n, {}, trace)
-    return StraighteningResult(tuple(lam), n, coeffs, tuple(trace))
+    table: dict = {}
+    for lam in sorted(partitions_of(total), key=mlex_key):
+        if is_n_regular(lam, n):
+            table[lam] = {lam: 1}
+            continue
+        ell, rho, d = gap_and_regularize(lam, n)
+        image = shuffle_adjoint(n, d, basis_vector(rho, dual=True))
+        terms = {partition_of_maya(m): c for m, c in image.coeffs.items()}
+        lead = terms.pop(lam, 0)
+        if lead not in (1, -1):
+            raise ArithmeticError(f"leading coefficient {lead} is not a unit at {lam}")
+        if trace is not None:
+            trace.append((lam, ell, d, len(terms) + 1))
+        result: dict = {}
+        for nu, c in terms.items():
+            if nu not in table:
+                raise ArithmeticError(f"the rewrite of {lam} reaches {nu}, not mlex-smaller")
+            for reg, c2 in table[nu].items():
+                result[reg] = result.get(reg, 0) - lead * c * c2
+        table[lam] = {reg: c for reg, c in result.items() if c}
+    return table
 
 
 def d_matrix(n: int, total: int) -> dict:
@@ -86,12 +71,8 @@ def d_matrix(n: int, total: int) -> dict:
     By duality d_{lam,nu} is the coefficient of v*_lam in the straightening
     of s*_nu.
     """
-    memo: dict = {}
-    out: dict = {}
-    for nu in partitions_of(total):
-        for lam, c in straighten_coeffs(nu, n, memo).items():
-            out[(lam, nu)] = c
-    return out
+    return {(lam, nu): c for nu, coeffs in straighten_coeffs(n, total).items()
+            for lam, c in coeffs.items()}
 
 
 # ---------------------------------------------------------------------------

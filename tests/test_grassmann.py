@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -7,7 +7,6 @@ from grfock.exterior import ExtTensor, t_shuffle
 from grfock.grassmann import (
     _operator_modp,
     _pair_weight,
-    _rank_modp,
     degree2_ideal_equal,
     enumerate_points,
     fpoints_rows,
@@ -23,6 +22,7 @@ from grfock.grassmann import (
     omega_quadric_functionals,
     plucker_quadrics,
     shuffle_matrices_modp,
+    tangent_dim_gt,
     vectors_over,
     wedge_of_rows,
 )
@@ -119,6 +119,24 @@ def test_omega_functional_rejects_sets_that_are_not_increasing_subsets(C, D):
         omega_functional(C, D, 1, 4)
 
 
+def _rank_modp(rows, p):
+    """Rank over F_p by dense Gauss-Jordan elimination, the oracle for membership."""
+    m = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], p - 2, p)
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col] * inv % p
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
 def _oracle_row(T, k, p):
     """Counts of Gr, G^T and S^T points by rank tests and exterior-algebra shuffles."""
     n, ring = len(T), GF(p)
@@ -156,7 +174,7 @@ def test_gt_points_lists_the_invariant_points_of_each_operator(p):
             by_operator = gt_points(Ts, k, p)
             for T, pts, row in zip(Ts, by_operator, fpoints_rows(Ts, k, p)):
                 assert len(pts) == row["gt"]
-                assert all(is_invariant(U, _operator_modp(T, p), U.pivots()) for U in pts)
+                assert all(is_invariant(U, _operator_modp(T, p)) for U in pts)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -173,3 +191,46 @@ def test_shuffle_matrices_modp_equal_the_shuffles_over_the_prime_field(p):
                     tau = ExtTensor(n, k, {key: ring.one}, ring)
                     image = t_shuffle(d, T, tau)
                     assert col == {key2: c.value for key2, c in image.coeffs.items()}
+
+
+def _apply(T, v, p):
+    return tuple(sum(T[i][j] * v[j] for j in range(len(v))) % p for i in range(len(T)))
+
+
+def _tangent_count(U, T):
+    """Number of maps phi: U -> V/U with T phi(u) - phi(T u) in U for every basis
+    row u, by brute force: phi(u_i) is lifted to the span of the non-pivot unit
+    vectors, T u_i is written in the rows of U by search, and membership in U is
+    a dense rank test."""
+    p, n, k, rows = U.p, U.n, U.k, U.rows
+    nonpivots = [j for j in range(n) if j not in U.pivots]
+    combos = {_apply(tuple(zip(*rows)), c, p): c
+              for c in product(range(p), repeat=k)}  # sum_j c_j u_j -> c
+    coords = [combos[_apply(T, row, p)] for row in rows]
+    count = 0
+    for values in product(range(p), repeat=k * len(nonpivots)):
+        lift = []
+        for i in range(k):
+            v = [0] * n
+            for a, j in enumerate(nonpivots):
+                v[j] = values[i * len(nonpivots) + a]
+            lift.append(v)
+        ok = True
+        for i in range(k):
+            w = [(x - sum(c * lift[j][m] for j, c in enumerate(coords[i]))) % p
+                 for m, x in enumerate(_apply(T, lift[i], p))]
+            if _rank_modp(rows + (tuple(w),), p) != k:
+                ok = False
+                break
+        count += ok
+    return count
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_tangent_dim_gt_counts_the_first_order_deformations(p):
+    for n in range(1, 5):
+        Ts = [jordan_matrix(blocks) for blocks in partitions_of(n)]
+        for k in range(n + 1):
+            for T, pts in zip(Ts, gt_points(Ts, k, p)):
+                for U in pts:
+                    assert _tangent_count(U, T) == p ** tangent_dim_gt(U, T), (T, U)

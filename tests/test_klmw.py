@@ -4,15 +4,32 @@ import pytest
 
 from grfock import klmw
 from grfock.exact import IntPoly
-from grfock.klmw import d_matrix, kf_compare, shuffle_span_dim, straighten
-from grfock.partitions import Cmp, compare_mlex, is_n_regular, n_regular_partitions, partitions_of
+from grfock.klmw import d_matrix, kf_compare, shuffle_span_dim, straighten_coeffs
+from grfock.partitions import (
+    Cmp,
+    compare_mlex,
+    is_n_regular,
+    mlex_key,
+    n_regular_partitions,
+    partitions_of,
+)
 
 
 def test_straighten_trace_repeats_across_calls():
-    first = straighten((1, 1, 1, 1), 2)
-    second = straighten((1, 1, 1, 1), 2)
-    assert len(first.trace) == 2
-    assert (second.trace, second.coeffs) == (first.trace, first.coeffs)
+    first_trace, second_trace = [], []
+    first = straighten_coeffs(2, 4, first_trace)
+    second = straighten_coeffs(2, 4, second_trace)
+    assert (second, second_trace) == (first, first_trace)
+    assert [step[0] for step in first_trace] == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+def test_straightening_out_of_mlex_order_raises(monkeypatch):
+    # a rewrite reaching a partition not yet done is an error, not a recursion
+    order = sorted(partitions_of(6), key=mlex_key)
+    reversed_rank = {lam: -i for i, lam in enumerate(order)}
+    monkeypatch.setattr(klmw, "mlex_key", reversed_rank.__getitem__)
+    with pytest.raises(ArithmeticError, match="not mlex-smaller"):
+        straighten_coeffs(2, 6)
 
 
 def test_d_matrix_is_unitriangular_in_mlex_order():
