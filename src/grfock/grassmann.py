@@ -17,9 +17,20 @@ Finite-field point enumeration works with plain ints reduced mod p for speed;
 every sign comes from the exterior-algebra Clifford kernel.
 Each Gr(k,n)(F_p) is enumerated once per (p, n, k), shared by every n x n
 operator: ``fpoints_rows`` and ``gt_points`` take each point's Pluecker vector
-once and test every operator against it, each operator reduced mod p and its
-shuffle matrices built once per enumeration.  ``_residual`` is the one F_p
-reduction: invariance, the tangent spaces of G^T and their rank all use it.
+once and test every operator against it, with all the work that depends only
+on (T, k, p) done once per enumeration.  ``_residual`` is the one F_p
+reduction: invariance, the tangent spaces of G^T, the S^T forms and the rank
+all use it.
+
+- S^T is a linear filter.  ``st_forms`` stacks the rows of every sh_d^T
+  (d = 1..k) mod p as functionals on the Pluecker coordinates and reduces them
+  to semi-echelon form (``_echelon``, which ``_rank`` shares).  A point lies in
+  S^T exactly when its Pluecker vector pairs to 0 mod p with every form; the
+  test stops at the first form that does not.
+- Invariance is a gather.  Every operator here (``jordan_matrix``) is 0/1 with
+  at most one 1 per row, so T v is v read through a source-index table,
+  ``_gather_source(T)``; ``is_invariant`` and ``tangent_dim_gt`` reduce that
+  image with ``_residual``.  An operator of any other shape raises ValueError.
 """
 
 from __future__ import annotations
@@ -67,8 +78,13 @@ class SubspaceBasis:
     pivots: tuple = field(init=False, repr=False, compare=False)  # leading column per row
 
     def __post_init__(self):
-        object.__setattr__(self, "pivots",
-                           tuple(next(j for j, x in enumerate(row) if x) for row in self.rows))
+        pivots = []
+        for row in self.rows:
+            piv = next((j for j, x in enumerate(row) if x), None)
+            if piv is None or row[piv] != 1:
+                raise ValueError(f"echelon row {row} does not lead with a 1")
+            pivots.append(piv)
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     @property
     def k(self) -> int:
@@ -293,16 +309,6 @@ def is_nilpotent(T) -> bool:
 # field points of G^T and S^T
 
 
-def _operator_modp(T, p: int) -> tuple:
-    """T mod p as sparse rows: row i lists the (j, T[i][j] mod p) that are nonzero."""
-    return tuple(tuple((j, x % p) for j, x in enumerate(row) if x % p) for row in T)
-
-
-def apply_modp(Tp, vec, p: int) -> list:
-    """T vec mod p for T given as _operator_modp(T, p)."""
-    return [sum([x * vec[j] for j, x in row]) % p for row in Tp]
-
-
 def _residual(v, rows, pivots, p: int) -> list:
     """v (entries in [0, p)) reduced mod p by rows, each 1 at its pivot and 0 at
     the pivots before it; zero exactly when v lies in the span of rows."""
@@ -313,29 +319,71 @@ def _residual(v, rows, pivots, p: int) -> list:
     return v
 
 
-def is_invariant(basis: SubspaceBasis, Tp) -> bool:
+def _echelon(vectors, p: int) -> tuple:
+    """(rows, pivots) spanning the vectors over F_p in semi-echelon form: each
+    vector's residual against the rows kept before is kept, scaled to 1 at its
+    first nonzero entry, when it is not zero."""
+    rows, pivots = [], []
+    for v in vectors:
+        r = _residual(v, rows, pivots, p)
+        piv = next((j for j, x in enumerate(r) if x), None)
+        if piv is not None:
+            inv = pow(r[piv], p - 2, p)
+            rows.append([x * inv % p for x in r])
+            pivots.append(piv)
+    return rows, pivots
+
+
+def _rank(vectors, p: int) -> int:
+    """Rank over F_p."""
+    return len(_echelon(vectors, p)[0])
+
+
+def _gather_source(T) -> tuple:
+    """src with (T v)[i] = v[src[i]], or 0 where src[i] is None, for an n x n
+    0/1 matrix T with at most one 1 per row; any other T raises ValueError."""
+    src = []
+    for row in T:
+        ones = [j for j, x in enumerate(row) if x]
+        if len(ones) > 1 or any(row[j] != 1 for j in ones):
+            raise ValueError(f"operator row {row} is not 0/1 with at most one 1")
+        src.append(ones[0] if ones else None)
+    return tuple(src)
+
+
+def is_invariant(basis: SubspaceBasis, src) -> bool:
     """Whether T maps the row space of basis into itself, for T given as
-    _operator_modp(T, basis.p)."""
+    _gather_source(T)."""
     p, rows, pivots = basis.p, basis.rows, basis.pivots
     for row in rows:
-        if any(_residual(apply_modp(Tp, row, p), rows, pivots, p)):
+        if any(_residual([0 if j is None else row[j] for j in src], rows, pivots, p)):
             return False
     return True
 
 
-def shuffle_matrices_modp(T, k: int, p: int) -> list:
-    """Matrices of sh_d^T on the k-th wedge over F_p, d = 1..k, as column dicts."""
-    return [{key: {key2: c % p for key2, c in col.items() if c % p} for key, col in cols.items()}
-            for cols in t_shuffle_matrices(T, k)]
+def st_forms(T, k: int, p: int) -> list:
+    """The linear forms that cut S^T out of Gr(k,n) over F_p: every row of every
+    sh_d^T (d = 1..k), a functional on the Pluecker coordinates, reduced to
+    semi-echelon form and stored sparsely as ((j, coefficient), ...), j the
+    position of a k-subset in the sorted k-subsets of 1..n."""
+    keys = list(combinations(range(1, len(T) + 1), k))
+    pos = {key: i for i, key in enumerate(keys)}
+    functionals = []
+    for cols in t_shuffle_matrices(T, k):
+        by_row: dict = {}
+        for B, col in cols.items():
+            for A, c in col.items():
+                by_row.setdefault(A, [0] * len(keys))[pos[B]] = c % p
+        functionals.extend(by_row.values())
+    rows, _ = _echelon(functionals, p)
+    return [tuple((j, c) for j, c in enumerate(r) if c) for r in rows]
 
 
-def _st_member(plucker: dict, sh_mats: list, p: int) -> bool:
-    for cols in sh_mats:
-        acc: dict = {}
-        for B, v in plucker.items():
-            for A, c in cols[B].items():
-                acc[A] = (acc.get(A, 0) + c * v) % p
-        if any(acc.values()):
+def _in_st(plucker: list, forms: list, p: int) -> bool:
+    """Whether the Pluecker vector, dense over the sorted k-subsets, pairs to 0
+    mod p with every form of st_forms; stops at the first form that does not."""
+    for form in forms:
+        if sum([c * plucker[j] for j, c in form]) % p:
             return False
     return True
 
@@ -343,11 +391,11 @@ def _st_member(plucker: dict, sh_mats: list, p: int) -> bool:
 def gt_points(Ts, k: int, p: int, max_points: int = DEFAULT_POINT_BUDGET) -> list:
     """The T-invariant points of Gr(k,n)(F_p), one list per n x n operator T in
     Ts, in enumeration order, from a single pass over Gr(k,n)(F_p)."""
-    ops = [_operator_modp(T, p) for T in Ts]
+    ops = [_gather_source(T) for T in Ts]
     out = [[] for _ in ops]
     for U in enumerate_points(p, len(Ts[0]), k, max_points):
-        for Tp, pts in zip(ops, out):
-            if is_invariant(U, Tp):
+        for src, pts in zip(ops, out):
+            if is_invariant(U, src):
                 pts.append(U)
     return out
 
@@ -356,17 +404,19 @@ def fpoints_rows(Ts, k: int, p: int, max_points: int = DEFAULT_POINT_BUDGET) -> 
     """One report row per n x n operator in Ts: counts of Gr, G^T, S^T points
     and whether the sets agree, from a single pass over Gr(k,n)(F_p)."""
     n = len(Ts[0])
-    ops = [(_operator_modp(T, p), shuffle_matrices_modp(T, k, p)) for T in Ts]
+    keys = list(combinations(range(1, n + 1), k))
+    ops = [(_gather_source(T), st_forms(T, k, p)) for T in Ts]
     gt = [0] * len(ops)
     st = [0] * len(ops)
     same = [True] * len(ops)
     total = 0
     for U in enumerate_points(p, n, k, max_points):
         total += 1
-        plucker = plucker_vector(U)
-        for i, (Tp, sh) in enumerate(ops):
-            g = is_invariant(U, Tp)
-            s = _st_member(plucker, sh, p)
+        get = plucker_vector(U).get
+        plucker = [get(key, 0) for key in keys]
+        for i, (src, forms) in enumerate(ops):
+            g = is_invariant(U, src)
+            s = _in_st(plucker, forms, p)
             gt[i] += g
             st[i] += s
             if g != s:
@@ -383,19 +433,20 @@ def tangent_dim_gt(U: SubspaceBasis, T) -> int:
     """dim of {phi: U -> V/U | Tbar . phi = phi . T|_U} over F_p.
 
     This is the kernel of the linearization of the invariance condition at U;
-    U must itself be T-invariant.  T|_U is read at the pivots of U's reduced
-    basis, and Tbar on V/U is the residual of T's columns at the non-pivots.
+    T must be 0/1 with at most one 1 per row and U must be T-invariant.  T|_U
+    is the gathered image of U's reduced basis read at its pivots, and Tbar on
+    V/U is the residual of T's columns at the non-pivots.
     """
     p, n, k = U.p, U.n, U.k
     q = n - k
     if k == 0 or q == 0:
         return 0
-    Tp = _operator_modp(T, p)
+    src = _gather_source(T)
     rows, pivots = U.rows, U.pivots
     nonpivots = [j for j in range(n) if j not in pivots]
     A = []
     for row in rows:
-        image = apply_modp(Tp, row, p)
+        image = [0 if j is None else row[j] for j in src]
         if any(_residual(image, rows, pivots, p)):
             raise ValueError("subspace is not T-invariant")
         A.append([image[piv] for piv in pivots])
@@ -413,17 +464,3 @@ def tangent_dim_gt(U: SubspaceBasis, T) -> int:
                 row[j * q + b] = (row[j * q + b] - A[i][j]) % p
             equations.append(row)
     return k * q - _rank(equations, p)
-
-
-def _rank(vectors, p: int) -> int:
-    """Rank over F_p: each vector's residual against the ones kept before is
-    kept, scaled to 1 at its first nonzero entry, when it is not zero."""
-    rows, pivots = [], []
-    for v in vectors:
-        r = _residual(v, rows, pivots, p)
-        piv = next((j for j, x in enumerate(r) if x), None)
-        if piv is not None:
-            inv = pow(r[piv], p - 2, p)
-            rows.append([x * inv % p for x in r])
-            pivots.append(piv)
-    return len(rows)

@@ -1,12 +1,16 @@
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
 from grfock.exact import GF, lattice_basis
 from grfock.exterior import ExtTensor, t_shuffle
 from grfock.grassmann import (
-    _operator_modp,
+    SubspaceBasis,
+    _gather_source,
+    _in_st,
     _pair_weight,
+    _rank,
     degree2_ideal_equal,
     enumerate_points,
     fpoints_rows,
@@ -21,7 +25,8 @@ from grfock.grassmann import (
     omega_functional,
     omega_quadric_functionals,
     plucker_quadrics,
-    shuffle_matrices_modp,
+    plucker_vector,
+    st_forms,
     tangent_dim_gt,
     vectors_over,
     wedge_of_rows,
@@ -166,6 +171,24 @@ def test_fpoints_rows_match_an_independent_recount(p, n):
             assert row["gr"] == gaussian_binomial(n, k, p)
 
 
+def _operator_modp(T, p):
+    """T mod p as sparse rows: row i lists the (j, T[i][j] mod p) that are nonzero."""
+    return tuple(tuple((j, x % p) for j, x in enumerate(row) if x % p) for row in T)
+
+
+def _apply_modp(Tp, vec, p):
+    """T vec mod p for T given as _operator_modp(T, p)."""
+    return [sum([x * vec[j] for j, x in row]) % p for row in Tp]
+
+
+def _invariant_by_sparse_rows(U, T):
+    """The reference for the gather: T applied to each row as a sparse matrix,
+    then a dense rank test."""
+    Tp = _operator_modp(T, U.p)
+    return all(_rank_modp(U.rows + (tuple(_apply_modp(Tp, row, U.p)),), U.p) == U.k
+               for row in U.rows)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_gt_points_lists_the_invariant_points_of_each_operator(p):
     for n in range(1, 5):
@@ -174,23 +197,83 @@ def test_gt_points_lists_the_invariant_points_of_each_operator(p):
             by_operator = gt_points(Ts, k, p)
             for T, pts, row in zip(Ts, by_operator, fpoints_rows(Ts, k, p)):
                 assert len(pts) == row["gt"]
-                assert all(is_invariant(U, _operator_modp(T, p)) for U in pts)
+                assert all(_invariant_by_sparse_rows(U, T) for U in pts)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_each_point_test_matches_its_reference(p):
+    # per point, not only per count: the gather against the sparse-row product,
+    # and the S^T form filter against the shuffles over GF(p)
+    ring = GF(p)
+    for n in range(1, 5):
+        Ts = [jordan_matrix(blocks) for blocks in partitions_of(n)]
+        for k in range(n + 1):
+            keys = list(combinations(range(1, n + 1), k))
+            ops = [(T, _gather_source(T), st_forms(T, k, p)) for T in Ts]
+            for U in enumerate_points(p, n, k):
+                plucker = [plucker_vector(U).get(key, 0) for key in keys]
+                tau = wedge_of_rows(U.rows, n, ring)
+                for T, src, forms in ops:
+                    assert is_invariant(U, src) == _invariant_by_sparse_rows(U, T), (T, U)
+                    in_st = all(t_shuffle(d, T, tau).is_zero() for d in range(1, k + 1))
+                    assert _in_st(plucker, forms, p) == in_st, (T, U)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_st_forms_are_the_linear_part_of_the_points_of_gt(p):
+    # the finite analogue of the shuffles spanning the linear part of the
+    # ideal: the reduced forms number C(n,k) minus the rank of G^T's Pluecker
+    # vectors, for every Jordan type with n <= 5 and every k
+    for n in range(1, 6):
+        Ts = [jordan_matrix(blocks) for blocks in partitions_of(n)]
+        for k in range(n + 1):
+            keys = list(combinations(range(1, n + 1), k))
+            for T, pts in zip(Ts, gt_points(Ts, k, p)):
+                vectors = [[pl.get(key, 0) for key in keys] for pl in map(plucker_vector, pts)]
+                assert len(st_forms(T, k, p)) == comb(n, k) - _rank(vectors, p), (T, k)
+
+
+def test_the_gather_rejects_an_operator_that_is_not_one():
+    assert _gather_source(jordan_matrix((2, 1))) == (1, None, None)
+    for T in [((0, 2), (0, 0)),    # an entry other than 0 and 1
+              ((0, -1), (0, 0)),
+              ((1, 1), (0, 0))]:   # two 1s in a row
+        with pytest.raises(ValueError):
+            _gather_source(T)
+        with pytest.raises(ValueError):
+            tangent_dim_gt(SubspaceBasis(2, 2, ((1, 0),)), T)
+
+
+@pytest.mark.parametrize("rows", [
+    ((1, 0, 0), (0, 0, 0)),  # a zero row
+    ((1, 0, 0), (0, 2, 1)),  # a row that leads with 2
+])
+def test_subspace_basis_rejects_a_row_without_a_leading_1(rows):
+    with pytest.raises(ValueError):
+        SubspaceBasis(3, 3, rows)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_shuffle_matrices_modp_equal_the_shuffles_over_the_prime_field(p):
+def test_st_forms_span_the_shuffles_over_the_prime_field(p):
+    # the forms span exactly the rows of the sh_d^T, d = 1..k, taken over GF(p)
     ring = GF(p)
     for blocks in [(3,), (2, 2), (3, 1, 1), (4, 2)]:
         T = jordan_matrix(blocks)
         n = len(T)
         for k in range(1, n + 1):
-            mats = shuffle_matrices_modp(T, k, p)
-            assert len(mats) == k
-            for d, cols in enumerate(mats, start=1):
-                for key, col in cols.items():
-                    tau = ExtTensor(n, k, {key: ring.one}, ring)
-                    image = t_shuffle(d, T, tau)
-                    assert col == {key2: c.value for key2, c in image.coeffs.items()}
+            keys = list(combinations(range(1, n + 1), k))
+            images = [[t_shuffle(d, T, ExtTensor(n, k, {B: ring.one}, ring)).coeffs for B in keys]
+                      for d in range(1, k + 1)]
+            shuffles = [[image.get(A, ring.zero).value for image in by_key]
+                        for by_key in images for A in keys]
+            forms = []
+            for form in st_forms(T, k, p):
+                v = [0] * len(keys)
+                for j, c in form:
+                    v[j] = c
+                forms.append(v)
+            rank = _rank_modp(shuffles, p)
+            assert len(forms) == rank == _rank_modp(forms, p) == _rank_modp(shuffles + forms, p)
 
 
 def _apply(T, v, p):
