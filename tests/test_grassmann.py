@@ -211,7 +211,8 @@ def test_each_point_test_matches_its_reference(p):
             keys = list(combinations(range(1, n + 1), k))
             ops = [(T, _gather_source(T), st_forms(T, k, p)) for T in Ts]
             for U in enumerate_points(p, n, k):
-                plucker = [plucker_vector(U).get(key, 0) for key in keys]
+                get = plucker_vector(U).get
+                plucker = [get(key, 0) for key in keys]
                 tau = wedge_of_rows(U.rows, n, ring)
                 for T, src, forms in ops:
                     assert is_invariant(U, src) == _invariant_by_sparse_rows(U, T), (T, U)
@@ -233,7 +234,7 @@ def test_st_forms_are_the_linear_part_of_the_points_of_gt(p):
                 assert len(st_forms(T, k, p)) == comb(n, k) - _rank(vectors, p), (T, k)
 
 
-def test_the_gather_rejects_an_operator_that_is_not_one():
+def test_gather_source_rejects_other_operators():
     assert _gather_source(jordan_matrix((2, 1))) == (1, None, None)
     for T in [((0, 2), (0, 0)),    # an entry other than 0 and 1
               ((0, -1), (0, 0)),
