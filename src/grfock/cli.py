@@ -392,10 +392,12 @@ class UsageError(ValueError):
 
 
 def list_commands() -> str:
+    flags = [a.option_strings[-1] for a in build_parser()._actions
+             if a.option_strings and a.dest != "help"]
     lines = ["available suites:"]
     lines.extend(f"  {name}" for name in SUITES)
     lines.append("run `grfock --help` for flags; common flags:")
-    lines.append("  --n --k --p --size --dim --jordan --seed --jobs --out --format --budget")
+    lines.append("  " + " ".join(flags))
     return "\n".join(lines)
 
 

@@ -14,6 +14,11 @@ Omega^T through the shuffles, ``omega_T_apply`` and ``eta_T``
 (``test_omega_T_additivity_QQ_and_F5``, ``test_eta_T_matches_omega_of_wedged``);
 the Frobenius-twist reading sh_d^T = e_d(T_1, ..., T_k), ``sym_operator_apply``
 (``test_sym_operator_examples``).
+
+The subset-replacement form of sh_d^T, the oracle that ``t_shuffle`` is
+compared against, lives in tests/test_exterior.py; the wedge of the rows of a
+matrix, which the exterior and the Grassmannian tests both build decomposable
+tensors with, lives in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -117,11 +122,6 @@ class ExtTensor(SparseVector):
         self.coeffs = clean
 
 
-def basis_wedge(n: int, key, ring: Ring = ZZ) -> ExtTensor:
-    key = tuple(sorted(key))
-    return ExtTensor(n, len(key), {key: ring.one}, ring)
-
-
 @dataclass(eq=False)
 class TwoTensor(SparseVector):
     """Element of (k-th wedge) tensor (l-th wedge) of one n-dimensional space."""
@@ -200,16 +200,9 @@ def operator(rows, ring: Ring = ZZ) -> tuple:
     """An n x n operator as a tuple of row tuples; T e_j = sum_i rows[i][j] e_i."""
     return tuple(tuple(ring.from_int(x) if isinstance(x, int) else x for x in row) for row in rows)
 
-def zero_operator(n: int, ring: Ring = ZZ) -> tuple:
-    return tuple(tuple(ring.zero for _ in range(n)) for _ in range(n))
-
 
 def identity_operator(n: int, ring: Ring = ZZ) -> tuple:
     return tuple(tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(n))
-
-
-def add_operators(S, T) -> tuple:
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(S, T))
 
 
 def wedge_image(T, J, ring: Ring = ZZ) -> dict:
@@ -254,15 +247,6 @@ def omega_apply(d: int, tt: TwoTensor) -> TwoTensor:
     return TwoTensor(tt.n, (k + d, l - d), _pair_keys(out), tt.ring)
 
 
-def omega(d: int, u: ExtTensor, v: ExtTensor) -> TwoTensor:
-    return omega_apply(d, tensor_product(u, v))
-
-
-def omega_diag(d: int, tau: ExtTensor) -> TwoTensor:
-    """The quadratic two-tensor omega_d(tau) = Omega_d(tau (x) tau)."""
-    return omega(d, tau, tau)
-
-
 def omega_T_apply(d: int, T, tt: TwoTensor) -> TwoTensor:
     """Omega_d^T = sum over |I| = d of (T e_I) wedge (.) (x) psi*_I (.).
 
@@ -286,17 +270,9 @@ def omega_T_apply(d: int, T, tt: TwoTensor) -> TwoTensor:
     return TwoTensor(tt.n, (k + d, l - d), _pair_keys(out), ring)
 
 
-def omega_T(d: int, T, u: ExtTensor, v: ExtTensor) -> TwoTensor:
-    return omega_T_apply(d, T, tensor_product(u, v))
-
-
-def omega_T_diag(d: int, T, tau: ExtTensor) -> TwoTensor:
-    return omega_T(d, T, tau, tau)
-
-
 def eta_T(d: int, T, tau: ExtTensor) -> TwoTensor:
     """eta_d^T(tau) = Omega_d(T tau (x) tau), with T applied to every factor."""
-    return omega(d, wedge_apply(T, tau), tau)
+    return omega_apply(d, tensor_product(wedge_apply(T, tau), tau))
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +284,8 @@ def t_shuffle(d: int, T, tau: ExtTensor) -> ExtTensor:
 
     The interior products compose in decreasing index order, so the smallest
     j is contracted first; that is the unique reading that agrees with the
-    defining subset-replacement formula (``t_shuffle_subset_form``) and with
-    the (I + tT) expansion.
+    defining subset-replacement formula (the oracle in tests/test_exterior.py)
+    and with the (I + tT) expansion.
     """
     if d == 0:
         return tau
@@ -338,24 +314,6 @@ def t_shuffle_matrices(T, k: int) -> list:
     keys = list(combinations(range(1, n + 1), k))
     return [{key: t_shuffle(d, T, ExtTensor(n, k, {key: 1})).coeffs for key in keys}
             for d in range(1, k + 1)]
-
-
-def t_shuffle_subset_form(d: int, T, tau: ExtTensor) -> ExtTensor:
-    """sh_d^T by replacing the factors at each d-subset of slots with T-images."""
-    if d == 0:
-        return tau
-    ring = tau.ring
-    n = tau.n
-    out: dict = {}
-    for key, c in tau.coeffs.items():
-        for R in combinations(range(len(key)), d):
-            # factors: e_{key[r]} for r not in R, T e_{key[r]} for r in R
-            columns = [[(ring.one, key[r])] if r not in R else
-                       [(T[i - 1][key[r] - 1], i) for i in range(1, n + 1)
-                        if T[i - 1][key[r] - 1]]
-                       for r in range(len(key))]
-            _accumulate_slot_products(out, c, columns)
-    return ExtTensor(tau.n, tau.k, out, ring)
 
 
 def _accumulate_slot_products(out: dict, c, columns: list) -> None:

@@ -1,8 +1,8 @@
 """Charge-graded fermion Fock space over an exact scalar ring.
 
 Vectors are finitely supported tables MayaDiagram -> scalar at a fixed charge.
-Every signed operation (psi/psi_star, Clifford words, the shuffles, alpha and
-the monomial operator) runs on one bitmask kernel, ``_move``.  It is the
+Every signed operation (psi/psi_star, the shuffles, alpha and the monomial
+operator) runs on one bitmask kernel, ``_move``.  It is the
 exterior algebra's kernel too, and so the single source of Clifford signs.
 Inside a window of slots [lo, hi), a diagram is an int whose bit i - lo marks
 a bead at slot i (slots below lo are holes, slots from hi up beads), and psi_i
@@ -17,6 +17,10 @@ A paper claim that only tier-1 pins (tests/test_fock.py): boson-fermion
 multiplicativity, through ``monomial_operator`` and ``multiply_p_times_m``
 (``test_monomial_operator_is_multiplicative``) and ``operator_matrix``
 (``test_operator_matrix_shapes``).
+
+The oracle for the generators, the shuffles and alpha composes psi and psi*
+word by word on the bead list of one diagram; it lives in tests/test_fock.py,
+and the bead lookups it uses in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -158,16 +162,6 @@ def psi_key(i: int, m: MayaDiagram) -> tuple[int, MayaDiagram] | None:
 def psi_star_key(i: int, m: MayaDiagram) -> tuple[int, MayaDiagram] | None:
     """psi*_i on one diagram: None if slot i is a hole, else (sign, diagram)."""
     return _on_key(psi_star, i, m)
-
-
-CliffordWord = tuple  # of (index, star) pairs, leftmost factor first
-
-
-def apply_word(word: CliffordWord, v: FockVector) -> FockVector:
-    """Apply a product of generators; the rightmost factor acts first."""
-    for index, star in reversed(word):
-        v = psi_star(index, v) if star else psi(index, v)
-    return v
 
 
 # ---------------------------------------------------------------------------

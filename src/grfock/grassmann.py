@@ -38,8 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .exact import Ring, ZZ, lattice_basis, lattice_equal, matmul, minors
-from .exterior import ExtTensor, ext_word_on_key, sort_with_sign, t_shuffle_matrices
+# lattice_equal is not called here: perfbench/selftest.py checks that the
+# tracer rebinds this copy of it
+from .exact import lattice_basis, lattice_equal, matmul, minors
+from .exterior import ext_word_on_key, sort_with_sign, t_shuffle_matrices
 
 
 DEFAULT_POINT_BUDGET = 500_000
@@ -70,7 +72,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Reduced row echelon basis of a k-plane in F_p^n."""
+    """Reduced row echelon basis of a k-plane in F_p^n; any other rows raise
+    ValueError."""
 
     p: int
     n: int
@@ -78,12 +81,21 @@ class SubspaceBasis:
     pivots: tuple = field(init=False, repr=False, compare=False)  # leading column per row
 
     def __post_init__(self):
+        p, n, rows = self.p, self.n, self.rows
         pivots = []
-        for row in self.rows:
-            piv = next((j for j, x in enumerate(row) if x), None)
-            if piv is None or row[piv] != 1:
+        for row in rows:
+            if len(row) != n or min(row) < 0 or max(row) >= p:
+                raise ValueError(f"row {row} is not a vector of {n} entries in [0, {p})")
+            piv = row.index(1) if 1 in row else 0
+            if row[piv] != 1 or any(row[:piv]):
                 raise ValueError(f"echelon row {row} does not lead with a 1")
+            if pivots and piv <= pivots[-1]:
+                raise ValueError(f"pivots {(*pivots, piv)} do not strictly increase")
             pivots.append(piv)
+        # the entries are >= 0 and each row has its own 1, so the pivot columns
+        # are unit vectors exactly when they hold k in all
+        if sum([r[j] for r in rows for j in pivots]) != len(rows):
+            raise ValueError(f"pivot columns {tuple(pivots)} are not unit vectors")
         object.__setattr__(self, "pivots", tuple(pivots))
 
     @property
@@ -115,12 +127,6 @@ def enumerate_points(p: int, n: int, k: int, max_points: int = DEFAULT_POINT_BUD
 
 # ---------------------------------------------------------------------------
 # Pluecker vectors
-
-
-def wedge_of_rows(rows, n: int, ring: Ring = ZZ) -> ExtTensor:
-    """row_1 ^ ... ^ row_k as an ExtTensor; coefficients are the k x k minors."""
-    coeffs = {tuple(c + 1 for c in cols): m for cols, m in minors(rows, ring.one).items()}
-    return ExtTensor(n, len(rows), coeffs, ring)
 
 
 def plucker_vector(basis: SubspaceBasis) -> dict:

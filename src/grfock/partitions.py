@@ -1,11 +1,16 @@
 """Partitions, charge-0 Maya diagrams, the transpose bijection between them,
-the orders used by the straightening machinery (mlex, dominance, n-jump,
-n-dominance), n-regularity, the gap/regularize maps, and n-cores.
+the orders used by the straightening machinery (mlex, dominance and the
+n-jump covers), n-regularity, the gap/regularize maps, and n-cores.
 
 A partition is a plain tuple of weakly decreasing positive ints; () is empty.
 A Maya diagram is stored canonically as (charge, mu) where mu is a partition
 and the bead positions are i_k = (k-1) + charge - mu_k.  The charge-0
 partition label of a diagram is the transpose of mu.
+
+The oracles live beside their tests: tests/test_partitions.py holds the n-jump
+comparison by breadth-first search over the covers, the rim-hook n-core and
+the hook lengths; tests/oracles.py holds the bead lookups on one diagram that
+the bead-list oracle of the Fock space (tests/test_fock.py) composes.
 """
 
 from __future__ import annotations
@@ -104,32 +109,6 @@ class MayaDiagram:
     def tail_start(self) -> int:
         """All slots >= this value are beads, and bead k = k-1+charge from index len(mu)+1 on."""
         return len(self.mu) + self.charge
-
-    def is_bead(self, i: int) -> bool:
-        if i >= self.tail_start():
-            return True
-        k = self.bead_index(i)
-        return k is not None
-
-    def bead_index(self, i: int) -> int | None:
-        """1-based index k with bead(k) == i, or None."""
-        k = 1
-        while True:
-            b = self.bead(k)
-            if b == i:
-                return k
-            if b > i:
-                return None
-            k += 1
-
-    def beads_below(self, i: int) -> int:
-        """Number of beads at positions < i; finite since positions are bounded below."""
-        count = 0
-        k = 1
-        while self.bead(k) < i:
-            count += 1
-            k += 1
-        return count
 
     def to_json(self) -> dict:
         return {"charge": self.charge, "mu": list(self.mu)}
@@ -233,10 +212,6 @@ def compare_dominance(p: Partition, q: Partition) -> Cmp:
     return Cmp.INCOMPARABLE
 
 
-def dominates(p: Partition, q: Partition) -> bool:
-    return compare_dominance(p, q) in (Cmp.GREATER, Cmp.EQUAL)
-
-
 def n_jump_raises(p: Partition, n: int) -> tuple[Partition, ...]:
     """Partitions one n-jump above p.
 
@@ -274,45 +249,6 @@ def n_jump_raises(p: Partition, n: int) -> tuple[Partition, ...]:
     return tuple(sorted(out, reverse=True))
 
 
-def _n_jump_up_closure(p: Partition, n: int) -> set:
-    seen = {p}
-    frontier = [p]
-    while frontier:
-        q = frontier.pop()
-        for r in n_jump_raises(q, n):
-            if r not in seen:
-                seen.add(r)
-                frontier.append(r)
-    return seen
-
-
-def compare_n_jump(p: Partition, q: Partition, n: int) -> Cmp:
-    """BFS over n-jump covers; oriented so that GREATER refines dominance."""
-    if size(p) != size(q):
-        return Cmp.INCOMPARABLE
-    if p == q:
-        return Cmp.EQUAL
-    if p in _n_jump_up_closure(q, n):
-        return Cmp.GREATER
-    if q in _n_jump_up_closure(p, n):
-        return Cmp.LESS
-    return Cmp.INCOMPARABLE
-
-
-def compare(p: Partition, q: Partition, order: str, n: int | None = None) -> Cmp:
-    """Compare under one of: "mlex", "dominance", "n_jump", "n_dominance"."""
-    p, q = check_partition(p), check_partition(q)
-    if order == "mlex":
-        return compare_mlex(p, q)
-    if order == "dominance":
-        return compare_dominance(p, q)
-    if order in ("n_jump", "n_dominance"):
-        if n is None:
-            raise ValueError(f"{order} needs n")
-        return compare_n_jump(p, q, n)
-    raise ValueError(f"unknown order {order!r}")
-
-
 # ---------------------------------------------------------------------------
 # n-cores via the abacus
 
@@ -343,31 +279,6 @@ def n_core(p: Partition, n: int) -> Partition:
         count = len(slots)
         new_below.extend(r + n * j for j in range(hi - count, hi))
     return partition_of_maya(maya_from_beads(sorted(new_below), split))
-
-
-def hook_lengths(p: Partition) -> list:
-    pt = transpose(p)
-    return [[p[i] - j + pt[j] - i - 1 for j in range(p[i])] for i in range(len(p))]
-
-
-def n_core_by_rim_hooks(p: Partition, n: int) -> Partition:
-    """Oracle: strip rim n-hooks one at a time until none remain."""
-    beta_len = max(len(p), 1)
-    beta = [p[i] + (beta_len - 1 - i) if i < len(p) else beta_len - 1 - i for i in range(beta_len)]
-    beta = sorted(beta)
-    # removing a rim n-hook == lowering some beta value by n onto a free slot
-    changed = True
-    while changed:
-        changed = False
-        bs = set(beta)
-        for i, b in enumerate(beta):
-            if b - n >= 0 and (b - n) not in bs:
-                beta[i] = b - n
-                beta.sort()
-                changed = True
-                break
-    parts = sorted((b - i for i, b in enumerate(beta)), reverse=True)
-    return tuple(x for x in parts if x > 0)
 
 
 def weight_class(p: Partition, n: int) -> tuple:

@@ -7,6 +7,11 @@ A paper claim that only tier-1 pins (tests/test_symfunc.py): the Frobenius-twist
 reading of the shuffles, through ``SymPoly``, ``schur_expand``
 (``test_schur_expand_jacobi_trudi_consistency``) and ``frobenius_twist``
 (``test_frobenius_twist_examples``).
+
+The oracles live in tests/test_symfunc.py: the cell-by-cell tableau filler and
+the scanning charge that ``charge`` and ``kostka_foulkes`` are checked against,
+and the minors of the Toeplitz matrix (h_{j-i}) on the beads of a diagram with
+the Jacobi-Trudi determinant they equal, both at given values of the h_i.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from itertools import permutations
 from math import factorial
 from operator import lt
 
-from .exact import IntPoly, Ring, QQ, det, invert_unitriangular, matmul
-from .partitions import MayaDiagram, Partition, check_partition, is_n_regular, partitions_of
+from .exact import IntPoly, det, invert_unitriangular, matmul
+from .partitions import Partition, check_partition, is_n_regular, partitions_of
 
 
 class DegreeOverflowError(ValueError):
@@ -57,9 +62,6 @@ class SymPoly:
             if c:
                 clean[exp] = c
         self.coeffs = clean
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -160,26 +162,11 @@ def s_poly(lam: Partition, nvars: int) -> SymPoly:
     return det(grid, one)
 
 
-def sym_basis(kind: str, index, nvars: int, degree_bound: int | None = None) -> SymPoly:
-    """Dispatcher over the five bases: kind in {"h","e","p","m","s"}."""
-    if kind in ("h", "e", "p"):
-        out = {"h": h_poly, "e": e_poly, "p": p_poly}[kind](int(index), nvars)
-    elif kind == "m":
-        out = m_poly(tuple(index), nvars)
-    elif kind == "s":
-        out = s_poly(tuple(index), nvars)
-    else:
-        raise ValueError(f"unknown basis kind {kind!r}")
-    if degree_bound is not None and out.degree() > degree_bound:
-        raise DegreeOverflowError(f"{kind} element exceeds degree bound {degree_bound}")
-    return out
-
-
 def schur_expand(f: SymPoly) -> dict:
     """Coefficients c_lam with f = sum c_lam s_lam, by leading-term subtraction."""
     result: dict = {}
     work = SymPoly(f.nvars, dict(f.coeffs))
-    while not work.is_zero():
+    while work:
         lead = max(work.coeffs)
         if any(lead[i] < lead[i + 1] for i in range(len(lead) - 1)):
             raise ValueError("not symmetric: leading exponent is not a partition")
@@ -278,11 +265,9 @@ def _fill_strip(rows, mu, i, r, left, cap, code, base, counts):
     del row[start:]
 
 
-def _kf_column(mu: Partition, cap: Partition, convention: str) -> dict:
+def _kf_column(mu: Partition, cap: Partition) -> dict:
     """{lam: K_{lam,mu}(t)} over the shapes lam inside cap with a tableau of
     content mu, from one pass over those tableaux."""
-    if convention not in ("charge", "cocharge"):
-        raise ValueError(f"unknown convention {convention!r}")
     top = n_of(mu)
     counts = defaultdict(lambda: [0] * (top + 1))  # shape code -> count by charge
     radix = sum(mu) + 1
@@ -294,20 +279,19 @@ def _kf_column(mu: Partition, cap: Partition, convention: str) -> dict:
         while code:
             code, part = divmod(code, radix)
             shape.append(part)
-        out[tuple(shape)] = IntPoly(by_charge[::-1] if convention == "cocharge" else by_charge)
+        out[tuple(shape)] = IntPoly(by_charge)
     return out
 
 
-def kostka_foulkes(lam: Partition, mu: Partition, convention: str = "charge") -> IntPoly:
+def kostka_foulkes(lam: Partition, mu: Partition) -> IntPoly:
     """K_{lam,mu}(t) as the t-count of SSYT(lam, mu) by charge.
 
-    convention="cocharge" grades by n(mu) - charge instead.  Only shapes
-    inside lam are grown, so one pair costs a fraction of its column.
+    Only shapes inside lam are grown, so one pair costs a fraction of its column.
     """
     lam, mu = check_partition(lam), check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("sizes differ")
-    return _kf_column(mu, lam, convention).get(lam, IntPoly())
+    return _kf_column(mu, lam).get(lam, IntPoly())
 
 
 @dataclass(frozen=True)
@@ -326,7 +310,7 @@ class KFMatrices:
 def kf_transition_matrices(total: int, n: int) -> KFMatrices:
     """K graded by charge, whose diagonal is 1, and the matrices built from its inverse."""
     labels = partitions_of(total)  # descending lex refines dominance
-    columns = [_kf_column(mu, (total,) * len(mu), "charge") for mu in labels]
+    columns = [_kf_column(mu, (total,) * len(mu)) for mu in labels]
     K = tuple(tuple(col.get(lam, IntPoly()) for col in columns) for lam in labels)
     C = invert_unitriangular(K)
     regular = tuple(p for p in labels if is_n_regular(p, n))
@@ -362,9 +346,6 @@ class HPoly:
 
     def as_dict(self) -> dict:
         return dict(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -507,37 +488,3 @@ def twist_in_h_basis(n: int, k: int) -> HPoly:
         if remainder:
             raise ArithmeticError("twist did not clear to integer coefficients")
     return HPoly.from_dict(out)
-
-
-# ---------------------------------------------------------------------------
-# Toeplitz minors
-
-
-def _h_at(hvals: dict, d: int, ring: Ring):
-    """h_d at the given values of h_1, h_2, ...: 0 below degree 0, 1 in degree 0."""
-    if d < 0:
-        return ring.zero
-    return ring.one if d == 0 else hvals.get(d, ring.zero)
-
-
-def toeplitz_minor(hvals: dict, m: MayaDiagram, ring: Ring = QQ):
-    """Minor of the upper-triangular Toeplitz matrix (entries h_{j-i}) on
-    columns 0,1,2,... and rows the beads of m, reduced to a finite determinant.
-
-    hvals maps i >= 1 to the value of h_i (missing means 0); h_0 = 1.
-    """
-    if m.charge != 0:
-        raise ValueError("Toeplitz minors are taken at charge 0")
-    L = len(m.mu)
-    grid = [[_h_at(hvals, (j - 1) - m.bead(r), ring) for j in range(1, L + 1)]
-            for r in range(1, L + 1)]
-    return det(grid, ring.one)
-
-
-def jacobi_trudi_value(lam: Partition, hvals: dict, ring: Ring = QQ):
-    """det(h_{lam_i - i + j}) evaluated at the given h-values (test oracle)."""
-    lam = tuple(lam)
-    ell = len(lam)
-    grid = [[_h_at(hvals, lam[i - 1] - i + j, ring) for j in range(1, ell + 1)]
-            for i in range(1, ell + 1)]
-    return det(grid, ring.one)

@@ -1,6 +1,7 @@
 """Exit codes of ``grfock.cli.main``: 0 pass, 1 check failed, 2 usage, 3 budget."""
 
 import json
+import re
 
 import pytest
 
@@ -59,6 +60,14 @@ def test_listing_points_to_an_existing_help_flag(capsys):
     assert cli.main([]) == 0
     assert "`grfock --help`" in capsys.readouterr().out
     assert cli.main(["--help"]) == 0
+
+
+def test_listing_names_every_flag_of_the_parser(capsys):
+    assert cli.main([]) == 0
+    listed = capsys.readouterr().out.split()
+    flags = re.findall(r"\[(--[\w-]+)", cli.build_parser().format_usage())
+    assert "--target" in flags
+    assert [flag for flag in flags if flag not in listed] == []
 
 
 def test_failed_check_exits_1(monkeypatch, capsys):

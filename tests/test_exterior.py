@@ -9,19 +9,14 @@ from grfock.exact import GF, IntPoly, MixedRingError, QQ, ZT, ZZ
 from grfock.exterior import (
     ExtTensor,
     TwoTensor,
-    add_operators,
-    basis_wedge,
+    _accumulate_slot_products,
     clifford,
     epsilon_d,
     eta_T,
     ext_word_on_key,
     identity_operator,
-    omega,
     omega_apply,
-    omega_diag,
-    omega_T,
     omega_T_apply,
-    omega_T_diag,
     operator,
     sgn_IJK,
     sgn_KJ,
@@ -29,12 +24,10 @@ from grfock.exterior import (
     sort_with_sign,
     sym_operator_apply,
     t_shuffle,
-    t_shuffle_subset_form,
     tensor_product,
     wedge_apply,
-    zero_operator,
 )
-from grfock.grassmann import wedge_of_rows
+from oracles import wedge_of_rows
 
 
 rng = random.Random(2024)
@@ -51,6 +44,27 @@ def rnd_ext(n, k, ring, lo=-3, hi=3):
 
 def rnd_op(n, ring, lo=-2, hi=2):
     return tuple(tuple(ring.from_int(rng.randint(lo, hi)) for _ in range(n)) for _ in range(n))
+
+
+def _basis_wedge(n, key, ring=ZZ):
+    return ExtTensor(n, len(key), {key: ring.one}, ring)
+
+
+def _t_shuffle_subset_form(d, T, tau):
+    """Oracle: sh_d^T by replacing the factors at each d-subset of slots with T-images."""
+    if d == 0:
+        return tau
+    ring, n = tau.ring, tau.n
+    out = {}
+    for key, c in tau.coeffs.items():
+        for R in combinations(range(len(key)), d):
+            # factors: e_{key[r]} for r not in R, T e_{key[r]} for r in R
+            columns = [[(ring.one, key[r])] if r not in R else
+                       [(T[i - 1][key[r] - 1], i) for i in range(1, n + 1)
+                        if T[i - 1][key[r] - 1]]
+                       for r in range(len(key))]
+            _accumulate_slot_products(out, c, columns)
+    return ExtTensor(tau.n, tau.k, out, ring)
 
 
 def rnd_decomposable(n, k, ring):
@@ -128,13 +142,13 @@ def test_sort_with_sign_matches_the_bubble_sort():
 
 
 def test_clifford_examples():
-    e2 = basis_wedge(3, (2,))
+    e2 = _basis_wedge(3, (2,))
     r = clifford((1,), False, e2)
     assert r.coeffs == {(1, 2): 1}
-    e12 = basis_wedge(3, (1, 2))
+    e12 = _basis_wedge(3, (1, 2))
     r = clifford((2,), True, e12)
     assert r.coeffs == {(1,): -1}
-    e13 = basis_wedge(3, (1, 3))
+    e13 = _basis_wedge(3, (1, 3))
     assert clifford((1,), False, e13).is_zero()
 
 
@@ -199,11 +213,11 @@ def test_omega_examples():
     # d = 0 leaves the tensor unchanged
     u = rnd_ext(4, 2, QQ)
     v = rnd_ext(4, 2, QQ)
-    assert omega(0, u, v) == tensor_product(u, v)
+    assert omega_apply(0, tensor_product(u, v)) == tensor_product(u, v)
     # Omega_1(e_1 (x) e_2) = -(e_1 ^ e_2) (x) 1
-    e1 = basis_wedge(2, (1,))
-    e2 = basis_wedge(2, (2,))
-    r = omega(1, e1, e2)
+    e1 = _basis_wedge(2, (1,))
+    e2 = _basis_wedge(2, (2,))
+    r = omega_apply(1, tensor_product(e1, e2))
     assert r.coeffs == {((1, 2), ()): -1}
 
 
@@ -227,18 +241,19 @@ def test_omega_bilinear_and_bidegree():
     u1, u2 = rnd_ext(n, 2, QQ), rnd_ext(n, 2, QQ)
     v = rnd_ext(n, 3, QQ)
     d = 2
-    lhs = omega(d, u1 + u2, v)
-    assert lhs == omega(d, u1, v) + omega(d, u2, v)
-    out = omega(d, u1, v)
+    lhs = omega_apply(d, tensor_product(u1 + u2, v))
+    out = omega_apply(d, tensor_product(u1, v))
+    assert lhs == out + omega_apply(d, tensor_product(u2, v))
     assert out.degrees == (2 + d, 3 - d)
 
 
 def test_omega_T_zero_and_identity():
     n = 5
     u, v = rnd_ext(n, 1, QQ), rnd_ext(n, 3, QQ)
-    assert omega_T(1, zero_operator(n, QQ), u, v).is_zero()
+    tt = tensor_product(u, v)
+    assert omega_T_apply(1, operator([[0] * n] * n, QQ), tt).is_zero()
     for d in (1, 2):
-        assert omega_T(d, identity_operator(n, QQ), u, v) == omega(d, u, v)
+        assert omega_T_apply(d, identity_operator(n, QQ), tt) == omega_apply(d, tt)
 
 
 def test_omega_T_additivity_QQ_and_F5():
@@ -248,9 +263,10 @@ def test_omega_T_additivity_QQ_and_F5():
             k = rng.randint(0, n - 1)
             l = rng.randint(1, n)
             T1, T2 = rnd_op(n, ring), rnd_op(n, ring)
+            T12 = tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(T1, T2))
             tt = tensor_product(rnd_ext(n, k, ring), rnd_ext(n, l, ring))
             for d in range(1, min(l, n - k) + 1):
-                lhs = omega_T_apply(d, add_operators(T1, T2), tt)
+                lhs = omega_T_apply(d, T12, tt)
                 rhs = None
                 for a in range(d + 1):
                     term = omega_T_apply(a, T1, omega_T_apply(d - a, T2, tt))
@@ -262,7 +278,7 @@ def test_eta_T_matches_omega_of_wedged():
     n = 4
     T = rnd_op(n, QQ)
     tau = rnd_ext(n, 2, QQ)
-    assert eta_T(1, T, tau) == omega(1, wedge_apply(T, tau), tau)
+    assert eta_T(1, T, tau) == omega_apply(1, tensor_product(wedge_apply(T, tau), tau))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +291,7 @@ def test_t_shuffle_top_degree_is_wedge_power():
         k = rng.randint(1, n)
         T = rnd_op(n, QQ)
         tau = rnd_ext(n, k, QQ)
-        assert t_shuffle(k, T, tau) == t_shuffle_subset_form(k, T, tau) == wedge_apply(T, tau)
+        assert t_shuffle(k, T, tau) == _t_shuffle_subset_form(k, T, tau) == wedge_apply(T, tau)
 
 
 def test_t_shuffle_zero_and_identity_degrees():
@@ -303,7 +319,7 @@ def test_both_shuffle_formulas_agree():
         T = rnd_op(n, QQ)
         tau = rnd_ext(n, k, QQ)
         for d in range(1, k + 1):
-            assert t_shuffle(d, T, tau) == t_shuffle_subset_form(d, T, tau)
+            assert t_shuffle(d, T, tau) == _t_shuffle_subset_form(d, T, tau)
 
 
 def test_omega_T_via_shuffles_on_decomposables():
@@ -315,7 +331,7 @@ def test_omega_T_via_shuffles_on_decomposables():
         T = rnd_op(n, QQ)
         tau = rnd_decomposable(n, k, QQ)
         for d in range(1, min(k, n - k) + 1):
-            lhs = omega_T_diag(d, T, tau)
+            lhs = omega_T_apply(d, T, tensor_product(tau, tau))
             sh = t_shuffle(d, T, tau)
             acc = None
             for I in combinations(range(1, n + 1), d):
@@ -329,7 +345,7 @@ def test_omega_T_via_shuffles_fails_off_cone():
     n = 4
     T = operator(((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)), QQ)
     tau = ExtTensor(n, 2, {(1, 2): QQ.one, (3, 4): QQ.one}, QQ)
-    lhs = omega_T_diag(1, T, tau)
+    lhs = omega_T_apply(1, T, tensor_product(tau, tau))
     assert lhs.coeffs == {((1, 3, 4), (2,)): Fraction(1)}
     sh = t_shuffle(1, T, tau)
     acc = None
@@ -390,23 +406,23 @@ def test_ext_tensor_rejects_bad_keys_and_mixed_degrees():
     with pytest.raises(ValueError):
         ExtTensor(3, 2, {(1, 4): 1})
     with pytest.raises(ValueError):
-        basis_wedge(3, (1, 2)) + basis_wedge(3, (1,))
+        _basis_wedge(3, (1, 2)) + _basis_wedge(3, (1,))
     with pytest.raises(ValueError):
-        basis_wedge(3, (1, 2)) + basis_wedge(4, (1, 2))
+        _basis_wedge(3, (1, 2)) + _basis_wedge(4, (1, 2))
 
 
 def test_two_tensor_rejects_bad_keys_and_mixed_degrees():
     with pytest.raises(ValueError):
         TwoTensor(3, (2, 1), {((1,), (2,)): 1})
-    u = tensor_product(basis_wedge(3, (1, 2)), basis_wedge(3, (3,)))
+    u = tensor_product(_basis_wedge(3, (1, 2)), _basis_wedge(3, (3,)))
     with pytest.raises(ValueError):
-        u + tensor_product(basis_wedge(3, (1,)), basis_wedge(3, (2, 3)))
+        u + tensor_product(_basis_wedge(3, (1,)), _basis_wedge(3, (2, 3)))
     with pytest.raises(ValueError):
-        u + tensor_product(basis_wedge(4, (1, 2)), basis_wedge(4, (3,)))
+        u + tensor_product(_basis_wedge(4, (1, 2)), _basis_wedge(4, (3,)))
 
 
 def test_tensor_product_rejects_mixed_dimensions_and_rings():
     with pytest.raises(ValueError):
-        tensor_product(basis_wedge(3, (1,)), basis_wedge(4, (1,)))
+        tensor_product(_basis_wedge(3, (1,)), _basis_wedge(4, (1,)))
     with pytest.raises(MixedRingError):
-        tensor_product(basis_wedge(3, (1,)), basis_wedge(3, (1,), GF(5)))
+        tensor_product(_basis_wedge(3, (1,)), _basis_wedge(3, (1,), GF(5)))

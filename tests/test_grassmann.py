@@ -29,9 +29,9 @@ from grfock.grassmann import (
     st_forms,
     tangent_dim_gt,
     vectors_over,
-    wedge_of_rows,
 )
 from grfock.partitions import partitions_of
+from oracles import wedge_of_rows
 
 
 def test_jordan_matrix_rejects_blocks_of_the_wrong_size():
@@ -250,6 +250,20 @@ def test_gather_source_rejects_other_operators():
     ((1, 0, 0), (0, 2, 1)),  # a row that leads with 2
 ])
 def test_subspace_basis_rejects_a_row_without_a_leading_1(rows):
+    with pytest.raises(ValueError):
+        SubspaceBasis(3, 3, rows)
+
+
+@pytest.mark.parametrize("rows", [
+    ((1, 5, 0), (1, 0, 0)),  # an entry outside [0, 3), then a repeated pivot
+    ((1, 0), (0, 1)),        # rows of length 2 in F_3^3
+    ((1, 3, 0),),            # an entry equal to p
+    ((1, -1, 0),),           # a negative entry
+    ((0, 1, 0), (1, 0, 0)),  # pivots that decrease
+    ((1, 0, 0), (1, 0, 1)),  # a repeated pivot
+    ((1, 1, 0), (0, 1, 0)),  # pivot column 1 holds a 1 in the row above
+])
+def test_subspace_basis_rejects_rows_that_are_not_reduced_echelon(rows):
     with pytest.raises(ValueError):
         SubspaceBasis(3, 3, rows)
 

@@ -3,18 +3,13 @@ from hypothesis import given, settings, strategies as st
 
 from grfock.partitions import (
     Cmp,
-    MayaDiagram,
-    compare,
     compare_dominance,
     compare_mlex,
-    dominates,
     gap_and_regularize,
-    hook_lengths,
     is_n_regular,
     maya_from_beads,
     maya_of_partition,
     n_core,
-    n_core_by_rim_hooks,
     n_jump_raises,
     partition_of_maya,
     partitions_of,
@@ -22,6 +17,7 @@ from grfock.partitions import (
     transpose,
     weight_class,
 )
+from oracles import beads_below, is_bead
 
 
 @st.composite
@@ -47,9 +43,9 @@ def test_partition_of_maya_examples():
 def test_maya_beads_and_membership():
     m = maya_of_partition((3, 3, 1))
     assert m.beads(6) == (-3, -1, 0, 3, 4, 5)
-    assert m.is_bead(-3) and not m.is_bead(-2)
-    assert m.is_bead(100)
-    assert m.beads_below(0) == 2
+    assert is_bead(m, -3) and not is_bead(m, -2)
+    assert is_bead(m, 100)
+    assert beads_below(m, 0) == 2
 
 
 @settings(max_examples=120, deadline=None)
@@ -110,14 +106,38 @@ def test_gap_infinite_iff_regular(p, n):
 # orders
 
 
+def _n_jump_up_closure(p, n) -> set:
+    seen = {p}
+    frontier = [p]
+    while frontier:
+        for r in n_jump_raises(frontier.pop(), n):
+            if r not in seen:
+                seen.add(r)
+                frontier.append(r)
+    return seen
+
+
+def _compare_n_jump(p, q, n) -> Cmp:
+    """Oracle: breadth-first search over the n-jump covers; GREATER refines dominance."""
+    if size(p) != size(q):
+        return Cmp.INCOMPARABLE
+    if p == q:
+        return Cmp.EQUAL
+    if p in _n_jump_up_closure(q, n):
+        return Cmp.GREATER
+    if q in _n_jump_up_closure(p, n):
+        return Cmp.LESS
+    return Cmp.INCOMPARABLE
+
+
 def test_compare_examples():
-    assert compare((2,), (1, 1), "dominance") is Cmp.GREATER
-    assert compare((2,), (1, 1), "n_dominance", n=2) is Cmp.GREATER
-    assert compare((1, 1, 1), (3,), "n_jump", n=2) is Cmp.LESS
-    assert compare((2, 2), (2, 2), "mlex") is Cmp.EQUAL
-    assert compare((3, 1), (2, 2), "dominance") is Cmp.GREATER
-    assert compare((3, 1, 1, 1), (2, 2, 2), "dominance") is Cmp.INCOMPARABLE
-    assert compare((2,), (1,), "dominance") is Cmp.INCOMPARABLE
+    assert compare_dominance((2,), (1, 1)) is Cmp.GREATER
+    assert _compare_n_jump((2,), (1, 1), 2) is Cmp.GREATER
+    assert _compare_n_jump((1, 1, 1), (3,), 2) is Cmp.LESS
+    assert compare_mlex((2, 2), (2, 2)) is Cmp.EQUAL
+    assert compare_dominance((3, 1), (2, 2)) is Cmp.GREATER
+    assert compare_dominance((3, 1, 1, 1), (2, 2, 2)) is Cmp.INCOMPARABLE
+    assert compare_dominance((2,), (1,)) is Cmp.INCOMPARABLE
 
 
 def test_mlex_total_on_fixed_size():
@@ -141,19 +161,12 @@ def test_one_jump_is_dominance():
 def test_n_jump_refines_dominance_exhaustive(n):
     for total in range(0, 11):
         for q in partitions_of(total):
-            seen = {q}
-            frontier = [q]
-            while frontier:
-                x = frontier.pop()
+            for x in _n_jump_up_closure(q, n):
+                assert compare_dominance(x, q) in (Cmp.GREATER, Cmp.EQUAL), (n, q, x)
                 for r in n_jump_raises(x, n):
-                    assert dominates(r, x), (n, x, r)
+                    assert compare_dominance(r, x) is Cmp.GREATER, (n, x, r)
                     assert weight_class(r, n) == weight_class(x, n)
                     assert size(r) == size(x)
-                    if r not in seen:
-                        seen.add(r)
-                        frontier.append(r)
-            for r in seen:
-                assert dominates(r, q), (n, q, r)
 
 
 def test_two_jump_pair_example():
@@ -165,17 +178,42 @@ def test_two_jump_pair_example():
 # n-cores
 
 
+def _hook_lengths(p) -> list:
+    pt = transpose(p)
+    return [[p[i] - j + pt[j] - i - 1 for j in range(p[i])] for i in range(len(p))]
+
+
+def _n_core_by_rim_hooks(p, n):
+    """Oracle: strip rim n-hooks one at a time until none remain."""
+    beta_len = max(len(p), 1)
+    beta = sorted(p[i] + (beta_len - 1 - i) if i < len(p) else beta_len - 1 - i
+                  for i in range(beta_len))
+    # removing a rim n-hook == lowering some beta value by n onto a free slot
+    changed = True
+    while changed:
+        changed = False
+        bs = set(beta)
+        for i, b in enumerate(beta):
+            if b - n >= 0 and (b - n) not in bs:
+                beta[i] = b - n
+                beta.sort()
+                changed = True
+                break
+    parts = sorted((b - i for i, b in enumerate(beta)), reverse=True)
+    return tuple(x for x in parts if x > 0)
+
+
 def test_n_core_examples():
     assert n_core((), 2) == ()
     assert n_core((2,), 2) == ()
     assert n_core((2, 1), 2) == (2, 1)
-    assert hook_lengths((2, 1)) == [[3, 1], [1]]
+    assert _hook_lengths((2, 1)) == [[3, 1], [1]]
 
 
 @settings(max_examples=200, deadline=None)
 @given(partition_st(), st.sampled_from([2, 3, 4, 5]))
 def test_n_core_matches_rim_hook_oracle(p, n):
-    assert n_core(p, n) == n_core_by_rim_hooks(p, n)
+    assert n_core(p, n) == _n_core_by_rim_hooks(p, n)
 
 
 @settings(max_examples=100, deadline=None)

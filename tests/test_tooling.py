@@ -5,7 +5,7 @@ import importlib
 from pathlib import Path
 
 import grfock
-from grfock import cli
+from grfock import cli, exact, exterior, grassmann
 from grfock.exact import IntMatrix
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,3 +34,11 @@ def test_every_per_layer_metric_names_a_function_that_exists(monkeypatch):
     for workload in run.WORKLOADS.values():
         table = layers.per_layer(record, workload.argv[0])
         assert [m for m, (value, _) in table.items() if value is None] == [], workload.argv
+
+
+def test_grassmann_keeps_the_bindings_the_benchmark_selftest_asserts():
+    # perfbench/selftest.py checks that the tracer rebinds these copies too;
+    # pytest does not collect it, so a lost import would go unseen here
+    assert grassmann.sort_with_sign is exterior.sort_with_sign
+    assert grassmann.lattice_equal is exact.lattice_equal
+    assert grassmann.ext_word_on_key is exterior.ext_word_on_key
