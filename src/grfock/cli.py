@@ -270,16 +270,18 @@ def suite_straighten(args) -> list:
 def suite_kf(args) -> list:
     ns = (2, 3) if args.n is None else (_bounded(args.n, "n", 2),)
     smax = 6 if args.size is None else _bounded(args.size, "size", 0)
-    checks = []
-    for n in ns:
-        for s in range(0, smax + 1):
-            r = klmw.kf_compare(n, s)
+    checks = {}
+    for s in range(0, smax + 1):
+        table = sf.kostka_foulkes_matrix(s)  # K and K^-1 serve every n
+        for n in ns:
+            r = klmw.kf_compare(n, s, table)
             witness = {}
             if n == 2 and s == 2:
                 witness["D_at_minus_1"] = [r["entries"][((2,), (2,))], r["entries"][((2,), (1, 1))]]
-            checks.append(check(f"kf-match-n{n}-size{s}", r["match"],
-                                mismatches=r["mismatches"], **witness))
-    return checks
+            checks[n, s] = check(f"kf-match-n{n}-size{s}", r["match"],
+                                 mismatches=r["mismatches"], **witness)
+        del table  # free K and K^-1 before the next size's are built
+    return [checks[n, s] for n in ns for s in range(0, smax + 1)]
 
 
 def suite_fpoints(args) -> list:

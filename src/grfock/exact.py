@@ -2,9 +2,9 @@
 monic divisor and the cyclotomic polynomials, the one sparse-vector arithmetic
 (``SparseVector``, of the exterior tensors and the Fock vectors), the one
 determinant and minor routine (``minors``, with ``det`` its entry on a square
-grid), integer matrices with Hermite normal form, and the one matrix product
-``matmul`` with unitriangular inversion over Z[t].  Outside Hermite normal form
-a matrix is a tuple of row tuples.
+grid), integer matrices with Hermite normal form, and ``matmul``, whose Z[t]
+case ``intpoly_matmul`` shares one coefficient-tuple product with unitriangular
+inversion.  Outside Hermite normal form a matrix is a tuple of row tuples.
 
 Scalars form a closed set of ring roles.  Elements of different rings never
 coerce into each other (a PrimeField value added to a Fraction is a TypeError);
@@ -497,19 +497,39 @@ def matmul(A, B, zero=0) -> tuple:
     return tuple(tuple(sum(map(mul, row, col), zero) for col in columns) for row in A)
 
 
+def _dot(xs, ys) -> list:
+    """Coefficients of sum x y over pairs of coefficient tuples; zeros cost nothing."""
+    out = []
+    for x, y in zip(xs, ys):
+        if x and y:
+            out.extend([0] * (len(x) + len(y) - 1 - len(out)))
+            for i, a in enumerate(x):
+                if a:
+                    for j, b in enumerate(y, i):
+                        out[j] += a * b
+    return out
+
+
+def intpoly_matmul(A, B) -> tuple:
+    """The product A B of two matrices of IntPoly, summed on coefficient tuples."""
+    if any(len(row) != len(B) for row in A):
+        raise ValueError(f"rows of lengths {sorted(set(map(len, A)))} times {len(B)} rows")
+    cols = [[e.coeffs for e in col] for col in zip(*B)]
+    return tuple(tuple(IntPoly(_dot([e.coeffs for e in row], col)) for col in cols) for row in A)
+
+
 def invert_unitriangular(rows) -> tuple:
-    """Inverse of an upper unitriangular matrix over Z[t]; exact back substitution."""
+    """Inverse of an upper unitriangular matrix over Z[t]; exact back substitution
+    on coefficient tuples."""
     n = len(rows)
     one = IntPoly.const(1)
     if any(len(row) != n for row in rows):
         raise ValueError(f"rows of lengths {sorted(set(map(len, rows)))} do not form a {n} x {n} matrix")
     if any(rows[i][i] != one or any(rows[i][:i]) for i in range(n)):
         raise ValueError("matrix is not unitriangular for its index order")
-    inv = [[one if i == j else IntPoly() for j in range(n)] for i in range(n)]
-    for j in range(n):
+    R = [[e.coeffs for e in row] for row in rows]
+    cols = [[()] * j + [one.coeffs] + [()] * (n - 1 - j) for j in range(n)]  # of the inverse
+    for j, col in enumerate(cols):
         for i in range(j - 1, -1, -1):
-            s = IntPoly()
-            for k in range(i + 1, j + 1):
-                s = s + rows[i][k] * inv[k][j]
-            inv[i][j] = -s
-    return tuple(tuple(row) for row in inv)
+            col[i] = _trim(-c for c in _dot(R[i][i + 1:j + 1], col[i + 1:j + 1]))
+    return tuple(tuple(IntPoly(col[i]) for col in cols) for i in range(n))

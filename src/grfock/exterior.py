@@ -11,7 +11,7 @@ sign comes from ``fock._move``, the one Clifford kernel of the Fock space too.
 Paper claims that only tier-1 pins (tests/test_exterior.py): the generating
 identity, ``shuffle_generating_identity`` (``test_generating_identity_random``);
 Omega^T through the shuffles, ``omega_T_apply`` and ``eta_T``
-(``test_omega_T_additivity_QQ_and_F5``, ``test_eta_T_matches_omega_of_wedged``);
+(``test_omega_T_additivity_QQ_and_F5``, ``test_eta_T_by_omega_T_and_by_hand``);
 the Frobenius-twist reading sh_d^T = e_d(T_1, ..., T_k), ``sym_operator_apply``
 (``test_sym_operator_examples``).
 

@@ -105,13 +105,13 @@ def shuffle_span_dim(n: int, total: int) -> int:
 # Kostka-Foulkes cross-check
 
 
-def kf_compare(n: int, total: int) -> dict:
+def kf_compare(n: int, total: int, table=None) -> dict:
     """Compare D(zeta) entrywise with the straightening d-matrix.
 
     Every entry of D(t) reduced modulo Phi_n must be a rational integer; the
-    report carries the first discrepancy if any.
+    report carries the first discrepancy if any.  ``table`` as in kf_transition_matrices.
     """
-    kf = kf_transition_matrices(total, n)
+    kf = kf_transition_matrices(total, n, table)
     dm = d_matrix(n, total)
     phi = cyclotomic_polynomial(n)
     mismatches = []

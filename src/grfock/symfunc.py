@@ -24,7 +24,7 @@ from itertools import permutations
 from math import factorial
 from operator import lt
 
-from .exact import IntPoly, det, invert_unitriangular, matmul
+from .exact import IntPoly, det, intpoly_matmul, invert_unitriangular
 from .partitions import Partition, check_partition, is_n_regular, partitions_of
 
 
@@ -191,38 +191,45 @@ def frobenius_twist(f: SymPoly, n: int) -> SymPoly:
 # tableaux, charge, Kostka-Foulkes
 
 
+def _charge_step(cur, idx, total, pos):
+    """One letter of charge: subword j, at cur[j] with index idx[j], takes the
+    nearest unused position in ``pos`` (ascending, used up) left of cur[j], or
+    else wraps to the rightmost and its index goes up by one.  Subwords go in
+    order and those past len(pos) end; returns (cur, idx, total + new indices).
+    """
+    nxt, nidx = [], []
+    for c, x in zip(cur, idx):
+        if not pos:
+            break
+        left = bisect_left(pos, c)
+        if left:
+            c = pos.pop(left - 1)
+        else:
+            c = pos.pop()
+            x += 1
+        nxt.append(c)
+        nidx.append(x)
+        total += x
+    return nxt, nidx, total
+
+
 def charge(word) -> int:
     """Lascoux-Schutzenberger charge of a word whose content is a partition.
 
-    The word splits into standard subwords.  Each takes the rightmost unused
-    1, then for each next letter the nearest unused occurrence to the left of
-    the letter before, wrapping round to the rightmost unused one when there
-    is none.  Within a subword the index of the 1 is 0 and goes up by one at
-    each wrap; the charge is the sum of the indices of all letters.
+    Its standard subwords are extracted one letter at a time (``_charge_step``):
+    subword j takes the j-th 1 from the right, with index 0, and the charge is
+    the sum of the indices of all letters.
     """
-    at: dict = {}  # letter -> its unused positions, ascending
+    at: dict = {}  # letter -> its positions, ascending
     for i, letter in enumerate(word):
         at.setdefault(letter, []).append(i)
     counts = [len(at.get(letter, ())) for letter in range(1, len(at) + 1)]
     if not all(counts) or any(map(lt, counts, counts[1:])):
         raise ValueError("content is not a partition")
-    total = 0
-    ones = at.get(1, [])
-    while ones:
-        cur = ones.pop()
-        index = 0
-        for letter in range(2, len(at) + 1):
-            pos = at[letter]
-            if not pos:
-                break
-            left = bisect_left(pos, cur)
-            if left:
-                cur = pos.pop(left - 1)
-            else:
-                cur = pos.pop()
-                index += 1
-            total += index
-    return total
+    state = [len(word)] * len(word), [0] * len(word), 0  # right of the word: no wrap to a 1
+    for letter in range(1, len(at) + 1):
+        state = _charge_step(*state, at[letter])
+    return state[2]
 
 
 def n_of(lam: Partition) -> int:
@@ -230,57 +237,48 @@ def n_of(lam: Partition) -> int:
     return sum(i * part for i, part in enumerate(lam))
 
 
-def _add_strips(rows, mu, i, cap, code, base, counts):
-    """Grow the tableau whose rows hold the letters 1..i by a horizontal strip
-    of mu[i] letters i+1, then by the later strips; at the end count the
-    charge of the reading word (rows left to right, bottom row first) under
-    the shape's code, sum len(rows[r]) * base[r]."""
-    if i == len(mu):
-        counts[code][charge([letter for row in reversed(rows) for letter in row])] += 1
-        return
-    r = min(i, len(rows) - 1)
-    while r and not rows[r - 1]:  # the strip reaches one row below the shape
-        r -= 1
-    _fill_strip(rows, mu, i, r, mu[i], cap, code, base, counts)
-
-
-def _fill_strip(rows, mu, i, r, left, cap, code, base, counts):
-    """Place `left` cells of the strip of letter i+1 in rows r, r-1, ..., 0.
-
-    Rows are filled bottom up, so row r-1 still has its length from before
-    the strip, and row r may gain at most that many cells minus its own.
-    Row 0 takes what is left.  No row grows past cap[r].
-    """
-    row = rows[r]
-    start = len(row)
-    if r == 0:
-        if start + left <= cap[0]:
-            row.extend([i + 1] * left)
-            _add_strips(rows, mu, i + 1, cap, code + left * base[0], base, counts)
-            del row[start:]
-        return
-    for k in range(min(left, cap[r] - start, len(rows[r - 1]) - start) + 1):
-        _fill_strip(rows, mu, i, r - 1, left - k, cap, code + k * base[r], base, counts)
-        row.append(i + 1)
-    del row[start:]
-
-
 def _kf_column(mu: Partition, cap: Partition) -> dict:
     """{lam: K_{lam,mu}(t)} over the shapes lam inside cap with a tableau of
-    content mu, from one pass over those tableaux."""
+    content mu, from one pass over those tableaux.  Cell (r, c) has the
+    reading-order key c - r * radix (bottom row first), which later strips
+    never change, so ``_charge_step`` settles each strip's share of the charge
+    as it is placed and a finished tableau only counts its charge.
+    """
     top = n_of(mu)
-    counts = defaultdict(lambda: [0] * (top + 1))  # shape code -> count by charge
+    counts = defaultdict(lambda: [0] * (top + 1))  # row lengths -> count by charge
     radix = sum(mu) + 1
-    base = [radix**r for r in range(len(cap))]
-    _add_strips([[] for _ in cap], mu, 0, cap, 0, base, counts)
-    out = {}
-    for code, by_charge in counts.items():
-        shape = []
-        while code:
-            code, part = divmod(code, radix)
-            shape.append(part)
-        out[tuple(shape)] = IntPoly(by_charge)
-    return out
+    lens = [0] * len(cap)  # row lengths of the tableau grown so far
+
+    def add_strips(i, state):
+        if i == len(mu):
+            counts[tuple(lens)][state[2]] += 1
+        else:  # the strip reaches one row below the shape, inside cap
+            fill_strip(i, min(len(lens) - 1, len(lens) - lens.count(0)), mu[i], state, [])
+
+    def fill_strip(i, r, left, state, keys):
+        """Place `left` cells of the strip of letter i+1 in rows r, r-1, ..., 0;
+        ``keys`` holds those placed in the rows below r.  Rows are filled bottom
+        up, so row r may gain at most the length of row r-1 minus its own; row 0
+        takes what is left, and then the strip's letters join the subwords.  No
+        row grows past cap[r].
+        """
+        start = lens[r]
+        if r == 0:
+            if start + left <= cap[0]:
+                lens[0] = start + left
+                add_strips(i + 1, _charge_step(*state, keys + list(range(start, start + left))))
+                lens[0] = start
+            return
+        key = start - r * radix
+        for k in range(min(left, cap[r] - start, lens[r - 1] - start) + 1):
+            fill_strip(i, r - 1, left - k, state, keys)
+            lens[r] += 1
+            keys.append(key + k)
+        lens[r] = start
+        del keys[len(keys) - k - 1:]
+
+    add_strips(0, ([radix] * radix, [0] * radix, 0))  # subwords start right of row 0
+    return {tuple(filter(None, shape)): IntPoly(c) for shape, c in counts.items()}
 
 
 def kostka_foulkes(lam: Partition, mu: Partition) -> IntPoly:
@@ -307,17 +305,22 @@ class KFMatrices:
     D: tuple                 # rows indexed by regular_labels, columns by labels
 
 
-def kf_transition_matrices(total: int, n: int) -> KFMatrices:
-    """K graded by charge, whose diagonal is 1, and the matrices built from its inverse."""
-    labels = partitions_of(total)  # descending lex refines dominance
+def kostka_foulkes_matrix(total: int) -> tuple:
+    """(labels, K, C): partitions of total in descending lex order, K by charge, C = K^-1."""
+    labels = partitions_of(total)
     columns = [_kf_column(mu, (total,) * len(mu)) for mu in labels]
     K = tuple(tuple(col.get(lam, IntPoly()) for col in columns) for lam in labels)
-    C = invert_unitriangular(K)
+    return labels, K, invert_unitriangular(K)
+
+
+def kf_transition_matrices(total: int, n: int, table=None) -> KFMatrices:
+    """The matrices built from K^-1 for n; ``table`` is kostka_foulkes_matrix(total) or None."""
+    labels, K, C = kostka_foulkes_matrix(total) if table is None else table
     regular = tuple(p for p in labels if is_n_regular(p, n))
     reg_idx = [labels.index(p) for p in regular]
     B = tuple(C[i] for i in reg_idx)
     A = invert_unitriangular(tuple(tuple(row[j] for j in reg_idx) for row in B))
-    return KFMatrices(labels, regular, K, C, A, B, matmul(A, B, IntPoly()))
+    return KFMatrices(labels, regular, K, C, A, B, intpoly_matmul(A, B))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from grfock.exterior import (
     t_shuffle,
     tensor_product,
     wedge_apply,
+    wedge_image,
 )
 from oracles import wedge_of_rows
 
@@ -274,11 +275,27 @@ def test_omega_T_additivity_QQ_and_F5():
                 assert lhs == rhs
 
 
-def test_eta_T_matches_omega_of_wedged():
-    n = 4
-    T = rnd_op(n, QQ)
-    tau = rnd_ext(n, 2, QQ)
-    assert eta_T(1, T, tau) == omega_apply(1, tensor_product(wedge_apply(T, tau), tau))
+def _wedge_left(T, tt):
+    """(Lambda T (x) 1) on a two-tensor: T on every wedge factor of the left side."""
+    out = {}
+    for (a, b), c in tt.coeffs.items():
+        for J, m in wedge_image(T, a, tt.ring).items():
+            out[(J, b)] = out.get((J, b), tt.ring.zero) + c * m
+    return TwoTensor(tt.n, tt.degrees, out, tt.ring)
+
+
+def test_eta_T_by_omega_T_and_by_hand():
+    # psi_1 (T e_1) (x) psi*_1 e_1 = e_1 ^ (2 e_1 + 5 e_2) (x) 1 = 5 e_12 (x) 1
+    T = operator([[2, 3], [5, 7]], QQ)
+    assert eta_T(1, T, _basis_wedge(2, (1,), QQ)) == TwoTensor(2, (2, 0), {((1, 2), ()): 5}, QQ)
+    # (T e_I) ^ Lambda T (x) = Lambda T (e_I ^ x) for every T, so
+    # Omega_d^T(Lambda (T S) tau (x) tau) = (Lambda T (x) 1) eta_d^S(tau)
+    for n in (3, 4, 5):
+        for k in range(1, n):
+            T, S, tau = rnd_op(n, QQ), rnd_op(n, QQ), rnd_ext(n, k, QQ)
+            wedged = tensor_product(wedge_apply(T, wedge_apply(S, tau)), tau)
+            for d in range(1, min(k, n - k) + 1):
+                assert omega_T_apply(d, T, wedged) == _wedge_left(T, eta_T(d, S, tau)), (n, k, d)
 
 
 # ---------------------------------------------------------------------------

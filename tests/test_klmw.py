@@ -53,8 +53,8 @@ def test_shuffle_span_dim_counts_the_non_regular_partitions():
 def _kf_with_d00_equal_to_t(monkeypatch):
     real = klmw.kf_transition_matrices
 
-    def patched(total, n):
-        kf = real(total, n)
+    def patched(total, n, table=None):
+        kf = real(total, n, table)
         row0 = (IntPoly.t(),) + kf.D[0][1:]
         return replace(kf, D=(row0,) + kf.D[1:])
 

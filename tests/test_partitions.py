@@ -208,6 +208,12 @@ def test_n_core_examples():
     assert n_core((2,), 2) == ()
     assert n_core((2, 1), 2) == (2, 1)
     assert _hook_lengths((2, 1)) == [[3, 1], [1]]
+    # p is an n-core exactly when none of its hook lengths is divisible by n
+    for total in range(0, 9):
+        for p in partitions_of(total):
+            for n in (2, 3, 4):
+                no_hook = all(h % n for row in _hook_lengths(p) for h in row)
+                assert (n_core(p, n) == p) == no_hook, (p, n)
 
 
 @settings(max_examples=200, deadline=None)

@@ -40,6 +40,7 @@ HEAVY = {
     "tangent --p 2 --dim 6": "c332c189968f7047c23f6797e127078041efbc61518f19bf1ed6138cbcc96c7c",
     "kf --n 2 --size 9": "e9e7ab21263420a532a2779a712b8096d4a1a8fe587e3611962bfa324b14f089",
     "kf --n 3 --size 9": "7c561213cc8520360070638e38884faf35262f443f20ffa54208a4885ecaccbe",
+    "kf --n 2 --size 10": "ade7b55bfc050737302fb82351c0ef48b735d16afff363fee27d1167b40d8467",
     "clifford --n 7 --size 8": "3c3cfa808260a834e0a1e9e6674923d05d77328f359fbdf9d2dfd54661ff6c60",
     "pluecker-ideal --k 3 --n 7": "711ae7ca7965acc53a3634a9a0af608863bde6fb45d41da7898559b59151bb3c",
     "pluecker-ideal --k 3 --n 8": "c70928464a1d29e5a0d5de6f38875f462f4e9226533280272665f197e9b0ee0b",

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from grfock.exact import IntPoly, QQ, det
+from grfock.exact import IntPoly, QQ, det, matmul
 from grfock.partitions import (
     Cmp, MayaDiagram, compare_dominance, maya_of_partition, partitions_of, transpose,
 )
@@ -202,7 +203,7 @@ def test_charge_rejects_content_that_is_not_a_partition(word):
 
 
 def test_kostka_foulkes_matches_the_cell_by_cell_oracle():
-    for total in range(0, 8):
+    for total in range(0, 9):
         labels = partitions_of(total)
         K = kf_transition_matrices(total, 2).K
         for i, lam in enumerate(labels):
@@ -409,6 +410,25 @@ def test_kf_regular_block_is_identity(n):
                 assert kf.D[i][j] == expected
 
 
+def test_kf_inverses_by_the_generic_product():
+    # exact.matmul over IntPoly shares no code with the coefficient-tuple
+    # products that build C = K^-1, A and D = A B
+    one, zero = IntPoly((1,)), IntPoly()
+
+    def identity(size):
+        return tuple(tuple(one if i == j else zero for j in range(size)) for i in range(size))
+
+    for total in range(0, 9):
+        kf = kf_transition_matrices(total, 2)
+        assert matmul(kf.K, kf.C, zero) == identity(len(kf.labels)) == matmul(kf.C, kf.K, zero)
+        for n in (2, 3):
+            kf = kf_transition_matrices(total, n)
+            AB = matmul(kf.A, kf.B, zero)
+            reg_cols = [kf.labels.index(p) for p in kf.regular_labels]
+            assert AB == kf.D, (total, n)
+            assert tuple(tuple(row[j] for j in reg_cols) for row in AB) == identity(len(reg_cols))
+
+
 def test_kostka_at_one_matches_kf_matrix():
     kf = kf_transition_matrices(4, 2)
     for i, lam in enumerate(kf.labels):
@@ -533,6 +553,22 @@ def test_toeplitz_minor_of_partition_label_is_transposed_jt():
         for lam in partitions_of(total):
             m = maya_of_partition(lam)
             assert _toeplitz_minor(hv, m) == _jacobi_trudi_value(transpose(lam), hv)
+
+
+def _at(f, x):
+    """The value of a SymPoly at the point x."""
+    return sum(c * prod(v**e for v, e in zip(x, exp)) for exp, c in f.coeffs.items())
+
+
+def test_toeplitz_minor_is_the_schur_polynomial_at_a_point():
+    # at h_i = h_i(x) for a point x of the stable range, the minor is s_lam(x)
+    x = (2, -1, 3, 1, 0, -2, 1)
+    hv = {i: Fraction(_at(h_poly(i, NV), x)) for i in range(1, NV + 1)}
+    for total in range(0, 6):
+        for lam in partitions_of(total):
+            value = _at(s_poly(lam, NV), x)
+            assert _toeplitz_minor(hv, MayaDiagram(0, lam)) == value, lam
+            assert _toeplitz_minor(hv, maya_of_partition(transpose(lam))) == value, lam
 
 
 def test_sym_poly_rejects_mixed_variable_counts():
