@@ -1,33 +1,30 @@
-"""Exact arithmetic kernel: rationals, prime fields, Z[t] with division by a
-monic divisor and the cyclotomic polynomials, the one sparse-vector arithmetic
-(``SparseVector``, of the exterior tensors and the Fock vectors), the one
-determinant and minor routine (``minors``, with ``det`` its entry on a square
-grid), integer matrices with Hermite normal form, and ``matmul``, whose Z[t]
-case ``intpoly_matmul`` shares one coefficient-tuple product with unitriangular
-inversion.  Outside Hermite normal form a matrix is a tuple of row tuples.
+"""Exact arithmetic kernel: Z[t] with division by a monic divisor and the
+cyclotomic polynomials, the one sparse-vector arithmetic (``SparseVector``, of
+the exterior tensors and the Fock vectors), the one determinant and minor
+routine (``minors``, with ``det`` its entry on a square grid), integer matrices
+with Hermite normal form, and ``matmul``, whose Z[t] case ``intpoly_matmul``
+shares one coefficient-tuple product with unitriangular inversion.  Outside
+Hermite normal form a matrix is a tuple of row tuples.
 
-Scalars form a closed set of ring roles.  Elements of different rings never
-coerce into each other (a PrimeField value added to a Fraction is a TypeError);
-plain Python ints lift canonically into every ring, and every scalar is falsy
-exactly at zero.  No suite builds ``Fp``, ``PrimeField`` or ``GF`` (F_p points
-use plain ints); tier-1 tests do: test_exact's field axioms and mixed rings, the
-F_5 cases of test_minors and test_exterior, and test_grassmann's oracles.
+The scalar contract.  A scalar is an int, a Fraction, an ``IntPoly`` or any
+other exact type with ring arithmetic; there is no ring descriptor.  Plain ints
+lift into every scalar type through its arithmetic, so 0, 1 and -1 serve as
+zero, unit and sign everywhere.  Two different non-int scalar types do not mix:
+their sum or product raises TypeError.  Every scalar is falsy exactly at zero.
+Equality does not lift: compare a scalar with one of its own type.  The one
+scalar role left is the unit ``one`` of ``minors`` and ``det``, for entry types
+that do not take an int (the formal power series of ``symfunc``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 
-class MixedRingError(TypeError):
-    """Arithmetic between elements of different scalar rings."""
-
-
 # ---------------------------------------------------------------------------
-# prime fields
+# primes
 
 
 def _is_prime(p: int) -> bool:
@@ -39,61 +36,6 @@ def _is_prime(p: int) -> bool:
             return False
         d += 1
     return True
-
-
-@dataclass(frozen=True)
-class Fp:
-    """An element of the prime field F_p, stored reduced into [0, p)."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _check(self, other: "Fp"):
-        if self.p != other.p:
-            raise MixedRingError(f"F_{self.p} vs F_{other.p}")
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            return Fp(self.value + other, self.p)
-        if isinstance(other, Fp):
-            self._check(other)
-            return Fp(self.value + other.value, self.p)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Fp(-self.value, self.p)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, (Fp, int)) else NotImplemented)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Fp(self.value * other, self.p)
-        if isinstance(other, Fp):
-            self._check(other)
-            return Fp(self.value * other.value, self.p)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "Fp":
-        if self.value == 0:
-            raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
-        return Fp(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value}%{self.p}"
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +106,6 @@ class IntPoly:
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -240,89 +179,16 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# ring descriptors, for code generic over the scalar role
-
-
-class Ring:
-    name = "?"
-
-    def from_int(self, k: int):
-        raise NotImplementedError
-
-    @property
-    def zero(self):
-        return self.from_int(0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
-
-    def inv(self, x):
-        raise NotImplementedError(f"{self.name} is not a field")
-
-    def __repr__(self):
-        return self.name
-
-
-class _IntegerRing(Ring):
-    name = "ZZ"
-
-    def from_int(self, k):
-        return k
-
-
-class _RationalField(Ring):
-    name = "QQ"
-
-    def from_int(self, k):
-        return Fraction(k)
-
-    def inv(self, x):
-        return 1 / Fraction(x)
-
-
-class PrimeField(Ring):
-    def __init__(self, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.name = f"GF({p})"
-
-    def from_int(self, k):
-        return Fp(k, self.p)
-
-    def inv(self, x):
-        return x.inv()
-
-
-class _IntPolyRing(Ring):
-    name = "ZZ[t]"
-
-    def from_int(self, k):
-        return IntPoly.const(k)
-
-
-ZZ = _IntegerRing()
-QQ = _RationalField()
-ZT = _IntPolyRing()
-
-
-@lru_cache(maxsize=None)
-def GF(p: int) -> PrimeField:
-    return PrimeField(p)
-
-
-# ---------------------------------------------------------------------------
 # sparse vectors
 
 
 class SparseVector:
     """The arithmetic of a dataclass holding a table ``coeffs`` (key -> nonzero
-    scalar of ``ring``).  Its other fields name the space the vector lies in:
+    scalar).  Its other fields name the space the vector lies in:
     vectors of one type add only within one space, and never across types."""
 
     def _space(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self) if f.name not in ("coeffs", "ring"))
+        return tuple(getattr(self, f.name) for f in fields(self) if f.name != "coeffs")
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -340,7 +206,7 @@ class SparseVector:
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self + other.scale(self.ring.from_int(-1))
+        return self + other.scale(-1)
 
     def scale(self, c):
         return replace(self, coeffs={key: c * v for key, v in self.coeffs.items()})

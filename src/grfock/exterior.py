@@ -1,4 +1,4 @@
-"""Finite-dimensional exterior algebra over an exact scalar ring: Clifford
+"""Finite-dimensional exterior algebra over exact scalars: Clifford
 operators, the sign bookkeeping of the commutation lemmas, KP two-tensors and
 their T-deformations, and T-shuffle operators.
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .exact import MixedRingError, Ring, SparseVector, ZZ, matmul, minors
+from .exact import SparseVector, matmul, minors
 from .fock import _move
 
 
@@ -110,7 +110,6 @@ class ExtTensor(SparseVector):
     n: int
     k: int
     coeffs: dict = field(default_factory=dict)  # sorted k-tuple of 1..n -> scalar
-    ring: Ring = ZZ
 
     def __post_init__(self):
         clean = {}
@@ -129,7 +128,6 @@ class TwoTensor(SparseVector):
     n: int
     degrees: tuple  # (k, l)
     coeffs: dict = field(default_factory=dict)  # (k-key, l-key) -> scalar
-    ring: Ring = ZZ
 
     def __post_init__(self):
         k, l = self.degrees
@@ -150,13 +148,11 @@ def _pair_keys(out: dict) -> dict:
 def tensor_product(u: ExtTensor, v: ExtTensor) -> TwoTensor:
     if u.n != v.n:
         raise ValueError(f"tensor of vectors in dimensions {u.n} and {v.n}")
-    if u.ring is not v.ring:
-        raise MixedRingError(f"{u.ring} vs {v.ring}")
     out = {}
     for a, ca in u.coeffs.items():
         for b, cb in v.coeffs.items():
             out[(a, b)] = ca * cb
-    return TwoTensor(u.n, (u.k, v.k), out, u.ring)
+    return TwoTensor(u.n, (u.k, v.k), out)
 
 
 # ---------------------------------------------------------------------------
@@ -189,40 +185,37 @@ def clifford(I, star: bool, v: ExtTensor) -> ExtTensor:
         val = c * sign
         out[mask] = out[mask] + val if mask in out else val
     shift = -len(down) if star else len(down)
-    return ExtTensor(v.n, v.k + shift, {_key(m): c for m, c in out.items()}, v.ring)
+    return ExtTensor(v.n, v.k + shift, {_key(m): c for m, c in out.items()})
 
 
 # ---------------------------------------------------------------------------
 # linear operators
 
 
-def operator(rows, ring: Ring = ZZ) -> tuple:
-    """An n x n operator as a tuple of row tuples; T e_j = sum_i rows[i][j] e_i."""
-    return tuple(tuple(ring.from_int(x) if isinstance(x, int) else x for x in row) for row in rows)
+def identity_operator(n: int) -> tuple:
+    """The n x n identity as a tuple of row tuples; an operator T is one with
+    T e_j = sum_i T[i][j] e_i."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def identity_operator(n: int, ring: Ring = ZZ) -> tuple:
-    return tuple(tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(n))
-
-
-def wedge_image(T, J, ring: Ring = ZZ) -> dict:
+def wedge_image(T, J) -> dict:
     """T e_J = sum_I det(T[I, J]) e_I, as {sorted 1-based index tuple I: nonzero det}.
 
     One minor pass over the columns of T at J, read as rows (a determinant
     does not change under transposition).
     """
     columns = [[row[j - 1] for row in T] for j in J]
-    return {tuple(i + 1 for i in I): m for I, m in minors(columns, ring.one).items()}
+    return {tuple(i + 1 for i in I): m for I, m in minors(columns).items()}
 
 
 def wedge_apply(T, v: ExtTensor) -> ExtTensor:
     """Apply T to every wedge factor: the k-th exterior power of T."""
     out: dict = {}
     for key, c in v.coeffs.items():
-        for target, m in wedge_image(T, key, v.ring).items():
+        for target, m in wedge_image(T, key).items():
             val = c * m
             out[target] = out[target] + val if target in out else val
-    return ExtTensor(v.n, v.k, out, v.ring)
+    return ExtTensor(v.n, v.k, out)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +237,7 @@ def omega_apply(d: int, tt: TwoTensor) -> TwoTensor:
             sr, b2 = _move(bm, down, ())
             val = c * (sl * sr)
             out[(a2, b2)] = out[(a2, b2)] + val if (a2, b2) in out else val
-    return TwoTensor(tt.n, (k + d, l - d), _pair_keys(out), tt.ring)
+    return TwoTensor(tt.n, (k + d, l - d), _pair_keys(out))
 
 
 def omega_T_apply(d: int, T, tt: TwoTensor) -> TwoTensor:
@@ -254,20 +247,19 @@ def omega_T_apply(d: int, T, tt: TwoTensor) -> TwoTensor:
     Omega_d^Identity = Omega_d and by the additivity lemma in T.
     """
     k, l = tt.degrees
-    ring = tt.ring
     out: dict = {}
     for (a, b), c in tt.coeffs.items():
         am, bm = _mask(a), _mask(b)
         for I in combinations(b, d):
             sr, b2 = _move(bm, I[::-1], ())
-            for J, m in wedge_image(T, I, ring).items():
+            for J, m in wedge_image(T, I).items():
                 left = _move(am, (), J[::-1])
                 if left is None:
                     continue
                 sl, a2 = left
                 val = c * m * (sl * sr)
                 out[(a2, b2)] = out[(a2, b2)] + val if (a2, b2) in out else val
-    return TwoTensor(tt.n, (k + d, l - d), _pair_keys(out), ring)
+    return TwoTensor(tt.n, (k + d, l - d), _pair_keys(out))
 
 
 def eta_T(d: int, T, tau: ExtTensor) -> TwoTensor:
@@ -290,20 +282,19 @@ def t_shuffle(d: int, T, tau: ExtTensor) -> ExtTensor:
     if d == 0:
         return tau
     if d > tau.k:
-        return ExtTensor(tau.n, tau.k, {}, tau.ring)
-    ring = tau.ring
+        return ExtTensor(tau.n, tau.k)
     out: dict = {}
     for key, c in tau.coeffs.items():
         mask = _mask(key)
         for J in combinations(key, d):
-            for I, m in wedge_image(T, J, ring).items():
+            for I, m in wedge_image(T, J).items():
                 res = _move(mask, J, I[::-1])
                 if res is None:
                     continue
                 sign, mask2 = res
                 val = c * m * sign
                 out[mask2] = out[mask2] + val if mask2 in out else val
-    return ExtTensor(tau.n, tau.k, {_key(m): c for m, c in out.items()}, ring)
+    return ExtTensor(tau.n, tau.k, {_key(m): c for m, c in out.items()})
 
 
 def t_shuffle_matrices(T, k: int) -> list:
@@ -333,16 +324,13 @@ def _accumulate_slot_products(out: dict, c, columns: list) -> None:
         out[skey] = out[skey] + val if skey in out else val
 
 
-def shuffle_generating_identity(T, tau: ExtTensor, t_scalar, ring: Ring) -> tuple:
+def shuffle_generating_identity(T, tau: ExtTensor, t_scalar) -> tuple:
     """Both sides of (I + tT)^wedge tau = tau + sum_d t^d sh_d^T(tau)."""
     n = tau.n
-    one_plus = tuple(
-        tuple((ring.one if i == j else ring.zero) + t_scalar * T[i][j] for j in range(n))
-        for i in range(n)
-    )
+    one_plus = tuple(tuple(int(i == j) + t_scalar * T[i][j] for j in range(n)) for i in range(n))
     lhs = wedge_apply(one_plus, tau)
     rhs = tau
-    power = ring.one
+    power = 1
     for d in range(1, tau.k + 1):
         power = power * t_scalar
         rhs = rhs + t_shuffle(d, T, tau).scale(power)
@@ -367,15 +355,13 @@ def sym_operator_apply(f, T, tau: ExtTensor) -> ExtTensor:
         raise ValueError(f"need a symmetric polynomial in exactly {tau.k} variables")
     if not is_symmetric(f):
         raise ValueError("polynomial is not symmetric")
-    ring = tau.ring
     n = tau.n
     maxpow = max((max(exp) for exp in f.coeffs if exp), default=0)
-    powers = [identity_operator(n, ring)]
+    powers = [identity_operator(n)]
     for _ in range(maxpow):
-        powers.append(matmul(powers[-1], T, ring.zero))
+        powers.append(matmul(powers[-1], T))
     out: dict = {}
     for exp, fc in f.coeffs.items():
-        coeff_f = ring.from_int(fc) if isinstance(fc, int) else fc
         for key, c in tau.coeffs.items():
             columns = []
             for slot in range(tau.k):
@@ -383,5 +369,5 @@ def sym_operator_apply(f, T, tau: ExtTensor) -> ExtTensor:
                 col = [(M[i - 1][key[slot] - 1], i) for i in range(1, n + 1)
                        if M[i - 1][key[slot] - 1]]
                 columns.append(col)
-            _accumulate_slot_products(out, c * coeff_f, columns)
-    return ExtTensor(tau.n, tau.k, out, ring)
+            _accumulate_slot_products(out, c * fc, columns)
+    return ExtTensor(tau.n, tau.k, out)

@@ -1,4 +1,4 @@
-"""Charge-graded fermion Fock space over an exact scalar ring.
+"""Charge-graded fermion Fock space over exact scalars.
 
 Vectors are finitely supported tables MayaDiagram -> scalar at a fixed charge.
 Every signed operation (psi/psi_star, the shuffles, alpha and the monomial
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .exact import Ring, SparseVector, ZZ
+from .exact import SparseVector
 from .partitions import (
     MayaDiagram,
     Partition,
@@ -45,7 +45,6 @@ class FockVector(SparseVector):
 
     charge: int
     coeffs: dict = field(default_factory=dict)  # MayaDiagram -> scalar
-    ring: Ring = ZZ
     dual: bool = False
 
     def __post_init__(self):
@@ -56,16 +55,11 @@ class FockVector(SparseVector):
             self.coeffs = {m: c for m, c in self.coeffs.items() if c}
 
     def coefficient(self, m: MayaDiagram):
-        return self.coeffs.get(m, self.ring.zero)
-
-    def to_json(self) -> list:
-        items = sorted(self.coeffs.items(), key=lambda kv: kv[0].mu)
-        return [{"maya": m.to_json(), "coefficient": repr(c)} for m, c in items]
+        return self.coeffs.get(m, 0)
 
 
-def basis_vector(p: Partition, ring: Ring = ZZ, dual: bool = False) -> FockVector:
-    m = maya_of_partition(p)
-    return FockVector(0, {m: ring.one}, ring, dual)
+def basis_vector(p: Partition, dual: bool = False) -> FockVector:
+    return FockVector(0, {maya_of_partition(p): 1}, dual)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +126,7 @@ def _apply(v: FockVector, reach: int, moves, charge_shift: int = 0, slot=None) -
             tail = (((1 << (hi - lo)) - 1) & ~mask).bit_length()  # every bit from here up is set
             beads = [lo + b for b in range(tail) if mask >> b & 1]
             coeffs[maya_from_beads(beads, lo + tail)] = c
-    return FockVector(charge, coeffs, v.ring, v.dual)
+    return FockVector(charge, coeffs, v.dual)
 
 
 # ---------------------------------------------------------------------------
@@ -308,23 +302,22 @@ def pairing(w: FockVector, v: FockVector):
         raise ValueError("pairing needs a dual vector on the left and a primal one on the right")
     if w.charge != v.charge:
         raise ValueError("pairing vectors of different charge")
-    ring = v.ring
-    total = ring.zero
+    total = 0
     for m, c in w.coeffs.items():
         if m in v.coeffs:
             total = total + c * v.coeffs[m]
     return total
 
 
-def operator_matrix(op, degree_in: int, degree_out: int, ring: Ring = ZZ, dual: bool = False):
+def operator_matrix(op, degree_in: int, degree_out: int, dual: bool = False):
     """Matrix of op between charge-0 graded pieces, columns/rows labeled by partitions."""
     cols = partitions_of(degree_in)
     rows = partitions_of(degree_out)
     row_index = {p: i for i, p in enumerate(rows)}
     mat = []
     for p in cols:
-        image = op(basis_vector(p, ring, dual))
-        col = [ring.zero] * len(rows)
+        image = op(basis_vector(p, dual))
+        col = [0] * len(rows)
         for m, c in image.coeffs.items():
             col[row_index[partition_of_maya(m)]] = c
         mat.append(col)

@@ -371,9 +371,6 @@ class HPoly:
             other = HPoly.const(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
@@ -391,9 +388,6 @@ class HPoly:
         return HPoly.from_dict(out)
 
     __rmul__ = __mul__
-
-    def degree(self) -> int:
-        return max((sum(i * e for i, e in k) for k, _ in self.coeffs), default=0)
 
     def __repr__(self):
         if not self.coeffs:

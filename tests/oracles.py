@@ -1,7 +1,71 @@
-"""Oracles that more than one test module compares the package against."""
+"""Oracles that more than one test module compares the package against, and
+the prime-field scalar that the tests over F_p build."""
 
-from grfock.exact import ZZ, minors
+from dataclasses import dataclass
+
+from grfock.exact import minors
 from grfock.exterior import ExtTensor
+
+
+# ---------------------------------------------------------------------------
+# the prime field F_p; the package's F_p points use plain ints instead
+
+
+@dataclass(frozen=True)
+class Fp:
+    """An element of the prime field F_p, stored reduced into [0, p).  Ints lift
+    into it; an element of another prime field or another scalar type does not,
+    and it equals only an Fp."""
+
+    value: int
+    p: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", self.value % self.p)
+
+    def _check(self, other: "Fp"):
+        if self.p != other.p:
+            raise TypeError(f"F_{self.p} vs F_{other.p}")
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            return Fp(self.value + other, self.p)
+        if isinstance(other, Fp):
+            self._check(other)
+            return Fp(self.value + other.value, self.p)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Fp(-self.value, self.p)
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, (Fp, int)) else NotImplemented)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return Fp(self.value * other, self.p)
+        if isinstance(other, Fp):
+            self._check(other)
+            return Fp(self.value * other.value, self.p)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def inv(self) -> "Fp":
+        if self.value == 0:
+            raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
+        return Fp(pow(self.value, self.p - 2, self.p), self.p)
+
+    def __bool__(self):
+        return self.value != 0
+
+    def __repr__(self):
+        return f"{self.value}%{self.p}"
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +96,8 @@ def beads_below(m, i) -> int:
 # decomposable tensors
 
 
-def wedge_of_rows(rows, n, ring=ZZ) -> ExtTensor:
-    """row_1 ^ ... ^ row_k as an ExtTensor; coefficients are the k x k minors."""
-    coeffs = {tuple(c + 1 for c in cols): m for cols, m in minors(rows, ring.one).items()}
-    return ExtTensor(n, len(rows), coeffs, ring)
+def wedge_of_rows(rows, n, lift=int) -> ExtTensor:
+    """row_1 ^ ... ^ row_k as an ExtTensor; coefficients are the k x k minors,
+    with the entries lifted into the scalars that ``lift`` makes of an int."""
+    coeffs = {tuple(c + 1 for c in cols): m for cols, m in minors(rows, lift(1)).items()}
+    return ExtTensor(n, len(rows), coeffs)

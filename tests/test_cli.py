@@ -34,7 +34,14 @@ def test_bad_parameter_exits_2_with_json_on_stderr(argv, capsys):
 def test_unknown_suite_and_unparsable_flag_exit_2(capsys):
     assert cli.main(["no-such-suite"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "unknown command"
-    assert cli.main(["fpoints", "--p", "two"]) == 2
+    # argparse's own errors are usage errors, reported like every other one
+    for argv, detail in [(["kf", "--bogus"], "--bogus"),
+                         (["fpoints", "--p", "two"], "'two'"),
+                         (["export-generators", "--target", "tshuffle", "--jordan", "0"],
+                          "bad jordan type '0'")]:
+        assert cli.main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and detail in err["detail"], argv
 
 
 def test_explicit_zero_is_not_replaced_by_the_default(capsys):

@@ -5,12 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grfock.exact import (
-    Fp,
-    GF,
     IntMatrix,
     IntPoly,
-    MixedRingError,
-    QQ,
     cyclotomic_polynomial,
     hermite_normal_form,
     invert_unitriangular,
@@ -22,6 +18,7 @@ from grfock.exact import (
 from grfock.exterior import ExtTensor, TwoTensor
 from grfock.fock import FockVector
 from grfock.partitions import maya_of_partition
+from oracles import Fp
 
 
 # ---------------------------------------------------------------------------
@@ -37,22 +34,21 @@ def test_rational_field_axioms(a, b, c, d, e, f):
     assert x * (y + z) == x * y + x * z
     if f:
         w = Fraction(f)
-        assert w * QQ.inv(w) == 1
+        assert w * (1 / w) == 1
 
 
 @given(st.sampled_from([2, 3, 5, 7]), small_ints, small_ints, small_ints)
 def test_prime_field_axioms(p, a, b, c):
-    F = GF(p)
-    x, y, z = F.from_int(a), F.from_int(b), F.from_int(c)
+    x, y, z = Fp(a, p), Fp(b, p), Fp(c, p)
     assert (x + y) * z == x * z + y * z
     assert (x + y) + z == x + (y + z)
     assert x * y == y * x
     if x.value:
-        assert x * x.inv() == F.one
+        assert x * x.inv() == Fp(1, p)
 
 
 def test_prime_field_rejects_mixed_rings():
-    with pytest.raises(MixedRingError):
+    with pytest.raises(TypeError):
         Fp(1, 3) + Fp(1, 5)
     with pytest.raises(TypeError):
         Fp(1, 3) + Fraction(1, 2)
@@ -311,8 +307,8 @@ def test_matmul_and_inversion_reject_bad_shapes():
 def _one_vector_of_each_type():
     return [
         ExtTensor(4, 2, {(1, 2): 3, (2, 4): -1}),
-        TwoTensor(4, (2, 1), {((1, 3), (2,)): 2}, QQ),
-        FockVector(0, {maya_of_partition((2, 1)): GF(5).from_int(4)}, GF(5), dual=True),
+        TwoTensor(4, (2, 1), {((1, 3), (2,)): Fraction(2)}),
+        FockVector(0, {maya_of_partition((2, 1)): Fp(4, 5)}, dual=True),
     ]
 
 
@@ -320,7 +316,7 @@ def test_sparse_vectors_share_one_arithmetic():
     vectors = _one_vector_of_each_type()
     for v in vectors:
         assert (v - v).is_zero()
-        scaled = v.scale(v.ring.from_int(2))
+        scaled = v.scale(2)
         assert scaled._space() == v._space() and type(scaled) is type(v)
         assert scaled == v + v
     for v, w in product(vectors, repeat=2):

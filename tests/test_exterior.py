@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
-from grfock.exact import GF, IntPoly, MixedRingError, QQ, ZT, ZZ
+from grfock.exact import IntPoly
 from grfock.exterior import (
     ExtTensor,
     TwoTensor,
@@ -17,7 +17,6 @@ from grfock.exterior import (
     identity_operator,
     omega_apply,
     omega_T_apply,
-    operator,
     sgn_IJK,
     sgn_KJ,
     shuffle_generating_identity,
@@ -28,50 +27,54 @@ from grfock.exterior import (
     wedge_apply,
     wedge_image,
 )
-from oracles import wedge_of_rows
+from oracles import Fp, wedge_of_rows
 
 
 rng = random.Random(2024)
 
 
-def rnd_ext(n, k, ring, lo=-3, hi=3):
+def f5(c):
+    return Fp(c, 5)
+
+
+def rnd_ext(n, k, lift, lo=-3, hi=3):
     coeffs = {}
     for key in combinations(range(1, n + 1), k):
         c = rng.randint(lo, hi)
         if c:
-            coeffs[key] = ring.from_int(c)
-    return ExtTensor(n, k, coeffs, ring)
+            coeffs[key] = lift(c)
+    return ExtTensor(n, k, coeffs)
 
 
-def rnd_op(n, ring, lo=-2, hi=2):
-    return tuple(tuple(ring.from_int(rng.randint(lo, hi)) for _ in range(n)) for _ in range(n))
+def rnd_op(n, lift, lo=-2, hi=2):
+    return tuple(tuple(lift(rng.randint(lo, hi)) for _ in range(n)) for _ in range(n))
 
 
-def _basis_wedge(n, key, ring=ZZ):
-    return ExtTensor(n, len(key), {key: ring.one}, ring)
+def _basis_wedge(n, key, lift=int):
+    return ExtTensor(n, len(key), {key: lift(1)})
 
 
 def _t_shuffle_subset_form(d, T, tau):
     """Oracle: sh_d^T by replacing the factors at each d-subset of slots with T-images."""
     if d == 0:
         return tau
-    ring, n = tau.ring, tau.n
+    n = tau.n
     out = {}
     for key, c in tau.coeffs.items():
         for R in combinations(range(len(key)), d):
             # factors: e_{key[r]} for r not in R, T e_{key[r]} for r in R
-            columns = [[(ring.one, key[r])] if r not in R else
+            columns = [[(1, key[r])] if r not in R else
                        [(T[i - 1][key[r] - 1], i) for i in range(1, n + 1)
                         if T[i - 1][key[r] - 1]]
                        for r in range(len(key))]
             _accumulate_slot_products(out, c, columns)
-    return ExtTensor(tau.n, tau.k, out, ring)
+    return ExtTensor(tau.n, tau.k, out)
 
 
-def rnd_decomposable(n, k, ring):
+def rnd_decomposable(n, k, lift):
     while True:
-        rows = [[ring.from_int(rng.randint(-2, 2)) for _ in range(n)] for _ in range(k)]
-        tau = wedge_of_rows(rows, n, ring)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+        tau = wedge_of_rows(rows, n, lift)
         if not tau.is_zero():
             return tau
 
@@ -212,8 +215,8 @@ def test_finite_clifford_relations_exhaustive():
 
 def test_omega_examples():
     # d = 0 leaves the tensor unchanged
-    u = rnd_ext(4, 2, QQ)
-    v = rnd_ext(4, 2, QQ)
+    u = rnd_ext(4, 2, Fraction)
+    v = rnd_ext(4, 2, Fraction)
     assert omega_apply(0, tensor_product(u, v)) == tensor_product(u, v)
     # Omega_1(e_1 (x) e_2) = -(e_1 ^ e_2) (x) 1
     e1 = _basis_wedge(2, (1,))
@@ -227,20 +230,20 @@ def test_divided_powers_random():
         n = rng.randint(2, 6)
         k = rng.randint(0, n - 2)
         l = rng.randint(2, n)
-        tt = tensor_product(rnd_ext(n, k, QQ), rnd_ext(n, l, QQ))
+        tt = tensor_product(rnd_ext(n, k, Fraction), rnd_ext(n, l, Fraction))
         for d in (2, 3):
             if d > l:
                 continue
             it = tt
             for _ in range(d):
                 it = omega_apply(1, it)
-            assert it == omega_apply(d, tt).scale(QQ.from_int(math.factorial(d)))
+            assert it == omega_apply(d, tt).scale(math.factorial(d))
 
 
 def test_omega_bilinear_and_bidegree():
     n = 5
-    u1, u2 = rnd_ext(n, 2, QQ), rnd_ext(n, 2, QQ)
-    v = rnd_ext(n, 3, QQ)
+    u1, u2 = rnd_ext(n, 2, Fraction), rnd_ext(n, 2, Fraction)
+    v = rnd_ext(n, 3, Fraction)
     d = 2
     lhs = omega_apply(d, tensor_product(u1 + u2, v))
     out = omega_apply(d, tensor_product(u1, v))
@@ -250,22 +253,22 @@ def test_omega_bilinear_and_bidegree():
 
 def test_omega_T_zero_and_identity():
     n = 5
-    u, v = rnd_ext(n, 1, QQ), rnd_ext(n, 3, QQ)
+    u, v = rnd_ext(n, 1, Fraction), rnd_ext(n, 3, Fraction)
     tt = tensor_product(u, v)
-    assert omega_T_apply(1, operator([[0] * n] * n, QQ), tt).is_zero()
+    assert omega_T_apply(1, ((0,) * n,) * n, tt).is_zero()
     for d in (1, 2):
-        assert omega_T_apply(d, identity_operator(n, QQ), tt) == omega_apply(d, tt)
+        assert omega_T_apply(d, identity_operator(n), tt) == omega_apply(d, tt)
 
 
 def test_omega_T_additivity_QQ_and_F5():
-    for ring in (QQ, GF(5)):
+    for lift in (Fraction, f5):
         for _ in range(30):
             n = rng.randint(2, 5)
             k = rng.randint(0, n - 1)
             l = rng.randint(1, n)
-            T1, T2 = rnd_op(n, ring), rnd_op(n, ring)
+            T1, T2 = rnd_op(n, lift), rnd_op(n, lift)
             T12 = tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(T1, T2))
-            tt = tensor_product(rnd_ext(n, k, ring), rnd_ext(n, l, ring))
+            tt = tensor_product(rnd_ext(n, k, lift), rnd_ext(n, l, lift))
             for d in range(1, min(l, n - k) + 1):
                 lhs = omega_T_apply(d, T12, tt)
                 rhs = None
@@ -279,20 +282,20 @@ def _wedge_left(T, tt):
     """(Lambda T (x) 1) on a two-tensor: T on every wedge factor of the left side."""
     out = {}
     for (a, b), c in tt.coeffs.items():
-        for J, m in wedge_image(T, a, tt.ring).items():
-            out[(J, b)] = out.get((J, b), tt.ring.zero) + c * m
-    return TwoTensor(tt.n, tt.degrees, out, tt.ring)
+        for J, m in wedge_image(T, a).items():
+            out[(J, b)] = out.get((J, b), 0) + c * m
+    return TwoTensor(tt.n, tt.degrees, out)
 
 
 def test_eta_T_by_omega_T_and_by_hand():
     # psi_1 (T e_1) (x) psi*_1 e_1 = e_1 ^ (2 e_1 + 5 e_2) (x) 1 = 5 e_12 (x) 1
-    T = operator([[2, 3], [5, 7]], QQ)
-    assert eta_T(1, T, _basis_wedge(2, (1,), QQ)) == TwoTensor(2, (2, 0), {((1, 2), ()): 5}, QQ)
+    T = ((2, 3), (5, 7))
+    assert eta_T(1, T, _basis_wedge(2, (1,), Fraction)) == TwoTensor(2, (2, 0), {((1, 2), ()): 5})
     # (T e_I) ^ Lambda T (x) = Lambda T (e_I ^ x) for every T, so
     # Omega_d^T(Lambda (T S) tau (x) tau) = (Lambda T (x) 1) eta_d^S(tau)
     for n in (3, 4, 5):
         for k in range(1, n):
-            T, S, tau = rnd_op(n, QQ), rnd_op(n, QQ), rnd_ext(n, k, QQ)
+            T, S, tau = rnd_op(n, Fraction), rnd_op(n, Fraction), rnd_ext(n, k, Fraction)
             wedged = tensor_product(wedge_apply(T, wedge_apply(S, tau)), tau)
             for d in range(1, min(k, n - k) + 1):
                 assert omega_T_apply(d, T, wedged) == _wedge_left(T, eta_T(d, S, tau)), (n, k, d)
@@ -306,15 +309,15 @@ def test_t_shuffle_top_degree_is_wedge_power():
     for _ in range(10):
         n = rng.randint(2, 5)
         k = rng.randint(1, n)
-        T = rnd_op(n, QQ)
-        tau = rnd_ext(n, k, QQ)
+        T = rnd_op(n, Fraction)
+        tau = rnd_ext(n, k, Fraction)
         assert t_shuffle(k, T, tau) == _t_shuffle_subset_form(k, T, tau) == wedge_apply(T, tau)
 
 
 def test_t_shuffle_zero_and_identity_degrees():
     n, k = 4, 2
-    T = rnd_op(n, QQ)
-    tau = rnd_ext(n, k, QQ)
+    T = rnd_op(n, Fraction)
+    tau = rnd_ext(n, k, Fraction)
     assert t_shuffle(0, T, tau) == tau
     assert t_shuffle(k + 1, T, tau).is_zero()
 
@@ -323,9 +326,9 @@ def test_generating_identity_random():
     for _ in range(25):
         n = rng.randint(2, 5)
         k = rng.randint(1, n)
-        T = rnd_op(n, ZT)
-        tau = rnd_ext(n, k, ZT)
-        lhs, rhs = shuffle_generating_identity(T, tau, IntPoly.t(), ZT)
+        T = rnd_op(n, IntPoly.const)
+        tau = rnd_ext(n, k, IntPoly.const)
+        lhs, rhs = shuffle_generating_identity(T, tau, IntPoly.t())
         assert lhs == rhs
 
 
@@ -333,8 +336,8 @@ def test_both_shuffle_formulas_agree():
     for _ in range(20):
         n = rng.randint(2, 5)
         k = rng.randint(1, n)
-        T = rnd_op(n, QQ)
-        tau = rnd_ext(n, k, QQ)
+        T = rnd_op(n, Fraction)
+        tau = rnd_ext(n, k, Fraction)
         for d in range(1, k + 1):
             assert t_shuffle(d, T, tau) == _t_shuffle_subset_form(d, T, tau)
 
@@ -345,8 +348,8 @@ def test_omega_T_via_shuffles_on_decomposables():
     for _ in range(40):
         n = rng.randint(2, 5)
         k = rng.randint(1, n - 1)
-        T = rnd_op(n, QQ)
-        tau = rnd_decomposable(n, k, QQ)
+        T = rnd_op(n, Fraction)
+        tau = rnd_decomposable(n, k, Fraction)
         for d in range(1, min(k, n - k) + 1):
             lhs = omega_T_apply(d, T, tensor_product(tau, tau))
             sh = t_shuffle(d, T, tau)
@@ -354,14 +357,14 @@ def test_omega_T_via_shuffles_on_decomposables():
             for I in combinations(range(1, n + 1), d):
                 term = tensor_product(clifford(I, False, sh), clifford(I, True, tau))
                 acc = term if acc is None else acc + term
-            assert lhs == acc.scale(QQ.from_int((-1) ** d)), (n, k, d)
+            assert lhs == acc.scale((-1) ** d), (n, k, d)
 
 
 def test_omega_T_via_shuffles_fails_off_cone():
     # frozen witness: tau = e_12 + e_34, T = E_11, d = 1
     n = 4
-    T = operator(((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)), QQ)
-    tau = ExtTensor(n, 2, {(1, 2): QQ.one, (3, 4): QQ.one}, QQ)
+    T = ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
+    tau = ExtTensor(n, 2, {(1, 2): Fraction(1), (3, 4): Fraction(1)})
     lhs = omega_T_apply(1, T, tensor_product(tau, tau))
     assert lhs.coeffs == {((1, 3, 4), (2,)): Fraction(1)}
     sh = t_shuffle(1, T, tau)
@@ -371,7 +374,7 @@ def test_omega_T_via_shuffles_fails_off_cone():
         acc = term if acc is None else acc + term
     rhs = {((1, 2, 3), (4,)): Fraction(1), ((1, 2, 4), (3,)): Fraction(-1)}
     assert acc.coeffs == rhs
-    assert lhs != acc and lhs != acc.scale(QQ.from_int(-1))
+    assert lhs != acc and lhs != acc.scale(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +387,8 @@ def test_sym_operator_examples():
     for _ in range(10):
         n = rng.randint(2, 4)
         k = rng.randint(1, n)
-        T = rnd_op(n, QQ)
-        tau = rnd_ext(n, k, QQ)
+        T = rnd_op(n, Fraction)
+        tau = rnd_ext(n, k, Fraction)
         for d in range(0, k + 1):
             assert sym_operator_apply(e_poly(d, k), T, tau) == t_shuffle(d, T, tau)
         const = SymPoly(k, {(0,) * k: 1})
@@ -396,8 +399,8 @@ def test_sym_operator_rejects_nonsymmetric():
     from grfock.symfunc import SymPoly
 
     n, k = 3, 2
-    T = rnd_op(n, QQ)
-    tau = rnd_ext(n, k, QQ)
+    T = rnd_op(n, Fraction)
+    tau = rnd_ext(n, k, Fraction)
     f = SymPoly(2, {(1, 0): 1})
     with pytest.raises(ValueError):
         sym_operator_apply(f, T, tau)
@@ -410,8 +413,8 @@ def test_sym_operator_power_sum_vs_iterated():
     from grfock.symfunc import p_poly
 
     n, k = 4, 2
-    T = rnd_op(n, QQ)
-    tau = rnd_ext(n, k, QQ)
+    T = rnd_op(n, Fraction)
+    tau = rnd_ext(n, k, Fraction)
     assert sym_operator_apply(p_poly(1, k), T, tau) == t_shuffle(1, T, tau)
 
 
@@ -441,5 +444,8 @@ def test_two_tensor_rejects_bad_keys_and_mixed_degrees():
 def test_tensor_product_rejects_mixed_dimensions_and_rings():
     with pytest.raises(ValueError):
         tensor_product(_basis_wedge(3, (1,)), _basis_wedge(4, (1,)))
-    with pytest.raises(MixedRingError):
-        tensor_product(_basis_wedge(3, (1,)), _basis_wedge(3, (1,), GF(5)))
+    with pytest.raises(TypeError):
+        tensor_product(_basis_wedge(3, (1,), f5), _basis_wedge(3, (1,), Fraction))
+    # an int coefficient lifts into F_5
+    lifted = tensor_product(_basis_wedge(3, (1,)), _basis_wedge(3, (2,), f5))
+    assert lifted == TwoTensor(3, (1, 1), {((1,), (2,)): Fp(1, 5)})

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from grfock.exact import GF, lattice_basis
+from grfock.exact import lattice_basis
 from grfock.exterior import ExtTensor, t_shuffle
 from grfock.grassmann import (
     SubspaceBasis,
@@ -31,7 +31,7 @@ from grfock.grassmann import (
     vectors_over,
 )
 from grfock.partitions import partitions_of
-from oracles import wedge_of_rows
+from oracles import Fp, wedge_of_rows
 
 
 def test_jordan_matrix_rejects_blocks_of_the_wrong_size():
@@ -144,14 +144,14 @@ def _rank_modp(rows, p):
 
 def _oracle_row(T, k, p):
     """Counts of Gr, G^T and S^T points by rank tests and exterior-algebra shuffles."""
-    n, ring = len(T), GF(p)
+    n = len(T)
     gr = gt = st = 0
     same = True
     for U in enumerate_points(p, n, k):
         images = [tuple(sum(T[i][j] * row[j] for j in range(n)) % p for i in range(n))
                   for row in U.rows]
         g = all(_rank_modp(U.rows + (image,), p) == k for image in images)
-        tau = wedge_of_rows(U.rows, n, ring)
+        tau = wedge_of_rows(U.rows, n, lambda c: Fp(c, p))
         s = all(t_shuffle(d, T, tau).is_zero() for d in range(1, k + 1))
         gr, gt, st = gr + 1, gt + g, st + s
         same = same and g == s
@@ -203,8 +203,7 @@ def test_gt_points_lists_the_invariant_points_of_each_operator(p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_each_point_test_matches_its_reference(p):
     # per point, not only per count: the gather against the sparse-row product,
-    # and the S^T form filter against the shuffles over GF(p)
-    ring = GF(p)
+    # and the S^T form filter against the shuffles over F_p
     for n in range(1, 5):
         Ts = [jordan_matrix(blocks) for blocks in partitions_of(n)]
         for k in range(n + 1):
@@ -213,7 +212,7 @@ def test_each_point_test_matches_its_reference(p):
             for U in enumerate_points(p, n, k):
                 get = plucker_vector(U).get
                 plucker = [get(key, 0) for key in keys]
-                tau = wedge_of_rows(U.rows, n, ring)
+                tau = wedge_of_rows(U.rows, n, lambda c: Fp(c, p))
                 for T, src, forms in ops:
                     assert is_invariant(U, src) == _invariant_by_sparse_rows(U, T), (T, U)
                     in_st = all(t_shuffle(d, T, tau).is_zero() for d in range(1, k + 1))
@@ -270,16 +269,15 @@ def test_subspace_basis_rejects_rows_that_are_not_reduced_echelon(rows):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_st_forms_span_the_shuffles_over_the_prime_field(p):
-    # the forms span exactly the rows of the sh_d^T, d = 1..k, taken over GF(p)
-    ring = GF(p)
+    # the forms span exactly the rows of the sh_d^T, d = 1..k, taken over F_p
     for blocks in [(3,), (2, 2), (3, 1, 1), (4, 2)]:
         T = jordan_matrix(blocks)
         n = len(T)
         for k in range(1, n + 1):
             keys = list(combinations(range(1, n + 1), k))
-            images = [[t_shuffle(d, T, ExtTensor(n, k, {B: ring.one}, ring)).coeffs for B in keys]
+            images = [[t_shuffle(d, T, ExtTensor(n, k, {B: Fp(1, p)})).coeffs for B in keys]
                       for d in range(1, k + 1)]
-            shuffles = [[image.get(A, ring.zero).value for image in by_key]
+            shuffles = [[image.get(A, Fp(0, p)).value for image in by_key]
                         for by_key in images for A in keys]
             forms = []
             for form in st_forms(T, k, p):

@@ -32,6 +32,7 @@ PINNED = {
 
 HEAVY = {
     "straighten --n 2 --size 14": "b4c491072c2b858726ed8e8dbe1669edd1553f7e1a9d06f8517ebea7fc363129",
+    "straighten --n 2 --size 18": "ef94016bafcbf74dfa8e9a94be826b30e2fb9678a01fb7d06afc996bc1dc331a",
     "shuffle-span --n 2 --size 14": "e22f1855172124281f2941a316656550c37d71e0d524c846380a2a9b7ad3ab5c",
     "fpoints --p 2 --dim 5": "1e3578b1af77a29c46575b1a2d1a11688f4fe834476ab4bc6bbf6dd9d40c3474",
     "tangent --p 3 --dim 4": "8ac65f78484ba7da92eeca67864dc1cf5738f9b63740d0c3952e0955094a3281",

@@ -3,7 +3,7 @@ from math import prod
 
 import pytest
 
-from grfock.exact import IntPoly, QQ, det, matmul
+from grfock.exact import IntPoly, det, matmul
 from grfock.partitions import (
     Cmp, MayaDiagram, compare_dominance, maya_of_partition, partitions_of, transpose,
 )
@@ -507,7 +507,7 @@ def test_twist_in_h_matches_polynomial_model():
 
 def _h_at(hvals, d):
     """h_d at the given values of h_1, h_2, ...: 0 below degree 0, 1 in degree 0."""
-    return QQ.zero if d < 0 else QQ.one if d == 0 else hvals.get(d, QQ.zero)
+    return Fraction(0) if d < 0 else Fraction(1) if d == 0 else hvals.get(d, Fraction(0))
 
 
 def _toeplitz_minor(hvals, m):
@@ -516,7 +516,7 @@ def _toeplitz_minor(hvals, m):
     m, reduced to a finite determinant; h_i = hvals[i] (missing means 0)."""
     L = len(m.mu)
     grid = [[_h_at(hvals, (j - 1) - m.bead(r)) for j in range(1, L + 1)] for r in range(1, L + 1)]
-    return det(grid, QQ.one)
+    return det(grid, Fraction(1))
 
 
 def _jacobi_trudi_value(lam, hvals):
@@ -524,7 +524,7 @@ def _jacobi_trudi_value(lam, hvals):
     ell = len(lam)
     grid = [[_h_at(hvals, lam[i - 1] - i + j) for j in range(1, ell + 1)]
             for i in range(1, ell + 1)]
-    return det(grid, QQ.one)
+    return det(grid, Fraction(1))
 
 
 def test_toeplitz_minor_examples():
