@@ -294,8 +294,7 @@ def suite_fpoints(args) -> list:
     for p in ps:
         for n in range(1, nmax + 1):
             types = pt.partitions_of(n)
-            Ts = [gr.jordan_matrix(blocks) for blocks in types]
-            by_k = [gr.fpoints_rows(Ts, k, p, max_points=budget) for k in range(0, n + 1)]
+            by_k = [gr.fpoints_rows(types, k, p, max_points=budget) for k in range(0, n + 1)]
             for i, blocks in enumerate(types):
                 rows.extend({**k_rows[i], "jordan_type": list(blocks)} for k_rows in by_k)
     ok = all(r["equal"] for r in rows)
@@ -412,7 +411,10 @@ def list_commands() -> str:
 
 
 def _parse_jordan(text: str) -> tuple:
-    blocks = tuple(sorted((int(x) for x in text.split(",") if x.strip()), reverse=True))
+    try:
+        blocks = tuple(sorted((int(x) for x in text.split(",") if x.strip()), reverse=True))
+    except ValueError:
+        blocks = ()
     if not blocks or any(b < 1 for b in blocks):
         raise argparse.ArgumentTypeError(f"bad jordan type {text!r}")
     return blocks

@@ -13,20 +13,16 @@ wedge^k read on the diagonal tau (x) tau, where X_A X_B = X_B X_A, so its
 ordered pairs (A, B) and (B, A) merge into one unordered pair.  For l = k the
 bihomogeneous range d <= l, k + d <= n is the Grassmannian's d <= min(k, n - k).
 
-Finite-field point enumeration works with plain ints reduced mod p for speed;
-every sign comes from the exterior-algebra Clifford kernel.
-Each Gr(k,n)(F_p) is enumerated once per (p, n, k), shared by every n x n
-operator: ``fpoints_rows`` and ``gt_points`` take each point's Pluecker vector
-once and test every operator against it, with all the work that depends only
-on (T, k, p) done once per enumeration.  ``_residual`` is the one F_p
-reduction: invariance, the tangent spaces of G^T, the S^T forms and the rank
-all use it.
+Finite-field points are plain ints reduced mod p; every sign comes from the
+exterior-algebra Clifford kernel.  ``_residual`` is the one F_p reduction:
+invariance, the tangent spaces of G^T, the S^T systems and the rank all use it.
 
-- S^T is a linear filter.  ``st_forms`` stacks the rows of every sh_d^T
+- G^T is counted by Birkhoff's formula (``gt_count``) where only its size is
+  needed; ``gt_points`` lists it from one pass over Gr(k,n)(F_p).
+- S^T is solved, not filtered.  ``st_forms`` stacks the rows of every sh_d^T
   (d = 1..k) mod p as functionals on the Pluecker coordinates and reduces them
-  to semi-echelon form (``_echelon``, which ``_rank`` shares).  A point lies in
-  S^T exactly when its Pluecker vector pairs to 0 mod p with every form; the
-  test stops at the first form that does not.
+  to semi-echelon form (``_echelon``, which ``_rank`` shares); ``st_points``
+  solves them one Schubert cell at a time.
 - Invariance is a gather.  Every operator here (``jordan_matrix``) is 0/1 with
   at most one 1 per row, so T v is v read through a source-index table,
   ``_gather_source(T)``; ``is_invariant`` and ``tangent_dim_gt`` reduce that
@@ -40,8 +36,9 @@ from itertools import combinations, product
 
 # lattice_equal is not called here: perfbench/selftest.py checks that the
 # tracer rebinds this copy of it
-from .exact import lattice_basis, lattice_equal, matmul, minors
+from .exact import _is_prime, lattice_basis, lattice_equal, matmul, minors
 from .exterior import ext_word_on_key, sort_with_sign, t_shuffle_matrices
+from .partitions import partitions_of, transpose
 
 
 DEFAULT_POINT_BUDGET = 500_000
@@ -103,10 +100,8 @@ class SubspaceBasis:
         return len(self.rows)
 
 
-def enumerate_points(p: int, n: int, k: int, max_points: int = DEFAULT_POINT_BUDGET):
-    """Every k-plane in F_p^n exactly once, canonical reduced-echelon order."""
-    from .exact import _is_prime
-
+def _grassmannian_size(p: int, n: int, k: int, max_points: int) -> int:
+    """|Gr(k,n)(F_p)|; BudgetError when it exceeds max_points."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not 0 <= k <= n:
@@ -114,15 +109,31 @@ def enumerate_points(p: int, n: int, k: int, max_points: int = DEFAULT_POINT_BUD
     count = gaussian_binomial(n, k, p)
     if count > max_points:
         raise BudgetError(f"Gr({k},{n})(F_{p}) has {count} points, budget {max_points}")
+    return count
+
+
+def enumerate_points(p: int, n: int, k: int, max_points: int = DEFAULT_POINT_BUDGET):
+    """Every k-plane in F_p^n exactly once, canonical reduced-echelon order."""
+    _grassmannian_size(p, n, k, max_points)
     for pivots in combinations(range(n), k):
-        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots]
-        for values in product(range(p), repeat=len(free)):
-            rows = [[0] * n for _ in range(k)]
-            for i, piv in enumerate(pivots):
-                rows[i][piv] = 1
-            for (i, j), v in zip(free, values):
-                rows[i][j] = v
-            yield SubspaceBasis(p, n, tuple(tuple(r) for r in rows))
+        for rows in product(*_cell_rows(pivots, n, p)):
+            yield SubspaceBasis(p, n, rows)
+
+
+def _cell_rows(pivots: tuple, n: int, p: int) -> list:
+    """Per row of the Schubert cell of pivots, the echelon rows it can take."""
+    out = []
+    for piv in pivots:
+        cols = [j for j in range(piv + 1, n) if j not in pivots]
+        row = [0] * n
+        row[piv] = 1
+        choices = []
+        for values in product(range(p), repeat=len(cols)):
+            for j, v in zip(cols, values):
+                row[j] = v
+            choices.append(tuple(row))
+        out.append(choices)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +336,11 @@ def _residual(v, rows, pivots, p: int) -> list:
     return v
 
 
-def _echelon(vectors, p: int) -> tuple:
+def _echelon(vectors, p: int, stop: int | None = None) -> tuple:
     """(rows, pivots) spanning the vectors over F_p in semi-echelon form: each
     vector's residual against the rows kept before is kept, scaled to 1 at its
-    first nonzero entry, when it is not zero."""
+    first nonzero entry, when it is not zero.  A row with pivot stop is the last
+    one taken, and the vectors after it are not read."""
     rows, pivots = [], []
     for v in vectors:
         r = _residual(v, rows, pivots, p)
@@ -337,6 +349,8 @@ def _echelon(vectors, p: int) -> tuple:
             inv = pow(r[piv], p - 2, p)
             rows.append([x * inv % p for x in r])
             pivots.append(piv)
+            if piv == stop:
+                break
     return rows, pivots
 
 
@@ -385,15 +399,6 @@ def st_forms(T, k: int, p: int) -> list:
     return [tuple((j, c) for j, c in enumerate(r) if c) for r in rows]
 
 
-def _in_st(plucker: list, forms: list, p: int) -> bool:
-    """Whether the Pluecker vector, dense over the sorted k-subsets, pairs to 0
-    mod p with every form of st_forms; stops at the first form that does not."""
-    for form in forms:
-        if sum([c * plucker[j] for j, c in form]) % p:
-            return False
-    return True
-
-
 def gt_points(Ts, k: int, p: int, max_points: int = DEFAULT_POINT_BUDGET) -> list:
     """The T-invariant points of Gr(k,n)(F_p), one list per n x n operator T in
     Ts, in enumeration order, from a single pass over Gr(k,n)(F_p)."""
@@ -406,29 +411,97 @@ def gt_points(Ts, k: int, p: int, max_points: int = DEFAULT_POINT_BUDGET) -> lis
     return out
 
 
-def fpoints_rows(Ts, k: int, p: int, max_points: int = DEFAULT_POINT_BUDGET) -> list:
-    """One report row per n x n operator in Ts: counts of Gr, G^T, S^T points
-    and whether the sets agree, from a single pass over Gr(k,n)(F_p)."""
-    n = len(Ts[0])
-    keys = list(combinations(range(1, n + 1), k))
-    ops = [(_gather_source(T), st_forms(T, k, p)) for T in Ts]
-    gt = [0] * len(ops)
-    st = [0] * len(ops)
-    same = [True] * len(ops)
+def gt_count(blocks, k: int, q: int) -> int:
+    """|G^T(F_q)| in Gr(k,n) for T nilpotent of Jordan type lam = blocks: the sum
+    over submodule types mu inside lam, |mu| = k, of Birkhoff's count prod_i
+    q^(mu'_(i+1) (lam'_i - mu'_i)) [lam'_i - mu'_(i+1) choose mu'_i - mu'_(i+1)]_q."""
+    lam = transpose(tuple(sorted(blocks, reverse=True)))
     total = 0
-    for U in enumerate_points(p, n, k, max_points):
-        total += 1
-        get = plucker_vector(U).get
-        plucker = [get(key, 0) for key in keys]
-        for i, (src, forms) in enumerate(ops):
-            g = is_invariant(U, src)
-            s = _in_st(plucker, forms, p)
-            gt[i] += g
-            st[i] += s
-            if g != s:
-                same[i] = False
-    return [{"p": p, "n": n, "k": k, "gr": total, "gt": gt[i], "st": st[i], "equal": same[i]}
-            for i in range(len(ops))]
+    for mu in map(transpose, partitions_of(k)):
+        if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
+            continue  # mu' is not inside lam', so mu is not inside lam
+        mu += (0,) * (len(lam) + 1 - len(mu))
+        term = 1
+        for i, l in enumerate(lam):
+            term *= q ** (mu[i + 1] * (l - mu[i])) * gaussian_binomial(
+                l - mu[i + 1], mu[i] - mu[i + 1], q)
+        total += term
+    return total
+
+
+def st_points(Ts, k: int, p: int):
+    """(i, U) for each point U of S^T(F_p) in Gr(k,n) of each operator Ts[i].
+
+    In a Schubert cell the first echelon row x has the most free entries, and
+    X_C = sum_t (-1)^t x_(C_t) M(C - C_t), M the (k-1)-minors of the other rows.
+    So once those rows are fixed, the forms are affine in x's free entries.
+    """
+    n = len(Ts[0])
+    forms = [st_forms(T, k, p) for T in Ts]
+    if k == 0:  # the zero subspace, whose one Pluecker coordinate is 1
+        yield from ((i, SubspaceBasis(p, n, ())) for i, f in enumerate(forms) if not f)
+        return
+    keys = list(combinations(range(n), k))
+    # per k-subset C: (C_t, C - C_t, (-1)^t) for each position t
+    drops = [[(c, C[:t] + C[t + 1:], (-1) ** t) for t, c in enumerate(C)] for C in keys]
+    for pivots in keys:
+        slot = {c: s for s, c in enumerate(j for j in range(pivots[0] + 1, n) if j not in pivots)}
+        m = slot[pivots[0]] = len(slot)  # x's leading 1: the constant term
+        entry = [slot.get(j) for j in range(n)]
+        # per operator and form: (slot of x, (k-1)-subset, signed coefficient)
+        systems = [[[(slot[c], S, a * e) for j, a in form for c, S, e in drops[j] if c in slot]
+                    for form in f] for f in forms]
+        for others in product(*_cell_rows(pivots[1:], n, p)):
+            get = minors(others).get
+            for i, system in enumerate(systems):
+                for x in _affine_solutions(_affine_forms(system, get, m, p), m, p):
+                    x = tuple(0 if s is None else x[s] for s in entry)
+                    yield i, SubspaceBasis(p, n, (x, *others))
+
+
+def _affine_forms(system, get, m: int, p: int):
+    """Each form of a cell's system as a vector over x's slots 0..m, slot m the
+    constant term, at the other rows' (k-1)-minors ``get``."""
+    for terms in system:
+        v = [0] * (m + 1)
+        for s, S, a in terms:
+            v[s] += a * get(S, 0)
+        yield [c % p for c in v]
+
+
+def _affine_solutions(vectors, m: int, p: int):
+    """Every x with x[m] = 1 and v . x = 0 mod p for each v in vectors; the
+    vectors are read up to the first that leaves 0 = c with c nonzero."""
+    rows, pivots = _echelon(vectors, p, stop=m)
+    if m in pivots:
+        return
+    free = [j for j in range(m) if j not in pivots]
+    solved = list(zip(rows, pivots))[::-1]  # each row is 0 at the pivots before it
+    for values in product(range(p), repeat=len(free)):
+        x = [0] * m + [1]
+        for j, v in zip(free, values):
+            x[j] = v
+        for row, piv in solved:
+            x[piv] = -sum([a * b for a, b in zip(row, x)]) % p
+        yield x
+
+
+def fpoints_rows(types, k: int, p: int, max_points: int = DEFAULT_POINT_BUDGET) -> list:
+    """One report row per Jordan type in types, all of size n: counts of Gr, G^T
+    and S^T points over F_p, and whether S^T(F_p) = G^T(F_p), which holds exactly
+    when every S^T point is T-invariant and there are gt_count of them."""
+    n = sum(types[0])
+    gr = _grassmannian_size(p, n, k, max_points)
+    Ts = [jordan_matrix(blocks) for blocks in types]
+    srcs = [_gather_source(T) for T in Ts]
+    st = [0] * len(Ts)
+    invariant = [True] * len(Ts)
+    for i, U in st_points(Ts, k, p):
+        st[i] += 1
+        invariant[i] = is_invariant(U, srcs[i]) and invariant[i]
+    gt = [gt_count(blocks, k, p) for blocks in types]
+    return [{"p": p, "n": n, "k": k, "gr": gr, "gt": gt[i], "st": st[i],
+             "equal": invariant[i] and st[i] == gt[i]} for i in range(len(Ts))]
 
 
 # ---------------------------------------------------------------------------

@@ -110,9 +110,6 @@ class MayaDiagram:
         """All slots >= this value are beads, and bead k = k-1+charge from index len(mu)+1 on."""
         return len(self.mu) + self.charge
 
-    def to_json(self) -> dict:
-        return {"charge": self.charge, "mu": list(self.mu)}
-
 
 def maya_from_beads(beads, tail_start: int) -> MayaDiagram:
     """Diagram whose beads below tail_start are exactly `beads`, all slots from tail_start on full."""

@@ -1,5 +1,6 @@
-"""Oracles that more than one test module compares the package against, and
-the prime-field scalar that the tests over F_p build."""
+"""Oracles that more than one test module compares the package against, the
+per-point S^T filter that the cell-wise solve replaced, and the prime-field
+scalar that the tests over F_p build."""
 
 from dataclasses import dataclass
 
@@ -101,3 +102,17 @@ def wedge_of_rows(rows, n, lift=int) -> ExtTensor:
     with the entries lifted into the scalars that ``lift`` makes of an int."""
     coeffs = {tuple(c + 1 for c in cols): m for cols, m in minors(rows, lift(1)).items()}
     return ExtTensor(n, len(rows), coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the per-point S^T filter
+
+
+def in_st(plucker: list, forms: list, p: int) -> bool:
+    """Whether the Pluecker vector, dense over the sorted k-subsets, pairs to 0
+    mod p with every form of grassmann.st_forms; stops at the first form that
+    does not."""
+    for form in forms:
+        if sum([c * plucker[j] for j, c in form]) % p:
+            return False
+    return True

@@ -44,6 +44,15 @@ def test_unknown_suite_and_unparsable_flag_exit_2(capsys):
         assert err["error"] == "usage" and detail in err["detail"], argv
 
 
+@pytest.mark.parametrize("jordan", ["a,b", "2,x", "1.5"])
+def test_jordan_block_that_is_not_an_integer_exits_2(jordan, capsys):
+    # the same detail as a block below 1, not argparse's message naming the parser
+    assert cli.main(["export-generators", "--target", "tshuffle", "--jordan", jordan]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage"
+    assert err["detail"].endswith(f"bad jordan type {jordan!r}"), err
+
+
 def test_explicit_zero_is_not_replaced_by_the_default(capsys):
     assert cli.main(["straighten", "--n", "2", "--size", "0"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -8,13 +8,13 @@ from grfock.exterior import ExtTensor, t_shuffle
 from grfock.grassmann import (
     SubspaceBasis,
     _gather_source,
-    _in_st,
     _pair_weight,
     _rank,
     degree2_ideal_equal,
     enumerate_points,
     fpoints_rows,
     gaussian_binomial,
+    gt_count,
     gt_points,
     incidence_degree2_ideal_equal,
     incidence_quadrics,
@@ -27,11 +27,12 @@ from grfock.grassmann import (
     plucker_quadrics,
     plucker_vector,
     st_forms,
+    st_points,
     tangent_dim_gt,
     vectors_over,
 )
-from grfock.partitions import partitions_of
-from oracles import Fp, wedge_of_rows
+from grfock.partitions import partitions_of, transpose
+from oracles import Fp, in_st, wedge_of_rows
 
 
 def test_jordan_matrix_rejects_blocks_of_the_wrong_size():
@@ -164,7 +165,7 @@ def test_fpoints_rows_match_an_independent_recount(p, n):
     types = partitions_of(n)
     Ts = [jordan_matrix(blocks) for blocks in types]
     for k in range(n + 1):
-        rows = fpoints_rows(Ts, k, p)
+        rows = fpoints_rows(types, k, p)
         assert len(rows) == len(types)
         for T, row in zip(Ts, rows):
             assert row == _oracle_row(T, k, p)
@@ -192,10 +193,11 @@ def _invariant_by_sparse_rows(U, T):
 @pytest.mark.parametrize("p", [2, 3])
 def test_gt_points_lists_the_invariant_points_of_each_operator(p):
     for n in range(1, 5):
-        Ts = [jordan_matrix(blocks) for blocks in partitions_of(n)]
+        types = partitions_of(n)
+        Ts = [jordan_matrix(blocks) for blocks in types]
         for k in range(n + 1):
             by_operator = gt_points(Ts, k, p)
-            for T, pts, row in zip(Ts, by_operator, fpoints_rows(Ts, k, p)):
+            for T, pts, row in zip(Ts, by_operator, fpoints_rows(types, k, p)):
                 assert len(pts) == row["gt"]
                 assert all(_invariant_by_sparse_rows(U, T) for U in pts)
 
@@ -215,8 +217,65 @@ def test_each_point_test_matches_its_reference(p):
                 tau = wedge_of_rows(U.rows, n, lambda c: Fp(c, p))
                 for T, src, forms in ops:
                     assert is_invariant(U, src) == _invariant_by_sparse_rows(U, T), (T, U)
-                    in_st = all(t_shuffle(d, T, tau).is_zero() for d in range(1, k + 1))
-                    assert _in_st(plucker, forms, p) == in_st, (T, U)
+                    by_shuffles = all(t_shuffle(d, T, tau).is_zero() for d in range(1, k + 1))
+                    assert in_st(plucker, forms, p) == by_shuffles, (T, U)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_st_points_are_the_points_the_per_point_filter_keeps(p):
+    # point by point: the cell-wise solve against each Pluecker vector paired
+    # with every form, for every Jordan type with n <= 5 and every k
+    for n in range(1, 6):
+        Ts = [jordan_matrix(blocks) for blocks in partitions_of(n)]
+        for k in range(n + 1):
+            keys = list(combinations(range(1, n + 1), k))
+            forms = [st_forms(T, k, p) for T in Ts]
+            kept = [[] for _ in Ts]
+            for U in enumerate_points(p, n, k):
+                get = plucker_vector(U).get
+                plucker = [get(key, 0) for key in keys]
+                for f, pts in zip(forms, kept):
+                    if in_st(plucker, f, p):
+                        pts.append(U)
+            solved = [[] for _ in Ts]
+            for i, U in st_points(Ts, k, p):
+                solved[i].append(U)
+            for T, got, pts in zip(Ts, solved, kept):
+                assert len(got) == len(set(got)), (T, k)
+                assert set(got) == set(pts), (T, k)
+
+
+def _gt_cases():
+    for p, nmax in [(2, 5), (3, 5), (5, 4)]:
+        for n in range(1, nmax + 1):
+            yield from ((p, blocks) for blocks in partitions_of(n))
+
+
+@pytest.mark.parametrize("p, blocks", list(_gt_cases()))
+def test_gt_count_is_the_number_of_invariant_points(p, blocks):
+    T = jordan_matrix(blocks)
+    n = len(T)
+    assert [gt_count(blocks, k, p) for k in range(n + 1)] == \
+        [len(gt_points([T], k, p)[0]) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gt_count_has_the_degree_of_dim_gt(n):
+    # as a polynomial in q, |G^T(F_q)| has degree max over mu inside lam, |mu| = k,
+    # of sum_i mu'_i (lam'_i - mu'_i); its coefficients are >= 0 and sum to less
+    # than q = 2^64, so the degree is the d with q^d <= |G^T(F_q)| < q^(d+1)
+    q = 2 ** 64
+    for blocks in partitions_of(n):
+        lam = transpose(blocks)
+        for k in range(n + 1):
+            dims = []
+            for mu in partitions_of(k):
+                if len(mu) <= len(blocks) and all(m <= b for m, b in zip(mu, blocks)):
+                    mu = transpose(mu) + (0,) * len(lam)
+                    dims.append(sum(m * (l - m) for m, l in zip(mu, lam)))
+            count = gt_count(blocks, k, q)
+            degree = (count.bit_length() - 1) // 64
+            assert degree == max(dims), (blocks, k)
 
 
 @pytest.mark.parametrize("p", [2, 3])

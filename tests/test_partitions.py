@@ -228,8 +228,3 @@ def test_n_core_is_idempotent_and_core_regularish(p, n):
     c = n_core(p, n)
     assert n_core(c, n) == c
     assert (size(p) - size(c)) % n == 0
-
-
-def test_maya_json_shape():
-    m = maya_of_partition((2, 1))
-    assert m.to_json() == {"charge": 0, "mu": [2, 1]}

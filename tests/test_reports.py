@@ -38,6 +38,7 @@ HEAVY = {
     "tangent --p 3 --dim 4": "8ac65f78484ba7da92eeca67864dc1cf5738f9b63740d0c3952e0955094a3281",
     # the fpoints benchmark workload; equal to its pin in perfbench/run.py
     "fpoints --p 3 --dim 5": "f53327926809c700dbd2e0f994db9cd3be5c3e171e6b6b6b363ac835c624bc86",
+    "fpoints --p 2 --dim 6": "4538e7f8abfffdaa2592490bc889c2149d64a39292a3e7be816cbf34ed9a0b49",
     "tangent --p 2 --dim 6": "c332c189968f7047c23f6797e127078041efbc61518f19bf1ed6138cbcc96c7c",
     "kf --n 2 --size 9": "e9e7ab21263420a532a2779a712b8096d4a1a8fe587e3611962bfa324b14f089",
     "kf --n 3 --size 9": "7c561213cc8520360070638e38884faf35262f443f20ffa54208a4885ecaccbe",
