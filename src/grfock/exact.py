@@ -1,19 +1,25 @@
 """Exact arithmetic kernel: Z[t] with division by a monic divisor and the
-cyclotomic polynomials, the one sparse-vector arithmetic (``SparseVector``, of
-the exterior tensors and the Fock vectors), the one determinant and minor
+cyclotomic polynomials, the one sparse arithmetic (``SparseVector``, of the
+exterior tensors, the Fock vectors and the symmetric-function polynomials
+``SymPoly``, ``HPoly`` and ``_HSeries``), the one determinant and minor
 routine (``minors``, with ``det`` its entry on a square grid), integer matrices
 with Hermite normal form, and ``matmul``, whose Z[t] case ``intpoly_matmul``
 shares one coefficient-tuple product with unitriangular inversion.  Outside
 Hermite normal form a matrix is a tuple of row tuples.
 
-The scalar contract.  A scalar is an int, a Fraction, an ``IntPoly`` or any
-other exact type with ring arithmetic; there is no ring descriptor.  Plain ints
-lift into every scalar type through its arithmetic, so 0, 1 and -1 serve as
-zero, unit and sign everywhere.  Two different non-int scalar types do not mix:
-their sum or product raises TypeError.  Every scalar is falsy exactly at zero.
-Equality does not lift: compare a scalar with one of its own type.  The one
-scalar role left is the unit ``one`` of ``minors`` and ``det``, for entry types
-that do not take an int (the formal power series of ``symfunc``).
+The scalar contract.  A scalar is an int, a Fraction, an ``IntPoly``, one of
+the symmetric-function polynomials or any other exact type with ring
+arithmetic; there is no ring descriptor.  Plain ints lift into Fractions,
+``IntPoly`` and the like through all their arithmetic, so 0, 1 and -1 serve as
+zero, unit and sign there.  Into ``SymPoly`` and ``HPoly`` an int lifts only
+through ``*``, as a scale, and into ``_HSeries`` not at all; the ``+``, ``-``
+and ``==`` of all three take only their own type.  That is enough for
+``minors`` and ``det`` given a unit ``one`` of the entry type: every minor
+starts at ``one`` and grows by products with entries, and ``one`` also gives
+the empty minor and the zero determinant their type, which is the one scalar
+role left.  Two different non-int scalar types do not mix: their sum raises
+TypeError.  Every scalar is falsy exactly at zero.  Equality does not lift:
+compare a scalar with one of its own type.
 """
 
 from __future__ import annotations
@@ -184,14 +190,16 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
 
 class SparseVector:
     """The arithmetic of a dataclass holding a table ``coeffs`` (key -> nonzero
-    scalar).  Its other fields name the space the vector lies in:
-    vectors of one type add only within one space, and never across types."""
+    scalar): sum, difference, negation, ``scale``, ``==`` and truth, false
+    exactly at zero.  Its other fields name the space the vector lies in:
+    vectors of one type add only within one space, and never across types.  A
+    subclass that is also a scalar adds its own product."""
 
     def _space(self) -> tuple:
         return tuple(getattr(self, f.name) for f in fields(self) if f.name != "coeffs")
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -207,6 +215,9 @@ class SparseVector:
         if type(other) is not type(self):
             return NotImplemented
         return self + other.scale(-1)
+
+    def __neg__(self):
+        return self.scale(-1)
 
     def scale(self, c):
         return replace(self, coeffs={key: c * v for key, v in self.coeffs.items()})

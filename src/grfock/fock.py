@@ -209,15 +209,10 @@ def shuffle_adjoint(n: int, d: int, v: FockVector) -> FockVector:
 
 
 def alpha(d: int, v: FockVector) -> FockVector:
-    """Single-bead left shift by d: sum_j psi_{j-d} psi*_j."""
+    """Single-bead left shift by d, the one-bead adjoint shuffle: sum_j psi_{j-d} psi*_j."""
     if d < 1:
         raise ValueError("need d >= 1")
-
-    def moves(m, mask, lo):
-        for j in _candidate_beads(m, d, 1, leftward=True):
-            yield (j - lo,), (j - d - lo,)
-
-    return _apply(v, d, moves)
+    return _shuffle_apply(d, 1, v, -d)
 
 
 # ---------------------------------------------------------------------------

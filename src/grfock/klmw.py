@@ -217,7 +217,7 @@ def emit_sato_shuffle_generators(n: int, max_degree: int) -> str:
             d = 1
             while total + n * d <= max_degree:
                 image = shuffle_adjoint(n, d, basis_vector(mu, dual=True))
-                if not image.is_zero():
+                if image:
                     terms = sorted(
                         ((_serialize_maya(m), c) for m, c in image.coeffs.items()),
                     )

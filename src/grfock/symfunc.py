@@ -1,7 +1,10 @@
 """Symmetric functions as honest symmetric polynomials in a stable range of
-variables, plus Kostka-Foulkes polynomials via the charge statistic,
-Hall-Littlewood transition matrices, the block-Toeplitz determinant
-coefficients, and Frobenius twists expressed in the h-generators.
+variables (``SymPoly``), plus Kostka-Foulkes polynomials via the charge
+statistic, Hall-Littlewood transition matrices, the block-Toeplitz determinant
+coefficients (a truncated series ``_HSeries``) and Frobenius twists, both
+expressed in the h-generators (``HPoly``).  The three polynomial types take
+their sum, difference, negation, scaling, equality and truth from
+``exact.SparseVector`` and define only their product.
 
 A paper claim that only tier-1 pins (tests/test_symfunc.py): the Frobenius-twist
 reading of the shuffles, through ``SymPoly``, ``schur_expand``
@@ -24,7 +27,7 @@ from itertools import permutations
 from math import factorial
 from operator import lt
 
-from .exact import IntPoly, det, intpoly_matmul, invert_unitriangular
+from .exact import IntPoly, SparseVector, det, intpoly_matmul, invert_unitriangular
 from .partitions import Partition, check_partition, is_n_regular, partitions_of
 
 
@@ -36,54 +39,29 @@ class DegreeOverflowError(ValueError):
 # symmetric polynomials
 
 
-@dataclass
-class SymPoly:
-    """Sparse symmetric polynomial in nvars variables, total degree <= degree_bound.
-
-    With nvars >= degree_bound the monomial coefficients agree with those of
-    the abstract symmetric function (the stable range).
-    """
+@dataclass(eq=False)
+class SymPoly(SparseVector):
+    """Sparse symmetric polynomial in nvars variables, of total degree <= nvars:
+    the stable range, where the monomial coefficients agree with those of the
+    abstract symmetric function."""
 
     nvars: int
     coeffs: dict = field(default_factory=dict)  # exponent tuple -> coefficient
-    degree_bound: int | None = None
 
     def __post_init__(self):
-        if self.degree_bound is None:
-            self.degree_bound = self.nvars
-        if self.degree_bound > self.nvars:
-            raise DegreeOverflowError(f"degree bound {self.degree_bound} exceeds nvars {self.nvars}")
         clean = {}
         for exp, c in self.coeffs.items():
             if len(exp) != self.nvars:
                 raise ValueError(f"exponent {exp} does not have {self.nvars} variables")
-            if sum(exp) > self.degree_bound:
-                raise DegreeOverflowError(f"monomial {exp} exceeds degree bound {self.degree_bound}")
+            if sum(exp) > self.nvars:
+                raise DegreeOverflowError(f"monomial {exp} leaves the stable range of {self.nvars} variables")
             if c:
                 clean[exp] = c
         self.coeffs = clean
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        if self.nvars != other.nvars:
-            raise ValueError(f"{self.nvars} variables plus {other.nvars}")
-        out = dict(self.coeffs)
-        for exp, c in other.coeffs.items():
-            out[exp] = out.get(exp, 0) + c
-        return SymPoly(self.nvars, out, max(self.degree_bound, other.degree_bound))
-
-    def __neg__(self) -> "SymPoly":
-        return self.scale(-1)
-
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self + (-other)
-
-    def scale(self, c) -> "SymPoly":
-        return SymPoly(self.nvars, {e: c * v for e, v in self.coeffs.items()}, self.degree_bound)
-
-    def __mul__(self, other: "SymPoly") -> "SymPoly":
+    def __mul__(self, other) -> "SymPoly":
+        if isinstance(other, int):
+            return self.scale(other)
         if self.nvars != other.nvars:
             raise ValueError(f"{self.nvars} variables times {other.nvars}")
         out: dict = {}
@@ -91,10 +69,7 @@ class SymPoly:
             for e2, c2 in other.coeffs.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return SymPoly(self.nvars, out, self.nvars)
-
-    def __eq__(self, other):
-        return isinstance(other, SymPoly) and self.nvars == other.nvars and self.coeffs == other.coeffs
+        return SymPoly(self.nvars, out)
 
     def degree(self) -> int:
         return max((sum(e) for e in self.coeffs), default=0)
@@ -184,7 +159,7 @@ def frobenius_twist(f: SymPoly, n: int) -> SymPoly:
     """Substitute x_i -> x_i^n."""
     if n * f.degree() > f.nvars:
         raise DegreeOverflowError(f"twist by {n} leaves the stable range")
-    return SymPoly(f.nvars, {tuple(n * e for e in exp): c for exp, c in f.coeffs.items()}, f.nvars)
+    return SymPoly(f.nvars, {tuple(n * e for e in exp): c for exp, c in f.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -327,65 +302,38 @@ def kf_transition_matrices(total: int, n: int, table=None) -> KFMatrices:
 # polynomials in the h-generators
 
 
-@dataclass(frozen=True)
-class HPoly:
-    """Sparse polynomial in formal generators h_1, h_2, ...; keys are sorted
-    tuples of (index, exponent) pairs."""
+@dataclass(eq=False)
+class HPoly(SparseVector):
+    """Sparse polynomial in formal generators h_1, h_2, ...; a key is a tuple of
+    (index, exponent) pairs sorted by index."""
 
-    coeffs: tuple = ()  # tuple of (key, coefficient) pairs, sorted by key
+    coeffs: dict = field(default_factory=dict)  # key -> coefficient
 
-    @staticmethod
-    def from_dict(d: dict) -> "HPoly":
-        items = tuple(sorted((k, c) for k, c in d.items() if c))
-        return HPoly(items)
+    def __post_init__(self):
+        if not all(self.coeffs.values()):
+            self.coeffs = {k: c for k, c in self.coeffs.items() if c}
 
     @staticmethod
     def const(c) -> "HPoly":
-        return HPoly.from_dict({(): c})
+        return HPoly({(): c})
 
     @staticmethod
     def gen(i: int) -> "HPoly":
-        return HPoly.from_dict({((i, 1),): 1})
-
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = HPoly.const(other)
-        out = self.as_dict()
-        for k, c in other.coeffs:
-            out[k] = out.get(k, 0) + c
-        return HPoly.from_dict(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return HPoly(tuple((k, -c) for k, c in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = HPoly.const(other)
-        return self + (-other)
+        return HPoly({((i, 1),): 1})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return HPoly()
-            return HPoly(tuple((k, c * other) for k, c in self.coeffs))
+            return self.scale(other)
         out: dict = {}
-        for k1, c1 in self.coeffs:
+        for k1, c1 in self.coeffs.items():
             d1 = dict(k1)
-            for k2, c2 in other.coeffs:
+            for k2, c2 in other.coeffs.items():
                 d = dict(d1)
                 for i, e in k2:
                     d[i] = d.get(i, 0) + e
                 key = tuple(sorted(d.items()))
                 out[key] = out.get(key, 0) + c1 * c2
-        return HPoly.from_dict(out)
+        return HPoly(out)
 
     __rmul__ = __mul__
 
@@ -393,38 +341,32 @@ class HPoly:
         if not self.coeffs:
             return "0"
         parts = []
-        for k, c in self.coeffs:
+        for k, c in sorted(self.coeffs.items()):
             mono = "*".join(f"h{i}" + (f"^{e}" if e > 1 else "") for i, e in k) or "1"
             parts.append(f"{c}*{mono}")
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class _HSeries:
+@dataclass(eq=False)
+class _HSeries(SparseVector):
     """A power series in s with HPoly coefficients, truncated after s^K."""
 
-    terms: tuple  # coefficients of s^0 .. s^K
+    K: int
+    coeffs: dict = field(default_factory=dict)  # power of s -> HPoly
 
-    def __bool__(self):
-        return any(self.terms)
+    def __post_init__(self):
+        if not all(0 <= w <= self.K for w in self.coeffs):
+            raise ValueError(f"powers {sorted(self.coeffs)} of s outside 0..{self.K}")
+        if not all(self.coeffs.values()):
+            self.coeffs = {w: a for w, a in self.coeffs.items() if a}
 
-    def __add__(self, other: "_HSeries") -> "_HSeries":
-        return _HSeries(tuple(a + b for a, b in zip(self.terms, other.terms)))
-
-    def __neg__(self) -> "_HSeries":
-        return _HSeries(tuple(-a for a in self.terms))
-
-    def __sub__(self, other: "_HSeries") -> "_HSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "_HSeries") -> "_HSeries":
-        out = [HPoly()] * len(self.terms)
-        for i, a in enumerate(self.terms):
-            if a:
-                for j, b in enumerate(other.terms[: len(out) - i]):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return _HSeries(tuple(out))
+    def __mul__(self, other):
+        out: dict = {}
+        for i, a in self.coeffs.items():
+            for j, b in other.coeffs.items():
+                if i + j <= self.K:
+                    out[i + j] = out[i + j] + a * b if i + j in out else a * b
+        return _HSeries(self.K, out)
 
 
 def det_coeffs_principal_nilpotent(n: int, K: int) -> list:
@@ -439,12 +381,13 @@ def det_coeffs_principal_nilpotent(n: int, K: int) -> list:
     def h(k: int) -> HPoly:
         return HPoly() if k < 0 else HPoly.const(1) if k == 0 else HPoly.gen(k)
 
-    grid = [[_HSeries(tuple(h(j - i + n * w) for w in range(K + 1))) for j in range(n)]
+    grid = [[_HSeries(K, {w: h(j - i + n * w) for w in range(K + 1)}) for j in range(n)]
             for i in range(n)]
-    total = det(grid, _HSeries((HPoly.const(1),) + (HPoly(),) * K)).terms
+    series = det(grid, _HSeries(K, {0: HPoly.const(1)})).coeffs
+    total = [series.get(w, HPoly()) for w in range(K + 1)]
     if total[0] != HPoly.const(1):
         raise ArithmeticError(f"constant term of the determinant is {total[0]!r}, not 1")
-    return list(total[1:])
+    return total[1:]
 
 
 def z_of(lam: Partition) -> int:
@@ -480,8 +423,8 @@ def twist_in_h_basis(n: int, k: int) -> HPoly:
             term = term * power_sum_in_h(n * part)
         total = total + term
     out = {}
-    for key, c in total.coeffs:
+    for key, c in total.coeffs.items():
         out[key], remainder = divmod(c, factorial(k))
         if remainder:
             raise ArithmeticError("twist did not clear to integer coefficients")
-    return HPoly.from_dict(out)
+    return HPoly(out)

@@ -18,6 +18,7 @@ from grfock.exact import (
 from grfock.exterior import ExtTensor, TwoTensor
 from grfock.fock import FockVector
 from grfock.partitions import maya_of_partition
+from grfock.symfunc import HPoly, SymPoly, _HSeries
 from oracles import Fp
 
 
@@ -309,13 +310,16 @@ def _one_vector_of_each_type():
         ExtTensor(4, 2, {(1, 2): 3, (2, 4): -1}),
         TwoTensor(4, (2, 1), {((1, 3), (2,)): Fraction(2)}),
         FockVector(0, {maya_of_partition((2, 1)): Fp(4, 5)}, dual=True),
+        SymPoly(3, {(1, 0, 0): 2, (0, 1, 0): 2, (0, 0, 1): 2}),
+        HPoly({((1, 2),): 3, ((2, 1),): -1}),
+        _HSeries(2, {0: HPoly.const(1), 2: HPoly.gen(1)}),
     ]
 
 
 def test_sparse_vectors_share_one_arithmetic():
     vectors = _one_vector_of_each_type()
     for v in vectors:
-        assert (v - v).is_zero()
+        assert not (v - v)
         scaled = v.scale(2)
         assert scaled._space() == v._space() and type(scaled) is type(v)
         assert scaled == v + v

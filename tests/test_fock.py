@@ -114,7 +114,7 @@ def test_psi_examples():
     (m, c), = r.coeffs.items()
     assert c == 1 and m.beads(4) == (-1, 0, 1, 2)
     assert r.charge == -1  # storage convention: wedging lowers the tail offset
-    assert psi(0, vac).is_zero()
+    assert not psi(0, vac)
     # one transposition past e_0: psi_1 on beads (0,2,3,...)
     v = FockVector(1, {maya_from_beads([0], 2): 1})
     r = psi(1, v)
@@ -131,7 +131,7 @@ def test_psi_star_examples():
     (m, c), = r.coeffs.items()
     assert c == -1 and m.beads(3) == (0, 2, 3)
     # removing twice kills
-    assert psi_star(5, psi_star(5, vac)).is_zero()
+    assert not psi_star(5, psi_star(5, vac))
 
 
 def test_clifford_relations_small():
@@ -141,9 +141,9 @@ def test_clifford_relations_small():
             for i in range(-4, 5):
                 for j in range(-4, 5):
                     s = psi(i, psi_star(j, v)) + psi_star(j, psi(i, v))
-                    assert s == v if i == j else s.is_zero()
-                    assert (psi(i, psi(j, v)) + psi(j, psi(i, v))).is_zero()
-                    assert (psi_star(i, psi_star(j, v)) + psi_star(j, psi_star(i, v))).is_zero()
+                    assert s == v if i == j else not s
+                    assert not (psi(i, psi(j, v)) + psi(j, psi(i, v)))
+                    assert not (psi_star(i, psi_star(j, v)) + psi_star(j, psi_star(i, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +156,7 @@ def test_shuffle_adjoint_vacuum_example():
 
 
 def test_shuffle_on_vacuum_is_zero():
-    assert shuffle(2, 1, basis_vector(())).is_zero()
+    assert not shuffle(2, 1, basis_vector(()))
 
 
 def test_shuffle_single_term():
@@ -195,7 +195,7 @@ def test_psi_adjoint_of_psi_star():
         for lam in partitions_of(t):
             for j in range(-4, 5):
                 img = psi(j, basis_vector(lam))
-                if not img.is_zero():
+                if img:
                     primals_lower.append(img)
     for w in duals:
         for i in range(-4, 5):

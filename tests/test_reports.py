@@ -51,6 +51,8 @@ HEAVY = {
     "divided-powers --seed 7": "431f814c22db5929a83d3f22a7e4eb32e767b70a3b14ff335be5aa12ce120d66",
     "kf --n 5 --size 8": "a125f328ebd35666eb84250028c6c4621b6fd1de1b36e5922ac4444edc34d34e",
     "det-identity --n 3 --k 7": "60c2371f5104203bc4cfc2ec5b77380421356fd94dea5e236117a40b458ccbae",
+    # its witness has 7 terms, so the sorted order of HPoly's repr is pinned
+    "det-identity --n 5 --k 5": "03de193af40d5727cf7e11bf6fff1a52d4bb3447b8dbfae84cdf705bc0eb7c2a",
     "ndominance --n 2 --size 18": "73e6e5075c2a32b20a15bc31d14f642fd83b49336a6b4006bf53bd543357cfb1",
 }
 

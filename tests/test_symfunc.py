@@ -26,6 +26,7 @@ from grfock.symfunc import (
     s_poly,
     schur_expand,
     twist_in_h_basis,
+    _HSeries,
 )
 
 
@@ -446,6 +447,21 @@ def test_det_coeffs_examples():
     assert d2[0] == HPoly.gen(2) * 2 - HPoly.gen(1) * HPoly.gen(1)
 
 
+def test_symmetric_function_scalars_take_an_int_only_through_mul():
+    h1, h2 = HPoly.gen(1), HPoly.gen(2)
+    x = SymPoly(2, {(1, 0): 1, (0, 1): 1})
+    for y in (h1, x, _HSeries(1, {0: h1})):
+        with pytest.raises(TypeError):
+            y + 1
+        assert y != 1
+    for y in (h1, x):
+        assert y * 3 == y.scale(3) and not y * 0
+    # int entries lift through the products with the typed one
+    assert det([[h1, 1], [1, h2]], HPoly.const(1)) == h1 * h2 - HPoly.const(1)
+    with pytest.raises(ValueError):
+        _HSeries(1, {2: h1})
+
+
 def test_trace_of_principal_nilpotent_powers():
     # tr E^k = n t^{-j} iff k = j n, else 0; E built explicitly over Z[s]
     s = IntPoly.t()
@@ -492,7 +508,7 @@ def test_twist_in_h_matches_polynomial_model():
         lhs = frobenius_twist(h_poly(k, nv), n)
         expr = twist_in_h_basis(n, k)
         acc = None
-        for key, c in expr.coeffs:
+        for key, c in expr.coeffs.items():
             term = m_poly((), nv).scale(c)
             for idx, e in key:
                 for _ in range(e):
