@@ -17,8 +17,8 @@ and ``==`` of all three take only their own type.  That is enough for
 ``minors`` and ``det`` given a unit ``one`` of the entry type: every minor
 starts at ``one`` and grows by products with entries, and ``one`` also gives
 the empty minor and the zero determinant their type, which is the one scalar
-role left.  Two different non-int scalar types do not mix: their sum raises
-TypeError.  Every scalar is falsy exactly at zero.  Equality does not lift:
+role left.  Two different non-int scalar types do not mix: their sum and
+their product raise TypeError.  Every scalar is falsy exactly at zero.  Equality does not lift:
 compare a scalar with one of its own type.
 """
 

@@ -13,6 +13,20 @@ wedge^k read on the diagonal tau (x) tau, where X_A X_B = X_B X_A, so its
 ordered pairs (A, B) and (B, A) merge into one unordered pair.  For l = k the
 bihomogeneous range d <= l, k + d <= n is the Grassmannian's d <= min(k, n - k).
 
+No generator that is identically 0 is built, and each reaches the lattices once:
+- on Gr(k,n), P_{alpha,beta,k} = X_alpha X_beta - X_beta X_alpha symmetrises to
+  0, so d < k there; the incidence quadrics keep d <= l;
+- when beta[:d] lies in alpha, the one exchange that repeats no index gives
+  X_alpha X_beta back with sign +1, which cancels, so P_{alpha,beta,d} = 0;
+- an exchange at positions S of alpha repeats an index unless alpha_S holds
+  every index of beta[:d] that alpha has and none of beta[d:], so only those S
+  are visited;
+- in a KP functional only the d-subsets I of C - D count (the others meet D),
+  and each sign is one Clifford move per tensor factor;
+- a family keeps a generator only when no generator kept before it is +- it
+  (``_distinct_up_to_sign``): -q lies in the Z-span of q, so each block's
+  span, and its Hermite normal form, are unchanged.
+
 Finite-field points are plain ints reduced mod p; every sign comes from the
 exterior-algebra Clifford kernel.  ``_residual`` is the one F_p reduction:
 invariance, the tangent spaces of G^T, the S^T systems and the rank all use it.
@@ -34,10 +48,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-# lattice_equal is not called here: perfbench/selftest.py checks that the
-# tracer rebinds this copy of it
+# lattice_equal and ext_word_on_key are not called here: perfbench/selftest.py
+# checks that the tracer rebinds these copies of them
 from .exact import _is_prime, lattice_basis, lattice_equal, matmul, minors
 from .exterior import ext_word_on_key, sort_with_sign, t_shuffle_matrices
+from .fock import _move
 from .partitions import partitions_of, transpose
 
 
@@ -155,49 +170,50 @@ def plucker_vector(basis: SubspaceBasis) -> dict:
 
 
 def plucker_quadrics(k: int, n: int) -> list:
-    """All P_{alpha,beta,d} as dicts over unordered pairs of k-subsets."""
-    return [q for q in map(_symmetrize, _quadrics(k, k, n)) if q]
+    """Each nonzero P_{alpha,beta,d}, d < k, once up to sign, as a dict over
+    unordered pairs of k-subsets."""
+    return _distinct_up_to_sign(map(_symmetrize, _quadrics(k, k, n, k - 1)))
 
 
 def incidence_quadrics(k: int, l: int, n: int) -> list:
-    """All P_{alpha (x) beta, d} as dicts over ordered pairs (k-subset, l-subset)."""
-    return [q for q in _quadrics(k, l, n) if q]
+    """Each nonzero P_{alpha (x) beta, d} once up to sign, as a dict over ordered
+    pairs (k-subset, l-subset)."""
+    return _distinct_up_to_sign(_quadrics(k, l, n, l))
 
 
-def _quadrics(k: int, l: int, n: int):
-    """Each P_{alpha (x) beta, d} over ordered pairs, zero ones included."""
+def _quadrics(k: int, l: int, n: int, top: int):
+    """P_{alpha (x) beta, d} over ordered pairs for d <= top, except those with
+    beta[:d] inside alpha, which are 0."""
     if not (n >= k >= l >= 0):
         raise ValueError("need n >= k >= l >= 0")
     for alpha in combinations(range(1, n + 1), k):
         for beta in combinations(range(1, n + 1), l):
-            for d in range(1, l + 1):
+            inside = 0  # the longest prefix of beta inside alpha
+            while inside < l and beta[inside] in alpha:
+                inside += 1
+            for d in range(inside + 1, top + 1):
                 yield _plucker_quadric(alpha, beta, d)
 
 
 def _plucker_quadric(alpha: tuple, beta: tuple, d: int) -> dict:
-    """X_alpha X_beta minus the d-fold exchange sum, with wedge-reordering signs."""
-    k = len(alpha)
-    out: dict = {}
+    """X_alpha X_beta minus the d-fold exchange sum, with wedge-reordering signs.
 
-    def accumulate(A_seq, B_seq, coeff):
-        ra = sort_with_sign(A_seq)
-        rb = sort_with_sign(B_seq)
-        if ra is None or rb is None:
-            return
-        sa, A = ra
-        sb, B = rb
-        out[(A, B)] = out.get((A, B), 0) + coeff * sa * sb
-        if not out[(A, B)]:
-            del out[(A, B)]
-
-    accumulate(alpha, beta, 1)
-    for positions in combinations(range(k), d):
+    Only the exchanges that repeat no index are built: their positions S of
+    alpha hold every index of beta[:d] that alpha has, and none of beta[d:].
+    """
+    head, tail = beta[:d], beta[d:]
+    fixed = tuple(t for t, a in enumerate(alpha) if a in head)
+    free = [t for t, a in enumerate(alpha) if a not in beta]
+    out = {(alpha, beta): 1}
+    for extra in combinations(free, d - len(fixed)):
+        positions = sorted(fixed + extra)
         first = list(alpha)
-        for j, t in enumerate(positions):
-            first[t] = beta[j]
-        second = [alpha[t] for t in positions] + list(beta[d:])
-        accumulate(tuple(first), tuple(second), -1)
-    return out
+        for t, b in zip(positions, head):
+            first[t] = b
+        sa, A = sort_with_sign(first)
+        sb, B = sort_with_sign([alpha[t] for t in positions] + list(tail))
+        out[(A, B)] = out.get((A, B), 0) - sa * sb
+    return {key: c for key, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +229,23 @@ def omega_functional(C: tuple, D: tuple, d: int, n: int) -> dict:
     for S in (C, D):
         if tuple(S) != tuple(sorted(set(S))) or not set(S) <= set(range(1, n + 1)):
             raise ValueError(f"{S} is not a strictly increasing subset of 1..{n}")
+    return _omega_functional(tuple(C), tuple(D), d)
+
+
+def _omega_functional(C: tuple, D: tuple, d: int) -> dict:
+    """omega_functional for valid C and D: I runs over the d-subsets of C - D
+    (an I that meets D gives 0), and each sign is one Clifford move per factor,
+    psi_I on e_A and psi*_I on e_B."""
     out: dict = {}
-    for I in combinations(C, d):
-        if set(I) & set(D):
-            continue
-        B = tuple(sorted(I + D))
+    cmask = sum(1 << c for c in C)
+    dmask = sum(1 << c for c in D)
+    for I in combinations([c for c in C if c not in D], d):
+        imask = sum(1 << i for i in I)
+        down = I[::-1]
+        sign_A, _ = _move(cmask ^ imask, (), down)
+        sign_B, _ = _move(dmask | imask, down, ())
         A = tuple(c for c in C if c not in I)
-        sign_B, _ = ext_word_on_key([(i, True) for i in I], B)
-        sign_A, _ = ext_word_on_key([(i, False) for i in I], A)
-        out[(A, B)] = sign_A * sign_B
+        out[(A, tuple(sorted(I + D)))] = sign_A * sign_B
     return out
 
 
@@ -235,14 +259,30 @@ def _symmetrize(ordered: dict) -> dict:
     return out
 
 
+def _distinct_up_to_sign(dicts) -> list:
+    """The nonzero dicts, each dropped when it is +-1 times one kept before it;
+    the Z-span is unchanged."""
+    seen, out = set(), []
+    for q in dicts:
+        if q:
+            sign = 1 if q[min(q)] > 0 else -1
+            key = frozenset((pair, sign * c) for pair, c in q.items())
+            if key not in seen:
+                seen.add(key)
+                out.append(q)
+    return out
+
+
 def omega_quadric_functionals(k: int, n: int) -> list:
-    """All lambda . omega_d as dicts over unordered pairs."""
-    return [q for q in map(_symmetrize, _omega_functionals(k, k, n)) if q]
+    """Each nonzero lambda . omega_d once up to sign, as a dict over unordered
+    pairs."""
+    return _distinct_up_to_sign(map(_symmetrize, _omega_functionals(k, k, n)))
 
 
 def omega_bihom_functionals(k: int, l: int, n: int) -> list:
-    """All (kappa (x) lambda) . Omega_d as dicts over ordered pairs."""
-    return [q for q in _omega_functionals(k, l, n) if q]
+    """Each nonzero (kappa (x) lambda) . Omega_d once up to sign, as a dict over
+    ordered pairs."""
+    return _distinct_up_to_sign(_omega_functionals(k, l, n))
 
 
 def _omega_functionals(k: int, l: int, n: int):
@@ -250,7 +290,7 @@ def _omega_functionals(k: int, l: int, n: int):
     for d in range(1, min(l, n - k) + 1):
         for C in combinations(range(1, n + 1), k + d):
             for D in combinations(range(1, n + 1), l - d):
-                yield omega_functional(C, D, d, n)
+                yield _omega_functional(C, D, d)
 
 
 def vectors_over(index: list, dicts: list) -> list:

@@ -62,6 +62,8 @@ class SymPoly(SparseVector):
     def __mul__(self, other) -> "SymPoly":
         if isinstance(other, int):
             return self.scale(other)
+        if not isinstance(other, SymPoly):
+            return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError(f"{self.nvars} variables times {other.nvars}")
         out: dict = {}
@@ -324,6 +326,8 @@ class HPoly(SparseVector):
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
+        if not isinstance(other, HPoly):
+            return NotImplemented
         out: dict = {}
         for k1, c1 in self.coeffs.items():
             d1 = dict(k1)
@@ -361,6 +365,8 @@ class _HSeries(SparseVector):
             self.coeffs = {w: a for w, a in self.coeffs.items() if a}
 
     def __mul__(self, other):
+        if not isinstance(other, _HSeries):
+            return NotImplemented
         out: dict = {}
         for i, a in self.coeffs.items():
             for j, b in other.coeffs.items():

@@ -1,11 +1,13 @@
 """Oracles that more than one test module compares the package against, the
-per-point S^T filter that the cell-wise solve replaced, and the prime-field
-scalar that the tests over F_p build."""
+per-point S^T filter that the cell-wise solve replaced, the per-triple
+degree-2 generators that the package's generator families replaced, and the
+prime-field scalar that the tests over F_p build."""
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from grfock.exact import minors
-from grfock.exterior import ExtTensor
+from grfock.exterior import ExtTensor, ext_word_on_key, sort_with_sign
 
 
 # ---------------------------------------------------------------------------
@@ -116,3 +118,67 @@ def in_st(plucker: list, forms: list, p: int) -> bool:
         if sum([c * plucker[j] for j, c in form]) % p:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the degree-2 generators, one (alpha, beta, d) or (C, D, d) at a time
+
+
+def plucker_quadric(alpha: tuple, beta: tuple, d: int) -> dict:
+    """X_alpha X_beta minus the exchange of beta[:d] with every d positions of
+    alpha, with wedge-reordering signs; an exchange that repeats an index is 0."""
+    out: dict = {}
+
+    def accumulate(A_seq, B_seq, coeff):
+        ra, rb = sort_with_sign(A_seq), sort_with_sign(B_seq)
+        if ra is not None and rb is not None:
+            key = (ra[1], rb[1])
+            out[key] = out.get(key, 0) + coeff * ra[0] * rb[0]
+
+    accumulate(alpha, beta, 1)
+    for positions in combinations(range(len(alpha)), d):
+        first = list(alpha)
+        for j, t in enumerate(positions):
+            first[t] = beta[j]
+        accumulate(first, [alpha[t] for t in positions] + list(beta[d:]), -1)
+    return {key: c for key, c in out.items() if c}
+
+
+def omega_functional(C: tuple, D: tuple, d: int) -> dict:
+    """Coefficient of X_A (x) X_B in (e*_C (x) e*_D) . Omega_d, by the Clifford
+    words psi_I and psi*_I for every d-subset I of C."""
+    out: dict = {}
+    for I in combinations(C, d):
+        if set(I) & set(D):
+            continue
+        A = tuple(c for c in C if c not in I)
+        B = tuple(sorted(I + D))
+        sign_A, _ = ext_word_on_key([(i, False) for i in I], A)
+        sign_B, _ = ext_word_on_key([(i, True) for i in I], B)
+        out[(A, B)] = sign_A * sign_B
+    return out
+
+
+def unordered(ordered: dict) -> dict:
+    """A dict over ordered pairs (A, B) read where X_A X_B = X_B X_A."""
+    out: dict = {}
+    for (A, B), c in ordered.items():
+        key = (min(A, B), max(A, B))
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def quadric_family(k: int, l: int, n: int) -> list:
+    """Every P_{alpha (x) beta, d}, d = 1..l, over ordered pairs, zero ones
+    included."""
+    return [plucker_quadric(alpha, beta, d)
+            for alpha in combinations(range(1, n + 1), k)
+            for beta in combinations(range(1, n + 1), l) for d in range(1, l + 1)]
+
+
+def omega_family(k: int, l: int, n: int) -> list:
+    """Every (e*_C (x) e*_D) . Omega_d, d = 1..min(l, n - k), over ordered pairs,
+    zero ones included."""
+    return [omega_functional(C, D, d) for d in range(1, min(l, n - k) + 1)
+            for C in combinations(range(1, n + 1), k + d)
+            for D in combinations(range(1, n + 1), l - d)]

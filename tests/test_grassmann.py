@@ -32,6 +32,7 @@ from grfock.grassmann import (
     vectors_over,
 )
 from grfock.partitions import partitions_of, transpose
+import oracles
 from oracles import Fp, in_st, wedge_of_rows
 
 
@@ -82,6 +83,50 @@ def test_every_degree2_generator_lies_in_one_torus_weight(n):
         for q in dicts:
             assert q, label
             assert len({_pair_weight(key) for key in q}) == 1, (label, q)
+
+
+def _sign_classes(dicts) -> list:
+    """Each dict as the set of its items, with the sign that makes the
+    coefficient of its least pair positive."""
+    out = []
+    for q in dicts:
+        sign = 1 if q[min(q)] > 0 else -1
+        out.append(frozenset((pair, sign * c) for pair, c in q.items()))
+    return out
+
+
+def _assert_family_matches_the_oracle(got, want, label):
+    # the same generators up to sign, none of them 0 and none twice
+    assert all(got), label
+    classes = _sign_classes(got)
+    assert len(set(classes)) == len(classes), label
+    assert set(classes) == set(_sign_classes(filter(None, want))), label
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_generator_families_match_the_per_triple_oracle(n):
+    # the oracle builds every (alpha, beta, d) and every exchange, every
+    # d-subset of C, and the Grassmannian quadrics for d = k too
+    for k in range(n + 1):
+        for l in range(k + 1):
+            quadrics, omegas = oracles.quadric_family(k, l, n), oracles.omega_family(k, l, n)
+            _assert_family_matches_the_oracle(incidence_quadrics(k, l, n), quadrics, (k, l, n))
+            _assert_family_matches_the_oracle(omega_bihom_functionals(k, l, n), omegas,
+                                              (k, l, n))
+            if l == k:
+                _assert_family_matches_the_oracle(
+                    plucker_quadrics(k, n), map(oracles.unordered, quadrics), (k, n))
+                _assert_family_matches_the_oracle(
+                    omega_quadric_functionals(k, n), map(oracles.unordered, omegas), (k, n))
+
+
+def test_grassmannian_generators_match_the_oracle_at_k_equal_n_minus_k():
+    # Gr(4,8) is the case where d runs up to both k and n - k
+    quadrics, omegas = oracles.quadric_family(4, 4, 8), oracles.omega_family(4, 4, 8)
+    _assert_family_matches_the_oracle(plucker_quadrics(4, 8), map(oracles.unordered, quadrics),
+                                      (4, 8))
+    _assert_family_matches_the_oracle(omega_quadric_functionals(4, 8),
+                                      map(oracles.unordered, omegas), (4, 8))
 
 
 def _dense_lattice(index, plucker, omega):

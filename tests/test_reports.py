@@ -46,6 +46,8 @@ HEAVY = {
     "clifford --n 7 --size 8": "3c3cfa808260a834e0a1e9e6674923d05d77328f359fbdf9d2dfd54661ff6c60",
     "pluecker-ideal --k 3 --n 7": "711ae7ca7965acc53a3634a9a0af608863bde6fb45d41da7898559b59151bb3c",
     "pluecker-ideal --k 3 --n 8": "c70928464a1d29e5a0d5de6f38875f462f4e9226533280272665f197e9b0ee0b",
+    # k = n - k: the one case whose d range tops out at both k and n - k
+    "pluecker-ideal --k 4 --n 8": "a56aad5b1c4eec404fbb13289cabb57e73afbbbdb4680d8193d7090616c88eb2",
     "export-generators --target tshuffle --jordan 4,2 --k 3":
         "312689bf604e79fefc92cad3dca72db3289caee0455ab6968a239161f6c07c8f",
     "divided-powers --seed 7": "431f814c22db5929a83d3f22a7e4eb32e767b70a3b14ff335be5aa12ce120d66",

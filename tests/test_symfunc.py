@@ -462,6 +462,17 @@ def test_symmetric_function_scalars_take_an_int_only_through_mul():
         _HSeries(1, {2: h1})
 
 
+def test_a_product_with_another_scalar_type_raises_type_error():
+    h1 = HPoly.gen(1)
+    x = SymPoly(2, {(1, 0): 1, (0, 1): 1})
+    for a, b in ((h1, Fraction(1)), (h1, IntPoly.const(1)), (x, Fraction(2)),
+                 (x, h1), (_HSeries(1, {0: h1}), h1)):
+        with pytest.raises(TypeError):
+            a * b
+        with pytest.raises(TypeError):
+            b * a
+
+
 def test_trace_of_principal_nilpotent_powers():
     # tr E^k = n t^{-j} iff k = j n, else 0; E built explicitly over Z[s]
     s = IntPoly.t()
