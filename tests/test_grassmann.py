@@ -32,8 +32,7 @@ from grfock.grassmann import (
     vectors_over,
 )
 from grfock.partitions import partitions_of, transpose
-import oracles
-from oracles import Fp, in_st, wedge_of_rows
+from oracles import Fp, in_st, omega_family, quadric_family, unordered, wedge_of_rows
 
 
 def test_jordan_matrix_rejects_blocks_of_the_wrong_size():
@@ -109,24 +108,22 @@ def test_generator_families_match_the_per_triple_oracle(n):
     # d-subset of C, and the Grassmannian quadrics for d = k too
     for k in range(n + 1):
         for l in range(k + 1):
-            quadrics, omegas = oracles.quadric_family(k, l, n), oracles.omega_family(k, l, n)
+            quadrics, omegas = quadric_family(k, l, n), omega_family(k, l, n)
             _assert_family_matches_the_oracle(incidence_quadrics(k, l, n), quadrics, (k, l, n))
-            _assert_family_matches_the_oracle(omega_bihom_functionals(k, l, n), omegas,
-                                              (k, l, n))
+            _assert_family_matches_the_oracle(omega_bihom_functionals(k, l, n), omegas, (k, l, n))
             if l == k:
-                _assert_family_matches_the_oracle(
-                    plucker_quadrics(k, n), map(oracles.unordered, quadrics), (k, n))
-                _assert_family_matches_the_oracle(
-                    omega_quadric_functionals(k, n), map(oracles.unordered, omegas), (k, n))
+                _assert_family_matches_the_oracle(plucker_quadrics(k, n),
+                                                  map(unordered, quadrics), (k, n))
+                _assert_family_matches_the_oracle(omega_quadric_functionals(k, n),
+                                                  map(unordered, omegas), (k, n))
 
 
 def test_grassmannian_generators_match_the_oracle_at_k_equal_n_minus_k():
     # Gr(4,8) is the case where d runs up to both k and n - k
-    quadrics, omegas = oracles.quadric_family(4, 4, 8), oracles.omega_family(4, 4, 8)
-    _assert_family_matches_the_oracle(plucker_quadrics(4, 8), map(oracles.unordered, quadrics),
+    quadrics, omegas = quadric_family(4, 4, 8), omega_family(4, 4, 8)
+    _assert_family_matches_the_oracle(plucker_quadrics(4, 8), map(unordered, quadrics), (4, 8))
+    _assert_family_matches_the_oracle(omega_quadric_functionals(4, 8), map(unordered, omegas),
                                       (4, 8))
-    _assert_family_matches_the_oracle(omega_quadric_functionals(4, 8),
-                                      map(oracles.unordered, omegas), (4, 8))
 
 
 def _dense_lattice(index, plucker, omega):
