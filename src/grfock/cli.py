@@ -1,32 +1,25 @@
 """Command-line entry point: named verification suites, conjecture experiments,
 and report emission.
 
-Exit codes: 0 all checks pass, 1 at least one mathematical check failed,
-2 usage or configuration error, 3 enumeration budget exceeded.
+Exit codes: 0 all checks pass, 1 a mathematical check or an invariant
+(ArithmeticError) failed, 2 usage or configuration error (an unwritable --out
+too), 3 enumeration budget exceeded; every error is one JSON line on stderr.
+
+Each suite imports the layers it runs, and this module only what every run needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
-import math
-import random
 import sys
 import time
-from fractions import Fraction
 from itertools import combinations
 
-from . import __version__
+from . import DEFAULT_POINT_BUDGET, BudgetError, __version__
 from .exact import _is_prime
-from . import exterior as ext
-from . import fock
-from . import grassmann as gr
-from . import klmw
 from . import partitions as pt
-from . import symfunc as sf
 
 
 DEFAULT_SEED = 20250810
@@ -56,6 +49,7 @@ def _prime(p: int) -> int:
 
 
 def suite_clifford(args) -> list:
+    from . import exterior as ext, fock
     n = 5 if args.n is None else _bounded(args.n, "n", 1)
     checks = []
     keys = [tuple(c) for r in range(n + 1) for c in combinations(range(1, n + 1), r)]
@@ -65,10 +59,7 @@ def suite_clifford(args) -> list:
             for j in range(1, n + 1):
                 a = ext.ext_word_on_key(((i, False), (j, True)), key)
                 b = ext.ext_word_on_key(((j, True), (i, False)), key)
-                if i == j:
-                    bad += {a, b} != {None, (1, key)}
-                else:
-                    bad += not _cancel(a, b)
+                bad += {a, b} != {None, (1, key)} if i == j else not _cancel(a, b)
                 bad += not _cancel(ext.ext_word_on_key(((i, False), (j, False)), key),
                                    ext.ext_word_on_key(((j, False), (i, False)), key))
                 bad += not _cancel(ext.ext_word_on_key(((i, True), (j, True)), key),
@@ -78,8 +69,7 @@ def suite_clifford(args) -> list:
 
     size_cap = 6 if args.size is None else _bounded(args.size, "size", 0)
     lo, hi = -4, 6
-    bad = 0
-    count = 0
+    bad = count = 0
     for s in range(0, size_cap + 1):
         for lam in pt.partitions_of(s):
             v = fock.basis_vector(lam)
@@ -87,9 +77,7 @@ def suite_clifford(args) -> list:
                 for j in range(lo, hi + 1):
                     count += 1
                     s1 = fock.psi(i, fock.psi_star(j, v)) + fock.psi_star(j, fock.psi(i, v))
-                    ok = (s1 == v) if i == j else not s1
-                    if not ok:
-                        bad += 1
+                    bad += s1 != v if i == j else bool(s1)
     checks.append(check(f"fock-clifford-relations-size{size_cap}", bad == 0,
                         pairs_checked=count, violations=bad))
     return checks
@@ -97,12 +85,11 @@ def suite_clifford(args) -> list:
 
 def _cancel(a, b) -> bool:
     """Whether two (sign, key)-or-None results sum to zero."""
-    if a is None or b is None:
-        return a is b
-    return a == (-b[0], b[1])
+    return a is b if a is None or b is None else a == (-b[0], b[1])
 
 
 def suite_signs(args) -> list:
+    from . import exterior as ext
     n = 5 if args.n is None else _bounded(args.n, "n", 1)
     allsub = [tuple(c) for r in range(n + 1) for c in combinations(range(1, n + 1), r)]
     psi = {S: tuple((i, False) for i in S) for S in allsub}
@@ -148,8 +135,7 @@ def suite_signs(args) -> list:
                     for I_extra in combinations([x for x in range(1, 8) if x not in K], d - len(K)):
                         I = tuple(sorted(set(K) | set(I_extra)))
                         vals.add(ext.sgn_IJK(J, I, K) * ext.sgn_KJ(K, I))
-                    if len(vals) > 1:
-                        bad3 += 1
+                    bad3 += len(vals) > 1
     bad4 = sum(
         1 for d in range(1, 5) for J in combinations(range(1, 7), d)
         if ext.epsilon_d(J, J, d) != (-1) ** (d * (d - 1) // 2)
@@ -163,6 +149,7 @@ def suite_signs(args) -> list:
 
 
 def suite_pluecker_ideal(args) -> list:
+    from . import grassmann as gr
     cases = [(1, 4), (2, 4), (2, 5), (3, 6)]
     if (args.k is None) != (args.n is None):
         raise UsageError("--k and --n are given together or not at all")
@@ -174,13 +161,15 @@ def suite_pluecker_ideal(args) -> list:
         equal, plucker_rank, omega_rank = gr.degree2_ideal_equal(k, n)
         checks.append(check(f"degree2-lattice-gr{k}-{n}", equal,
                             plucker_rank=plucker_rank, omega_rank=omega_rank))
-    inc = (2, 1, 4)
     checks.append(check("degree2-lattice-incidence-2-1-4",
-                        gr.incidence_degree2_ideal_equal(*inc)))
+                        gr.incidence_degree2_ideal_equal(2, 1, 4)))
     return checks
 
 
 def suite_divided_powers(args) -> list:
+    import math
+    import random
+    from . import exterior as ext
     rng = random.Random(args.seed)
     trials = 200
     bad = 0
@@ -195,21 +184,20 @@ def suite_divided_powers(args) -> list:
         it = tt
         for _ in range(d):
             it = ext.omega_apply(1, it)
-        if it != ext.omega_apply(d, tt).scale(math.factorial(d)):
-            bad += 1
+        bad += it != ext.omega_apply(d, tt).scale(math.factorial(d))
     return [check("divided-powers-omega", bad == 0, trials=trials, violations=bad)]
 
 
 def _random_ext(rng, n, k):
-    coeffs = {}
-    for key in combinations(range(1, n + 1), k):
-        c = rng.randint(-3, 3)
-        if c:
-            coeffs[key] = Fraction(c)
+    from fractions import Fraction
+    from . import exterior as ext
+    coeffs = {key: Fraction(c) for key in combinations(range(1, n + 1), k)
+              if (c := rng.randint(-3, 3))}
     return ext.ExtTensor(n, k, coeffs)
 
 
 def suite_det_identity(args) -> list:
+    from . import symfunc as sf
     ns = (2, 3, 4) if args.n is None else (_bounded(args.n, "n", 1),)
     kmax = 5 if args.k is None else _bounded(args.k, "k", 1)
     checks = []
@@ -222,23 +210,22 @@ def suite_det_identity(args) -> list:
 
 
 def suite_shuffle_span(args) -> list:
+    from . import klmw
     ns = (2, 3) if args.n is None else (_bounded(args.n, "n", 2),)
     mmax = 10 if args.size is None else _bounded(args.size, "size", 0)
     checks = []
     for n in ns:
-        ok = True
-        dims = {}
-        for m in range(0, mmax + 1):
-            d = klmw.shuffle_span_dim(n, m)
-            expected = len(pt.partitions_of(m)) - len(pt.n_regular_partitions(n, m))
-            dims[m] = (d, expected)
-            ok = ok and d == expected
-        checks.append(check(f"shuffle-span-dims-n{n}", ok,
-                            dims={str(m): v for m, v in dims.items()}))
+        # (rank of the shuffle span, count of the non-regular partitions) by size
+        dims = {str(m): (klmw.shuffle_span_dim(n, m),
+                         len(pt.partitions_of(m)) - len(pt.n_regular_partitions(n, m)))
+                for m in range(0, mmax + 1)}
+        checks.append(check(f"shuffle-span-dims-n{n}", all(d == e for d, e in dims.values()),
+                            dims=dims))
     return checks
 
 
 def suite_straighten(args) -> list:
+    from . import klmw
     ns = (2, 3) if args.n is None else (_bounded(args.n, "n", 2),)
     smax = 10 if args.size is None else _bounded(args.size, "size", 0)
     checks = []
@@ -269,13 +256,14 @@ def suite_straighten(args) -> list:
 
 
 def suite_kf(args) -> list:
+    from . import klmw, symfunc as sf
     ns = (2, 3) if args.n is None else (_bounded(args.n, "n", 2),)
     smax = 6 if args.size is None else _bounded(args.size, "size", 0)
     checks = {}
     for s in range(0, smax + 1):
         table = sf.kostka_foulkes_matrix(s)  # K and K^-1 serve every n
         for n in ns:
-            r = klmw.kf_compare(n, s, table)
+            r = klmw.kf_compare(n, s, sf.kf_transition_matrices(s, n, table))
             witness = {}
             if n == 2 and s == 2:
                 witness["D_at_minus_1"] = [r["entries"][((2,), (2,))], r["entries"][((2,), (1, 1))]]
@@ -286,10 +274,10 @@ def suite_kf(args) -> list:
 
 
 def suite_fpoints(args) -> list:
+    from . import grassmann as gr
     ps = (2, 3) if args.p is None else (_prime(args.p),)
     nmax = 4 if args.dim is None else _bounded(args.dim, "dim", 1)
     budget = _bounded(args.budget, "budget", 0)
-    checks = []
     rows = []
     for p in ps:
         for n in range(1, nmax + 1):
@@ -297,12 +285,12 @@ def suite_fpoints(args) -> list:
             by_k = [gr.fpoints_rows(types, k, p, max_points=budget) for k in range(0, n + 1)]
             for i, blocks in enumerate(types):
                 rows.extend({**k_rows[i], "jordan_type": list(blocks)} for k_rows in by_k)
-    ok = all(r["equal"] for r in rows)
-    checks.append(check("fpoints-st-equals-gt", ok, rows=rows))
-    return checks
+    return [check("fpoints-st-equals-gt", all(r["equal"] for r in rows), rows=rows)]
 
 
 def suite_tangent(args) -> list:
+    import math
+    from . import grassmann as gr
     p = 2 if args.p is None else _prime(args.p)
     nmax = 5 if args.dim is None else _bounded(args.dim, "dim", 1)
     budget = _bounded(args.budget, "budget", 0)
@@ -336,6 +324,7 @@ def suite_tangent(args) -> list:
 
 
 def suite_ndominance(args) -> list:
+    from . import klmw
     ns = (2, 3) if args.n is None else (_bounded(args.n, "n", 2),)
     smax = 8 if args.size is None else _bounded(args.size, "size", 0)
     checks = []
@@ -354,20 +343,19 @@ def suite_ndominance(args) -> list:
 
 
 def suite_export_generators(args) -> list:
+    from . import klmw
     target = args.target or "sato"
     if target == "sato":
         n = 2 if args.n is None else _bounded(args.n, "n", 2)
         window = 4 if args.size is None else _bounded(args.size, "size", 0)
         text = klmw.emit_sato_shuffle_generators(n, window)
-    elif target == "tshuffle":
+    else:  # tshuffle, the parser's only other choice
+        from . import exterior as ext, grassmann as gr
         blocks = args.jordan or (4,)
         k = 2 if args.k is None else _bounded(args.k, "k", 1, sum(blocks))
-        text = klmw.emit_t_shuffle_generators(gr.jordan_matrix(blocks), k)
-    else:
-        raise UsageError(f"unknown export target {target!r}")
+        text = klmw.emit_t_shuffle_generators(ext.t_shuffle_matrices(gr.jordan_matrix(blocks), k))
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_out(args.out, text)
     return [check(f"export-{target}", True, lines=text.count("\n"),
                   sha256=hashlib.sha256(text.encode()).hexdigest(),
                   out=args.out or "-", preview=text.splitlines()[:4])]
@@ -434,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--budget", type=int, default=gr.DEFAULT_POINT_BUDGET)
+    parser.add_argument("--budget", type=int, default=DEFAULT_POINT_BUDGET)
     parser.add_argument("--target", choices=("sato", "tshuffle"), default=None,
                         help="export-generators target")
     return parser
@@ -474,6 +462,8 @@ def run(command: str, args) -> dict:
 
 def render_csv(report: dict) -> str:
     """Tabular output for point-count suites."""
+    import csv
+    import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["p", "n", "k", "jordan_type", "gr", "gt", "st", "equal"])
@@ -495,24 +485,34 @@ def main(argv=None) -> int:
             print(json.dumps({"error": "unknown command", "command": args.command}), file=sys.stderr)
             return 2
         report = run(args.command, args)
+        text = (render_csv(report) if args.format == "csv"
+                else json.dumps(report, indent=2, sort_keys=True) + "\n")
+        if args.out and args.command != "export-generators":
+            _write_out(args.out, text)
+        else:
+            sys.stdout.write(text)
     except SystemExit as exc:  # --help
         return exc.code
-    except gr.BudgetError as exc:
+    except BudgetError as exc:
         print(json.dumps({"error": "budget exceeded", "detail": str(exc)}), file=sys.stderr)
         return 3
     except UsageError as exc:
         print(json.dumps({"error": "usage", "detail": str(exc)}), file=sys.stderr)
         return 2
-    if args.format == "csv":
-        text = render_csv(report)
-    else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out and args.command != "export-generators":
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except ArithmeticError as exc:
+        if type(exc) is not ArithmeticError:  # ZeroDivisionError and its kin are bugs
+            raise
+        print(json.dumps({"error": "invariant failed", "detail": str(exc)}), file=sys.stderr)
+        return 1
     return 0 if report["totals"]["fail"] == 0 else 1
+
+
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
 
 if __name__ == "__main__":

@@ -48,19 +48,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
+from . import DEFAULT_POINT_BUDGET, BudgetError  # in __init__: cli needs them, not this module
 # lattice_equal and ext_word_on_key are not called here: perfbench/selftest.py
 # checks that the tracer rebinds these copies of them
 from .exact import _is_prime, lattice_basis, lattice_equal, matmul, minors
 from .exterior import ext_word_on_key, sort_with_sign, t_shuffle_matrices
 from .fock import _move
 from .partitions import partitions_of, transpose
-
-
-DEFAULT_POINT_BUDGET = 500_000
-
-
-class BudgetError(RuntimeError):
-    """Enumeration would exceed the configured budget."""
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -7,14 +7,16 @@ Straightening is one pass over the partitions of a size in increasing mlex
 order, resting on one invariant: every term of a rewrite other than the
 partition rewritten is mlex-smaller, so it is done when it is needed.  The
 pass checks this and raises ArithmeticError where it fails.
+
+This module imports only ``exact``, ``fock`` and ``partitions``; the
+Kostka-Foulkes and T-shuffle matrices that ``kf_compare`` and
+``emit_t_shuffle_generators`` read are built by their callers.
 """
 
 from __future__ import annotations
 
 from .exact import IntMatrix, cyclotomic_polynomial, hermite_normal_form
 from .fock import basis_vector, shuffle_adjoint
-from .grassmann import is_nilpotent
-from .exterior import t_shuffle_matrices
 from .partitions import (
     MayaDiagram,
     gap_and_regularize,
@@ -25,7 +27,6 @@ from .partitions import (
     partitions_of,
     weight_class,
 )
-from .symfunc import kf_transition_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +106,13 @@ def shuffle_span_dim(n: int, total: int) -> int:
 # Kostka-Foulkes cross-check
 
 
-def kf_compare(n: int, total: int, table=None) -> dict:
+def kf_compare(n: int, total: int, kf) -> dict:
     """Compare D(zeta) entrywise with the straightening d-matrix.
 
-    Every entry of D(t) reduced modulo Phi_n must be a rational integer; the
-    report carries the first discrepancy if any.  ``table`` as in kf_transition_matrices.
+    ``kf`` is ``symfunc.kf_transition_matrices(total, n)``.  Every entry of D(t)
+    reduced modulo Phi_n must be a rational integer; the report carries the
+    first discrepancy if any.
     """
-    kf = kf_transition_matrices(total, n, table)
     dm = d_matrix(n, total)
     phi = cyclotomic_polynomial(n)
     mismatches = []
@@ -227,13 +228,12 @@ def emit_sato_shuffle_generators(n: int, max_degree: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_t_shuffle_generators(T, k: int) -> str:
-    """Linear forms lambda . sh_d^T in coordinates X[k-subset], d = 1..k."""
-    if not is_nilpotent(T):
-        raise ValueError("export expects a nilpotent operator")
+def emit_t_shuffle_generators(matrices) -> str:
+    """Linear forms lambda . sh_d^T in coordinates X[k-subset], d = 1..k, from
+    the matrices ``exterior.t_shuffle_matrices(T, k)``."""
     lines = ["ring: X indexed by subset; char: 0"]
     gens = []
-    for cols in t_shuffle_matrices(T, k):
+    for cols in matrices:
         rows: dict = {}
         for key, col in cols.items():
             for key2, c in col.items():

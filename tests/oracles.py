@@ -1,13 +1,15 @@
 """Oracles that more than one test module compares the package against, the
 per-point S^T filter that the cell-wise solve replaced, the per-triple
-degree-2 generators that the package's generator families replaced, and the
-prime-field scalar that the tests over F_p build."""
+degree-2 generators that the package's generator families replaced, the
+prime-field scalar that the tests over F_p build, and a corrupted
+Kostka-Foulkes matrix that the klmw and command-line tests both feed in."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
-from grfock.exact import minors
+from grfock.exact import IntPoly, minors
 from grfock.exterior import ExtTensor, ext_word_on_key, sort_with_sign
+from grfock.symfunc import kf_transition_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -182,3 +184,14 @@ def omega_family(k: int, l: int, n: int) -> list:
     return [omega_functional(C, D, d) for d in range(1, min(l, n - k) + 1)
             for C in combinations(range(1, n + 1), k + d)
             for D in combinations(range(1, n + 1), l - d)]
+
+
+# ---------------------------------------------------------------------------
+# a Kostka-Foulkes transition matrix with one wrong entry
+
+
+def kf_with_d00_equal_to_t(total, n, table=None):
+    """kf_transition_matrices(total, n, table) with D[0][0] replaced by t."""
+    kf = kf_transition_matrices(total, n, table)
+    row0 = (IntPoly.t(),) + kf.D[0][1:]
+    return replace(kf, D=(row0,) + kf.D[1:])

@@ -1,11 +1,18 @@
-"""Exit codes of ``grfock.cli.main``: 0 pass, 1 check failed, 2 usage, 3 budget."""
+"""Exit codes of ``grfock.cli.main``: 0 pass, 1 check failed, 2 usage, 3 budget;
+``--out``; and the modules that each suite loads."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from grfock import cli, grassmann
+from grfock import cli, grassmann, klmw, symfunc
+from oracles import kf_with_d00_equal_to_t
 
 USAGE_ERRORS = [
     ["fpoints", "--p", "4"],
@@ -110,3 +117,88 @@ def test_tangent_enumerates_each_grassmannian_once(monkeypatch, capsys):
     monkeypatch.setattr(grassmann, "enumerate_points", counted)
     assert cli.main(["tangent", "--p", "2", "--dim", "4"]) == 0
     assert sorted(calls) == [(n, k) for n in range(2, 5) for k in range(1, n)]
+
+
+def test_invariant_failure_exits_1_with_json_on_stderr(monkeypatch, capsys):
+    # D[0][0] = t is not an integer at a cube root of unity
+    monkeypatch.setattr(symfunc, "kf_transition_matrices", kf_with_d00_equal_to_t)
+    assert cli.main(["kf", "--n", "3", "--size", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "invariant failed" and "not an integer" in err["detail"], err
+    # a straightening pass out of mlex order breaks the pass's own invariant
+    monkeypatch.setattr(klmw, "mlex_key", lambda lam: (-len(lam), lam))
+    assert cli.main(["straighten", "--n", "2", "--size", "6"]) == 1
+    assert "not mlex-smaller" in json.loads(capsys.readouterr().err)["detail"]
+    # a division by zero is a bug, not a failed invariant
+    monkeypatch.setitem(cli.SUITES, "clifford", lambda args: [cli.check("x", 1 // 0)])
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["clifford"])
+
+
+@pytest.mark.parametrize("argv", [["straighten", "--n", "2", "--size", "4"],
+                                  ["fpoints", "--p", "2", "--dim", "2", "--format", "csv"]],
+                         ids=" ".join)
+def test_out_writes_the_bytes_stdout_would_hold(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: 0.0))  # wall_time_ms 0
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "report"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode() and stdout
+
+
+def test_export_generators_out_writes_the_exported_text(tmp_path, capsys):
+    out = tmp_path / "gens.txt"
+    assert cli.main(["export-generators", "--out", str(out)]) == 0
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    text = klmw.emit_sato_shuffle_generators(2, 4)
+    assert out.read_text(encoding="utf-8") == text
+    assert check["witness"]["out"] == str(out)
+    assert check["witness"]["lines"] == text.count("\n")
+
+
+@pytest.mark.parametrize("argv", [["straighten", "--size", "2"], ["export-generators"],
+                                  ["fpoints", "--dim", "1", "--format", "csv"]],
+                         ids=" ".join)
+def test_unwritable_out_exits_2_with_json_on_stderr(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = json.loads(captured.err)
+    assert err["error"] == "usage" and str(out) in err["detail"], err
+
+
+# The grfock modules a process loads: after ``import grfock.cli`` alone, and
+# after each benchmark suite.  pytest has imported every layer already, so
+# each set is read in a fresh interpreter.
+CLOSURES = {
+    "": {"cli", "exact", "partitions"},
+    "straighten --n 2 --size 4": {"cli", "exact", "partitions", "fock", "klmw"},
+    "kf --n 2 --size 4": {"cli", "exact", "partitions", "fock", "klmw", "symfunc"},
+    "fpoints --p 2 --dim 3": {"cli", "exact", "partitions", "fock", "exterior", "grassmann"},
+    "pluecker-ideal --k 2 --n 4": {"cli", "exact", "partitions", "fock", "exterior",
+                                   "grassmann"},
+}
+
+# argv: the report path, then the suite's command line, if any
+LOADED = """
+import json, sys
+from grfock import cli
+code = cli.main(sys.argv[2:] + ["--out", sys.argv[1]]) if len(sys.argv) > 2 else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("grfock."))]))
+"""
+
+
+@pytest.mark.parametrize("argv", sorted(CLOSURES))
+def test_each_suite_loads_only_the_layers_it_runs(argv, tmp_path):
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    done = subprocess.run([sys.executable, "-c", LOADED, str(tmp_path / "report"), *argv.split()],
+                          env=env, capture_output=True, text=True, timeout=120)
+    code, loaded = json.loads(done.stdout)
+    assert code == 0, done.stderr
+    assert {name.removeprefix("grfock.") for name in loaded} == CLOSURES[argv]

@@ -1,9 +1,6 @@
-from dataclasses import replace
-
 import pytest
 
 from grfock import klmw
-from grfock.exact import IntPoly
 from grfock.klmw import d_matrix, kf_compare, shuffle_span_dim, straighten_coeffs
 from grfock.partitions import (
     Cmp,
@@ -13,6 +10,7 @@ from grfock.partitions import (
     n_regular_partitions,
     partitions_of,
 )
+from oracles import kf_with_d00_equal_to_t
 
 
 def test_straighten_trace_repeats_across_calls():
@@ -50,26 +48,13 @@ def test_shuffle_span_dim_counts_the_non_regular_partitions():
             assert shuffle_span_dim(n, m) == expected, (n, m)
 
 
-def _kf_with_d00_equal_to_t(monkeypatch):
-    real = klmw.kf_transition_matrices
-
-    def patched(total, n, table=None):
-        kf = real(total, n, table)
-        row0 = (IntPoly.t(),) + kf.D[0][1:]
-        return replace(kf, D=(row0,) + kf.D[1:])
-
-    monkeypatch.setattr(klmw, "kf_transition_matrices", patched)
-
-
-def test_kf_compare_reads_each_entry_at_a_root_of_unity(monkeypatch):
-    _kf_with_d00_equal_to_t(monkeypatch)
-    report = kf_compare(2, 2)
+def test_kf_compare_reads_each_entry_at_a_root_of_unity():
+    report = kf_compare(2, 2, kf_with_d00_equal_to_t(2, 2))
     assert report["entries"][((2,), (2,))] == -1  # t at zeta_2 = -1
     assert not report["match"]
     assert report["mismatches"][0]["d_straighten"] == 1
 
 
-def test_kf_compare_rejects_an_entry_that_is_not_an_integer(monkeypatch):
-    _kf_with_d00_equal_to_t(monkeypatch)
+def test_kf_compare_rejects_an_entry_that_is_not_an_integer():
     with pytest.raises(ArithmeticError, match="not an integer"):
-        kf_compare(3, 2)
+        kf_compare(3, 2, kf_with_d00_equal_to_t(2, 3))

@@ -64,6 +64,10 @@ PINNED_ONLY_BY_TESTS = {
     # bindings the benchmark's tracer times, and the Maya-diagram helpers
     "exact.lattice_equal": "test_exact.py::test_lattice_equal_examples",
     "grassmann.plucker_vector": "test_minors.py::test_plucker_vector_matches_leibniz_mod_p",
+    # every suite's operator is a jordan_matrix, nilpotent by construction, so no
+    # suite tests nilpotency, the one suite use of integer matrix products
+    "grassmann.is_nilpotent": "test_grassmann.py::test_is_nilpotent_on_jordan_types_and_non_examples",
+    "exact.matmul": "test_exact.py::test_matmul_and_inversion_reject_bad_shapes",
     # the checked entry point; the suites build C and D valid and skip the check
     "grassmann.omega_functional": "test_grassmann.py::test_omega_functional_rejects_an_unsorted_D",
     "exact.lattice_rank": "test_exact.py::test_lattice_basis_gives_rank_and_equality",
@@ -71,10 +75,11 @@ PINNED_ONLY_BY_TESTS = {
     "fock.psi_star_key": "test_fock.py::test_generators_match_the_oracle",
     "fock._on_key": "test_fock.py::test_generators_match_the_oracle",
     "partitions.MayaDiagram.beads": "test_partitions.py::test_maya_beads_and_membership",
-    # usage-error paths of the command line
+    # usage-error paths of the command line, and its --out
     "cli._Parser.error": "test_cli.py::test_unknown_suite_and_unparsable_flag_exit_2",
     "cli._parse_jordan": "test_cli.py::test_unknown_suite_and_unparsable_flag_exit_2",
     "cli._prime": "test_cli.py::test_bad_parameter_exits_2_with_json_on_stderr",
+    "cli._write_out": "test_cli.py::test_out_writes_the_bytes_stdout_would_hold",
 }
 
 
