@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from itertools import combinations
@@ -428,17 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def job_parameters(args) -> dict:
-    return {
-        "n": args.n, "k": args.k, "p": args.p, "size": args.size, "dim": args.dim,
-        "jordan": list(args.jordan) if args.jordan else None,
-        "seed": args.seed, "jobs": args.jobs, "format": args.format,
-        "budget": args.budget, "target": args.target,
-    }
-
-
 def run(command: str, args) -> dict:
-    params = job_parameters(args)
+    params = {key: value for key, value in vars(args).items() if key not in ("command", "out")}
     config_hash = hashlib.sha256(
         json.dumps({"command": command, **params}, sort_keys=True).encode()
     ).hexdigest()
@@ -461,7 +453,7 @@ def run(command: str, args) -> dict:
 
 
 def render_csv(report: dict) -> str:
-    """Tabular output for point-count suites."""
+    """The point rows of an fpoints report, as CSV."""
     import csv
     import io
     buf = io.StringIO()
@@ -484,6 +476,11 @@ def main(argv=None) -> int:
         if args.command not in SUITES:
             print(json.dumps({"error": "unknown command", "command": args.command}), file=sys.stderr)
             return 2
+        if args.format == "csv" and args.command != "fpoints":
+            raise UsageError(f"--format csv is for fpoints only, not {args.command}")
+        if args.out and not os.access(args.out if os.path.exists(args.out)
+                                      else os.path.dirname(os.path.abspath(args.out)), os.W_OK):
+            raise UsageError(f"cannot write --out {args.out}: not writable")
         report = run(args.command, args)
         text = (render_csv(report) if args.format == "csv"
                 else json.dumps(report, indent=2, sort_keys=True) + "\n")

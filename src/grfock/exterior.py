@@ -50,7 +50,7 @@ def sgn_IJK(I, J, K) -> int:
     return -1 if count % 2 else 1
 
 
-def epsilon_d(J, K, d: int, universe=None) -> int:
+def epsilon_d(J, K, d: int) -> int:
     """sgn(J,I,K) * sgn(K,I) for any I containing K with |I| = d.
 
     Independence of the auxiliary I is checked by evaluating on two choices;
@@ -61,12 +61,8 @@ def epsilon_d(J, K, d: int, universe=None) -> int:
         raise ValueError("K must be a subset of J")
     if d < len(K):
         raise ValueError("need |I| = d >= |K|")
-    if universe is None:
-        universe = range(1, max(J | K | {1}) + d + 2)
-    fillers = [x for x in universe if x not in K]
+    fillers = [x for x in range(1, max(J | {1}) + d + 2) if x not in K]
     need = d - len(K)
-    if len(fillers) < need + 1:
-        raise ValueError("universe too small to probe independence")
     values = set()
     for pick in (fillers[:need], fillers[1 : need + 1]):
         I = K | set(pick)

@@ -15,8 +15,7 @@ adding a wedge factor (psi) lowers the stored charge by one, removing one
 
 A paper claim that only tier-1 pins (tests/test_fock.py): boson-fermion
 multiplicativity, through ``monomial_operator`` and ``multiply_p_times_m``
-(``test_monomial_operator_is_multiplicative``) and ``operator_matrix``
-(``test_operator_matrix_shapes``).
+(``test_monomial_operator_is_multiplicative``).
 
 The oracle for the generators, the shuffles and alpha composes psi and psi*
 word by word on the bead list of one diagram; it lives in tests/test_fock.py,
@@ -34,8 +33,7 @@ from .partitions import (
     Partition,
     maya_from_beads,
     maya_of_partition,
-    partition_of_maya,
-    partitions_of,
+    multiplicities,
 )
 
 
@@ -53,9 +51,6 @@ class FockVector(SparseVector):
                 raise ValueError(f"diagram of charge {m.charge} in a charge-{self.charge} vector")
         if not all(self.coeffs.values()):
             self.coeffs = {m: c for m, c in self.coeffs.items() if c}
-
-    def coefficient(self, m: MayaDiagram):
-        return self.coeffs.get(m, 0)
 
 
 def basis_vector(p: Partition, dual: bool = False) -> FockVector:
@@ -270,9 +265,7 @@ def multiply_p_times_m(s: int, lam: Partition) -> dict:
     multiplication rule: add a part s, or grow an existing part t to s+t."""
     lam = tuple(lam)
     out: dict = {}
-    mult = {}
-    for part in lam:
-        mult[part] = mult.get(part, 0) + 1
+    mult = multiplicities(lam)
 
     def add(partition, coeff):
         out[partition] = out.get(partition, 0) + coeff
@@ -288,7 +281,7 @@ def multiply_p_times_m(s: int, lam: Partition) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# pairing and matrices
+# pairing
 
 
 def pairing(w: FockVector, v: FockVector):
@@ -303,17 +296,3 @@ def pairing(w: FockVector, v: FockVector):
             total = total + c * v.coeffs[m]
     return total
 
-
-def operator_matrix(op, degree_in: int, degree_out: int, dual: bool = False):
-    """Matrix of op between charge-0 graded pieces, columns/rows labeled by partitions."""
-    cols = partitions_of(degree_in)
-    rows = partitions_of(degree_out)
-    row_index = {p: i for i, p in enumerate(rows)}
-    mat = []
-    for p in cols:
-        image = op(basis_vector(p, dual))
-        col = [0] * len(rows)
-        for m, c in image.coeffs.items():
-            col[row_index[partition_of_maya(m)]] = c
-        mat.append(col)
-    return rows, cols, mat

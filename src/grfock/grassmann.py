@@ -51,7 +51,7 @@ from itertools import combinations, product
 from . import DEFAULT_POINT_BUDGET, BudgetError  # in __init__: cli needs them, not this module
 # lattice_equal and ext_word_on_key are not called here: perfbench/selftest.py
 # checks that the tracer rebinds these copies of them
-from .exact import _is_prime, lattice_basis, lattice_equal, matmul, minors
+from .exact import _is_prime, lattice_basis, lattice_equal, minors
 from .exterior import ext_word_on_key, sort_with_sign, t_shuffle_matrices
 from .fock import _move
 from .partitions import partitions_of, transpose
@@ -214,22 +214,14 @@ def _plucker_quadric(alpha: tuple, beta: tuple, d: int) -> dict:
 # degree-2 functionals of the KP two-tensors
 
 
-def omega_functional(C: tuple, D: tuple, d: int, n: int) -> dict:
+def _omega_functional(C: tuple, D: tuple, d: int) -> dict:
     """(e*_C (x) e*_D) composed with Omega_d, over ordered pairs.
 
     Coefficient of X_A (x) X_B is <e*_C, e_I ^ e_A> <e*_D, psi*_I e_B>
     summed over d-subsets I; C and D are strictly increasing subsets of 1..n.
+    Only the I in C - D count (an I that meets D gives 0), and each sign is one
+    Clifford move per factor, psi_I on e_A and psi*_I on e_B.
     """
-    for S in (C, D):
-        if tuple(S) != tuple(sorted(set(S))) or not set(S) <= set(range(1, n + 1)):
-            raise ValueError(f"{S} is not a strictly increasing subset of 1..{n}")
-    return _omega_functional(tuple(C), tuple(D), d)
-
-
-def _omega_functional(C: tuple, D: tuple, d: int) -> dict:
-    """omega_functional for valid C and D: I runs over the d-subsets of C - D
-    (an I that meets D gives 0), and each sign is one Clifford move per factor,
-    psi_I on e_A and psi*_I on e_B."""
     out: dict = {}
     cmask = sum(1 << c for c in C)
     dmask = sum(1 << c for c in D)
@@ -329,16 +321,12 @@ def incidence_degree2_ideal_equal(k: int, l: int, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# integer operators and nilpotency
+# integer operators
 
 
-def jordan_matrix(blocks, n: int | None = None) -> tuple:
+def jordan_matrix(blocks) -> tuple:
     """Nilpotent lowering operator with the given Jordan block sizes (T e_1 = 0)."""
-    total = sum(blocks)
-    if n is None:
-        n = total
-    if total != n:
-        raise ValueError(f"Jordan blocks {tuple(blocks)} do not sum to {n}")
+    n = sum(blocks)
     rows = [[0] * n for _ in range(n)]
     start = 0
     for b in blocks:
@@ -346,14 +334,6 @@ def jordan_matrix(blocks, n: int | None = None) -> tuple:
             rows[start + i - 1][start + i] = 1
         start += b
     return tuple(tuple(r) for r in rows)
-
-
-def is_nilpotent(T) -> bool:
-    """Whether T^n = 0 for the n x n matrix T."""
-    M = T
-    for _ in range(len(T) - 1):
-        M = matmul(M, T)
-    return not any(map(any, M))
 
 
 # ---------------------------------------------------------------------------

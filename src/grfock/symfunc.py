@@ -28,7 +28,7 @@ from math import factorial
 from operator import lt
 
 from .exact import IntPoly, SparseVector, det, intpoly_matmul, invert_unitriangular
-from .partitions import Partition, check_partition, is_n_regular, partitions_of
+from .partitions import Partition, check_partition, is_n_regular, multiplicities, partitions_of
 
 
 class DegreeOverflowError(ValueError):
@@ -398,10 +398,7 @@ def det_coeffs_principal_nilpotent(n: int, K: int) -> list:
 
 def z_of(lam: Partition) -> int:
     z = 1
-    mult: dict = {}
-    for part in lam:
-        mult[part] = mult.get(part, 0) + 1
-    for part, m in mult.items():
+    for part, m in multiplicities(lam).items():
         z *= part**m * factorial(m)
     return z
 

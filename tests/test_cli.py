@@ -119,6 +119,30 @@ def test_tangent_enumerates_each_grassmannian_once(monkeypatch, capsys):
     assert sorted(calls) == [(n, k) for n in range(2, 5) for k in range(1, n)]
 
 
+def test_straightening_that_keeps_a_non_regular_partition_fails(monkeypatch, capsys):
+    straighten_coeffs = klmw.straighten_coeffs
+
+    def keeps_11(n, total):
+        table = straighten_coeffs(n, total)
+        if total == 2:
+            table[(1, 1)] = {(1, 1): 1}  # (1, 1) is not 2-regular
+        return table
+
+    monkeypatch.setattr(klmw, "straighten_coeffs", keeps_11)
+    assert cli.main(["straighten", "--n", "2", "--size", "3"]) == 1
+    [check] = json.loads(capsys.readouterr().out)["checks"]
+    assert check["status"] == "fail" and check["witness"]["violations"] == [[1, 1]]
+
+
+def test_a_class_split_over_components_fails_ndominance(monkeypatch, capsys):
+    # with no n-jumps, (2) and (1, 1), one class (2-core (), size 2), lie in two components
+    monkeypatch.setattr(klmw, "n_jump_raises", lambda p, n: ())
+    assert cli.main(["ndominance", "--n", "2", "--size", "2"]) == 1
+    check = json.loads(capsys.readouterr().out)["checks"][-1]
+    assert check["name"] == "ndominance-n2-size2" and check["status"] == "fail"
+    assert check["witness"]["split_classes"] == [{"class": [[], 2], "members": [[1, 1], [2]]}]
+
+
 def test_invariant_failure_exits_1_with_json_on_stderr(monkeypatch, capsys):
     # D[0][0] = t is not an integer at a cube root of unity
     monkeypatch.setattr(symfunc, "kf_transition_matrices", kf_with_d00_equal_to_t)
@@ -170,6 +194,41 @@ def test_unwritable_out_exits_2_with_json_on_stderr(argv, tmp_path, capsys):
     assert captured.out == "" and not out.exists()
     err = json.loads(captured.err)
     assert err["error"] == "usage" and str(out) in err["detail"], err
+
+
+def _recorded(monkeypatch, suite) -> list:
+    """The args of every call to the suite from now on."""
+    calls = []
+    monkeypatch.setitem(cli.SUITES, suite, lambda args: calls.append(args) or [])
+    return calls
+
+
+@pytest.mark.parametrize("argv", [["straighten", "--n", "2", "--size", "2"], ["ndominance"]],
+                         ids=" ".join)
+def test_csv_for_a_suite_without_point_rows_exits_2_before_it_runs(argv, monkeypatch, capsys):
+    calls = _recorded(monkeypatch, argv[0])
+    assert cli.main(argv + ["--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and calls == []
+    err = json.loads(captured.err)
+    assert err["error"] == "usage" and "--format csv" in err["detail"], err
+
+
+def test_unwritable_out_exits_2_before_the_suite_runs(tmp_path, monkeypatch, capsys):
+    calls = _recorded(monkeypatch, "straighten")
+    out = tmp_path / "missing" / "x.json"
+    assert cli.main(["straighten", "--out", str(out)]) == 2
+    assert calls == [] and not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage" and str(out) in err["detail"], err
+
+
+def test_out_is_neither_created_nor_truncated_by_a_usage_error(tmp_path, capsys):
+    kept, new = tmp_path / "kept.json", tmp_path / "new.json"
+    kept.write_text("kept", encoding="utf-8")
+    assert cli.main(["straighten", "--n", "1", "--out", str(kept)]) == 2
+    assert cli.main(["straighten", "--n", "1", "--out", str(new)]) == 2
+    assert kept.read_text(encoding="utf-8") == "kept" and not new.exists()
 
 
 # The grfock modules a process loads: after ``import grfock.cli`` alone, and

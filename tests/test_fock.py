@@ -8,7 +8,6 @@ from grfock.fock import (
     basis_vector,
     monomial_operator,
     multiply_p_times_m,
-    operator_matrix,
     pairing,
     psi,
     psi_key,
@@ -182,8 +181,8 @@ def test_adjointness_pairing():
                 left = shuffle_adjoint(n, d, dual(lam))
                 for mu in partitions_of(t1 + n * d):
                     rhs = shuffle(n, d, basis_vector(mu))
-                    lhs_val = left.coefficient(maya_of_partition(mu))
-                    rhs_val = rhs.coefficient(maya_of_partition(lam))
+                    lhs_val = left.coeffs.get(maya_of_partition(mu), 0)
+                    rhs_val = rhs.coeffs.get(maya_of_partition(lam), 0)
                     assert lhs_val == rhs_val, (n, d, lam, mu)
 
 
@@ -289,12 +288,6 @@ def test_pairing_orthonormal():
             for mu in partitions_of(total):
                 val = pairing(dual(lam), basis_vector(mu))
                 assert val == (1 if lam == mu else 0)
-
-
-def test_operator_matrix_shapes():
-    rows, cols, mat = operator_matrix(lambda v: shuffle_adjoint(2, 1, v), 0, 2, dual=True)
-    assert rows == ((2,), (1, 1)) and cols == ((),)
-    assert mat == [[-1, 1]]
 
 
 def test_bad_vectors_and_pairings_raise():

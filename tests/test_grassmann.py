@@ -8,6 +8,7 @@ from grfock.exterior import ExtTensor, t_shuffle
 from grfock.grassmann import (
     SubspaceBasis,
     _gather_source,
+    _omega_functional,
     _pair_weight,
     _rank,
     degree2_ideal_equal,
@@ -19,10 +20,8 @@ from grfock.grassmann import (
     incidence_degree2_ideal_equal,
     incidence_quadrics,
     is_invariant,
-    is_nilpotent,
     jordan_matrix,
     omega_bihom_functionals,
-    omega_functional,
     omega_quadric_functionals,
     plucker_quadrics,
     plucker_vector,
@@ -35,18 +34,8 @@ from grfock.partitions import partitions_of, transpose
 from oracles import Fp, in_st, omega_family, quadric_family, unordered, wedge_of_rows
 
 
-def test_jordan_matrix_rejects_blocks_of_the_wrong_size():
-    assert jordan_matrix((2, 1), 3) == ((0, 1, 0), (0, 0, 0), (0, 0, 0))
-    with pytest.raises(ValueError):
-        jordan_matrix((2, 1), 4)
-
-
-def test_is_nilpotent_on_jordan_types_and_non_examples():
-    for n in range(1, 6):
-        for blocks in partitions_of(n):
-            assert is_nilpotent(jordan_matrix(blocks))
-    assert not is_nilpotent(((0, 1), (1, 0)))
-    assert not is_nilpotent(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+def test_jordan_matrix_example():
+    assert jordan_matrix((2, 1)) == ((0, 1, 0), (0, 0, 0), (0, 0, 0))
 
 
 def test_gaussian_binomial():
@@ -149,22 +138,8 @@ def test_graded_degree2_comparison_matches_the_dense_one(n):
             assert incidence_degree2_ideal_equal(k, l, n) == dense[0], (k, l, n)
 
 
-def test_omega_functional_rejects_an_unsorted_D():
-    assert omega_functional((1, 2, 3), (1, 3), 1, 4) == {((1, 3), (1, 2, 3)): 1}
-    with pytest.raises(ValueError):
-        omega_functional((1, 2, 3), (3, 1), 1, 4)
-
-
-@pytest.mark.parametrize("C, D", [
-    ((1, 2, 3), (1, 1)),  # a repeated index in D
-    ((3, 2, 1), (1,)),    # C decreasing
-    ((1, 1, 2), (3,)),    # a repeated index in C
-    ((1, 2, 9), (3,)),    # C leaves 1..4
-    ((1, 2, 3), (0,)),    # D leaves 1..4
-])
-def test_omega_functional_rejects_sets_that_are_not_increasing_subsets(C, D):
-    with pytest.raises(ValueError):
-        omega_functional(C, D, 1, 4)
+def test_omega_functional_example():
+    assert _omega_functional((1, 2, 3), (1, 3), 1) == {((1, 3), (1, 2, 3)): 1}
 
 
 def _rank_modp(rows, p):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from grfock import klmw
@@ -19,6 +22,20 @@ def test_straighten_trace_repeats_across_calls():
     second = straighten_coeffs(2, 4, second_trace)
     assert (second, second_trace) == (first, first_trace)
     assert [step[0] for step in first_trace] == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+# sha256 of every straightening table for n = 2 up to size 18 and n = 3 up to
+# size 14, as canonical JSON; the straighten suite's report holds only whether
+# each table is sound, so a wrong coefficient moves this digest and no report
+STRAIGHTENING_VALUES = "c15765630e21614226b04d7e7c0ac696fbbdbfa3e8d71194ef5925289a2247e2"
+
+
+def test_straightening_values_are_pinned():
+    tables = [[n, s, [[list(lam), [[list(q), c] for q, c in sorted(coeffs.items())]]
+                      for lam, coeffs in sorted(straighten_coeffs(n, s).items())]]
+              for n, smax in ((2, 18), (3, 14)) for s in range(smax + 1)]
+    canonical = json.dumps(tables, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == STRAIGHTENING_VALUES
 
 
 def test_straightening_out_of_mlex_order_raises(monkeypatch):

@@ -36,8 +36,6 @@ PINNED_ONLY_BY_TESTS = {
     "fock.alpha": "test_fock.py::test_shuffles_and_alpha_match_the_oracle",
     "fock.shuffle": "test_fock.py::test_shuffles_and_alpha_match_the_oracle",
     "fock.pairing": "test_fock.py::test_pairing_orthonormal",
-    "fock.FockVector.coefficient": "test_fock.py::test_adjointness_pairing",
-    "fock.operator_matrix": "test_fock.py::test_operator_matrix_shapes",
     # symmetric functions: the Schur expansion and the twist checked against
     # Jacobi-Trudi and the polynomial model, Kostka-Foulkes cell by cell
     "symfunc.SymPoly.__post_init__": "test_symfunc.py::test_basis_examples",
@@ -53,7 +51,8 @@ PINNED_ONLY_BY_TESTS = {
     "symfunc.frobenius_twist": "test_symfunc.py::test_frobenius_twist_examples",
     "symfunc.kostka_foulkes": "test_symfunc.py::test_kostka_foulkes_examples",
     "symfunc.charge": "test_symfunc.py::test_charge_matches_the_scanning_oracle",
-    # scalars: Z[t] arithmetic
+    # scalars: Z[t] arithmetic, and the integer matrix products of sym_operator_apply
+    "exact.matmul": "test_exact.py::test_matmul_and_inversion_reject_bad_shapes",
     "exact.IntPoly.t": "test_exact.py::test_intpoly_basics",
     "exact.IntPoly._lift": "test_exact.py::test_intpoly_basics",
     "exact.IntPoly.__add__": "test_exact.py::test_intpoly_basics",
@@ -64,12 +63,6 @@ PINNED_ONLY_BY_TESTS = {
     # bindings the benchmark's tracer times, and the Maya-diagram helpers
     "exact.lattice_equal": "test_exact.py::test_lattice_equal_examples",
     "grassmann.plucker_vector": "test_minors.py::test_plucker_vector_matches_leibniz_mod_p",
-    # every suite's operator is a jordan_matrix, nilpotent by construction, so no
-    # suite tests nilpotency, the one suite use of integer matrix products
-    "grassmann.is_nilpotent": "test_grassmann.py::test_is_nilpotent_on_jordan_types_and_non_examples",
-    "exact.matmul": "test_exact.py::test_matmul_and_inversion_reject_bad_shapes",
-    # the checked entry point; the suites build C and D valid and skip the check
-    "grassmann.omega_functional": "test_grassmann.py::test_omega_functional_rejects_an_unsorted_D",
     "exact.lattice_rank": "test_exact.py::test_lattice_basis_gives_rank_and_equality",
     "fock.psi_key": "test_fock.py::test_generators_match_the_oracle",
     "fock.psi_star_key": "test_fock.py::test_generators_match_the_oracle",
@@ -106,6 +99,15 @@ def test_every_per_layer_metric_names_a_function_that_exists(monkeypatch):
     for workload in run.WORKLOADS.values():
         table = layers.per_layer(record, workload.argv[0])
         assert [m for m, (value, _) in table.items() if value is None] == [], workload.argv
+
+
+def test_every_benchmark_workload_reports_its_pinned_digest(monkeypatch, capsys):
+    # the benchmark refuses a sample whose report digest drifts; see it here first
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    run = importlib.import_module("run")
+    for workload in run.WORKLOADS.values():
+        assert cli.main(list(workload.argv)) == 0
+        assert run.report_digest(capsys.readouterr().out.encode()) == workload.digest, workload.argv
 
 
 def test_grassmann_keeps_the_bindings_the_benchmark_selftest_asserts():
