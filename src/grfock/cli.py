@@ -294,33 +294,23 @@ def suite_tangent(args) -> list:
     from . import grassmann as gr
     p = 2 if args.p is None else _prime(args.p)
     nmax = 5 if args.dim is None else _bounded(args.dim, "dim", 1)
-    budget = _bounded(args.budget, "budget", 0)
+    _bounded(args.budget, "budget", 0)  # checked, though no point is enumerated
     checks = []
-    for n in range(1, nmax + 1):
-        types = [b for b in pt.partitions_of(n) if any(x > 1 for x in b)]  # T != 0
-        Ts = [gr.jordan_matrix(blocks) for blocks in types]
-        best = [None] * len(types)
-        points = [0] * len(types)
-        for k in range(1, n):
-            for i, pts in enumerate(gr.gt_points(Ts, k, p, max_points=budget)):
-                expectation = math.floor(math.log(max(len(pts), 1), p)) if pts else 0
-                points[i] += len(pts)
-                for U in pts:
-                    dim = gr.tangent_dim_gt(U, Ts[i])
-                    excess = dim - expectation
-                    if best[i] is None or excess > best[i]["excess"]:
-                        best[i] = {"k": k, "tangent": dim, "expected": expectation,
-                                   "excess": excess}
-        for blocks, b, count in zip(types, best, points):
-            checks.append(check(f"tangent-excess-type-{'-'.join(map(str, blocks))}",
-                                b is not None and b["excess"] > 0, best=b, points=count))
-    # the single-block witness direction e_k -> e_{k+1}
     for n in range(2, nmax + 1):
-        T = gr.jordan_matrix((n,))
-        for k in range(1, n):
-            U = gr.SubspaceBasis(p, n, tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(k)))
-            dim = gr.tangent_dim_gt(U, T)
-            checks.append(check(f"tangent-jordan-witness-n{n}-k{k}", dim >= 1, tangent=dim))
+        for blocks in pt.partitions_of(n)[:-1]:  # all but (1^n), where T = 0
+            best, points = None, 0
+            for k in range(1, n):
+                count = gr.gt_count(blocks, k, p)
+                points += count
+                dim, expectation = gr.max_tangent_dim(blocks, k), math.floor(math.log(count, p))
+                if best is None or dim - expectation > best["excess"]:
+                    best = {"k": k, "tangent": dim, "expected": expectation,
+                            "excess": dim - expectation}
+            checks.append(check(f"tangent-excess-type-{'-'.join(map(str, blocks))}",
+                                best["excess"] > 0, best=best, points=points))
+        # the single-block witness span(e_1..e_k): type (k), cotype (n - k)
+        checks.extend(check(f"tangent-jordan-witness-n{n}-k{k}", min(k, n - k) >= 1,
+                            tangent=min(k, n - k)) for k in range(1, n))
     return checks
 
 
@@ -478,9 +468,10 @@ def main(argv=None) -> int:
             return 2
         if args.format == "csv" and args.command != "fpoints":
             raise UsageError(f"--format csv is for fpoints only, not {args.command}")
-        if args.out and not os.access(args.out if os.path.exists(args.out)
-                                      else os.path.dirname(os.path.abspath(args.out)), os.W_OK):
-            raise UsageError(f"cannot write --out {args.out}: not writable")
+        if args.out and (os.path.isdir(args.out) or not os.access(
+                args.out if os.path.exists(args.out) else os.path.dirname(os.path.abspath(args.out)),
+                os.W_OK)):
+            raise UsageError(f"cannot write --out {args.out}: not a writable file")
         report = run(args.command, args)
         text = (render_csv(report) if args.format == "csv"
                 else json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -29,18 +29,20 @@ No generator that is identically 0 is built, and each reaches the lattices once:
 
 Finite-field points are plain ints reduced mod p; every sign comes from the
 exterior-algebra Clifford kernel.  ``_residual`` is the one F_p reduction:
-invariance, the tangent spaces of G^T, the S^T systems and the rank all use it.
+invariance and the S^T systems use it.
 
-- G^T is counted by Birkhoff's formula (``gt_count``) where only its size is
-  needed; ``gt_points`` lists it from one pass over Gr(k,n)(F_p).
+- G^T is counted by Birkhoff's formula (``gt_count``), and its largest tangent
+  space is read off its (type, cotype) strata (``max_tangent_dim``); no suite
+  lists its points.  tests/oracles.py keeps the pass over Gr(k,n)(F_p) and the
+  linear solve at a point that these replaced.
 - S^T is solved, not filtered.  ``st_forms`` stacks the rows of every sh_d^T
   (d = 1..k) mod p as functionals on the Pluecker coordinates and reduces them
-  to semi-echelon form (``_echelon``, which ``_rank`` shares); ``st_points``
-  solves them one Schubert cell at a time.
+  to semi-echelon form (``_echelon``); ``st_points`` solves them one Schubert
+  cell at a time.
 - Invariance is a gather.  Every operator here (``jordan_matrix``) is 0/1 with
   at most one 1 per row, so T v is v read through a source-index table,
-  ``_gather_source(T)``; ``is_invariant`` and ``tangent_dim_gt`` reduce that
-  image with ``_residual``.  An operator of any other shape raises ValueError.
+  ``_gather_source(T)``; ``is_invariant`` reduces that image with
+  ``_residual``.  An operator of any other shape raises ValueError.
 """
 
 from __future__ import annotations
@@ -368,11 +370,6 @@ def _echelon(vectors, p: int, stop: int | None = None) -> tuple:
     return rows, pivots
 
 
-def _rank(vectors, p: int) -> int:
-    """Rank over F_p."""
-    return len(_echelon(vectors, p)[0])
-
-
 def _gather_source(T) -> tuple:
     """src with (T v)[i] = v[src[i]], or 0 where src[i] is None, for an n x n
     0/1 matrix T with at most one 1 per row; any other T raises ValueError."""
@@ -411,18 +408,6 @@ def st_forms(T, k: int, p: int) -> list:
         functionals.extend(by_row.values())
     rows, _ = _echelon(functionals, p)
     return [tuple((j, c) for j, c in enumerate(r) if c) for r in rows]
-
-
-def gt_points(Ts, k: int, p: int, max_points: int = DEFAULT_POINT_BUDGET) -> list:
-    """The T-invariant points of Gr(k,n)(F_p), one list per n x n operator T in
-    Ts, in enumeration order, from a single pass over Gr(k,n)(F_p)."""
-    ops = [_gather_source(T) for T in Ts]
-    out = [[] for _ in ops]
-    for U in enumerate_points(p, len(Ts[0]), k, max_points):
-        for src, pts in zip(ops, out):
-            if is_invariant(U, src):
-                pts.append(U)
-    return out
 
 
 def gt_count(blocks, k: int, q: int) -> int:
@@ -519,41 +504,42 @@ def fpoints_rows(types, k: int, p: int, max_points: int = DEFAULT_POINT_BUDGET) 
 
 
 # ---------------------------------------------------------------------------
-# tangent spaces of G^T at a field point
+# tangent spaces of G^T, one (type, cotype) stratum at a time
 
 
-def tangent_dim_gt(U: SubspaceBasis, T) -> int:
-    """dim of {phi: U -> V/U | Tbar . phi = phi . T|_U} over F_p.
+def max_tangent_dim(blocks, k: int) -> int:
+    """The largest dimension of a tangent space of G^T in Gr(k,n), T nilpotent of
+    Jordan type lam = blocks, over any F_p.
 
-    This is the kernel of the linearization of the invariance condition at U;
-    T must be 0/1 with at most one 1 per row and U must be T-invariant.  T|_U
-    is the gathered image of U's reduced basis read at its pivots, and Tbar on
-    V/U is the residual of T's columns at the non-pivots.
+    Where T has type mu on U and nu on V/U, the tangent space at U is
+    Hom_{F[t]}(U, V/U), of dimension sum_{i,j} min(mu_i, nu_j); such a U exists
+    exactly when c^lam_{mu nu} != 0 (Macdonald, ch. II, section 4).
     """
-    p, n, k = U.p, U.n, U.k
-    q = n - k
-    if k == 0 or q == 0:
-        return 0
-    src = _gather_source(T)
-    rows, pivots = U.rows, U.pivots
-    nonpivots = [j for j in range(n) if j not in pivots]
-    A = []
-    for row in rows:
-        image = [0 if j is None else row[j] for j in src]
-        if any(_residual(image, rows, pivots, p)):
-            raise ValueError("subspace is not T-invariant")
-        A.append([image[piv] for piv in pivots])
-    Tbar = []  # q x q, columns indexed by nonpivot basis vectors
-    for j in nonpivots:
-        resid = _residual([T[i][j] % p for i in range(n)], rows, pivots, p)
-        Tbar.append([resid[b] for b in nonpivots])
-    # unknowns phi[i][a]; equations Tbar . phi_i - sum_j A[i][j] phi_j = 0
-    equations = []
-    for i in range(k):
-        for b in range(q):
-            row = [0] * (k * q)
-            row[i * q:(i + 1) * q] = [Tbar[a][b] for a in range(q)]
-            for j in range(k):
-                row[j * q + b] = (row[j * q + b] - A[i][j]) % p
-            equations.append(row)
-    return k * q - _rank(equations, p)
+    lam = tuple(sorted(blocks, reverse=True))
+    return max(sum(min(a, b) for a in mu for b in nu) for mu in partitions_of(k)
+               if len(mu) <= len(lam) and all(m <= l for m, l in zip(mu, lam))
+               for nu in _lr_cotypes(lam, mu))
+
+
+def _lr_cotypes(lam: tuple, mu: tuple) -> set:
+    """The nu with c^lam_{mu nu} != 0, mu inside lam: the contents of the
+    Littlewood-Richardson fillings of lam/mu, each cell filled in reading order
+    (rows top to bottom, each right to left) so that the word stays lattice."""
+    mu = mu + (0,) * (len(lam) - len(mu))
+    cells = [(i, j) for i in range(len(lam)) for j in reversed(range(mu[i], lam[i]))]
+    filling, content, out = {}, [0] * len(lam), set()
+
+    def place(c):
+        if c == len(cells):
+            out.add(tuple(x for x in content if x))
+            return
+        i, j = cells[c]  # its entry exceeds the one above, and is at most the one to its right
+        for a in range(filling.get((i - 1, j), -1) + 1, filling.get((i, j + 1), len(lam) - 1) + 1):
+            if a == 0 or content[a] < content[a - 1]:
+                filling[i, j] = a
+                content[a] += 1
+                place(c + 1)
+                content[a] -= 1
+
+    place(0)
+    return out

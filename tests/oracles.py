@@ -1,7 +1,8 @@
 """Oracles that more than one test module compares the package against, the
-per-point S^T filter that the cell-wise solve replaced, the per-triple
-degree-2 generators that the package's generator families replaced, the
-prime-field scalar that the tests over F_p build, and a corrupted
+pass over Gr(k,n)(F_p) and the per-point tangent solve that the (type, cotype)
+strata replaced, the per-point S^T filter that the cell-wise solve replaced,
+the per-triple degree-2 generators that the package's generator families
+replaced, the prime-field scalar that the tests over F_p build, and a corrupted
 Kostka-Foulkes matrix that the klmw and command-line tests both feed in."""
 
 from dataclasses import dataclass, replace
@@ -9,6 +10,7 @@ from itertools import combinations
 
 from grfock.exact import IntPoly, minors
 from grfock.exterior import ExtTensor, ext_word_on_key, sort_with_sign
+from grfock.grassmann import _echelon, _gather_source, _residual, enumerate_points, is_invariant
 from grfock.symfunc import kf_transition_matrices
 
 
@@ -106,6 +108,64 @@ def wedge_of_rows(rows, n, lift=int) -> ExtTensor:
     with the entries lifted into the scalars that ``lift`` makes of an int."""
     coeffs = {tuple(c + 1 for c in cols): m for cols, m in minors(rows, lift(1)).items()}
     return ExtTensor(n, len(rows), coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the points of G^T, and the tangent space of G^T at each
+
+
+def _rank(vectors, p: int) -> int:
+    """Rank over F_p."""
+    return len(_echelon(vectors, p)[0])
+
+
+def gt_points(Ts, k: int, p: int) -> list:
+    """The T-invariant points of Gr(k,n)(F_p), one list per n x n operator T in
+    Ts, in enumeration order, from a single pass over Gr(k,n)(F_p)."""
+    ops = [_gather_source(T) for T in Ts]
+    out = [[] for _ in ops]
+    for U in enumerate_points(p, len(Ts[0]), k):
+        for src, pts in zip(ops, out):
+            if is_invariant(U, src):
+                pts.append(U)
+    return out
+
+
+def tangent_dim_gt(U, T) -> int:
+    """dim of {phi: U -> V/U | Tbar . phi = phi . T|_U} over F_p.
+
+    This is the kernel of the linearization of the invariance condition at U;
+    T must be 0/1 with at most one 1 per row and U must be T-invariant.  T|_U
+    is the gathered image of U's reduced basis read at its pivots, and Tbar on
+    V/U is the residual of T's columns at the non-pivots.
+    """
+    p, n, k = U.p, U.n, U.k
+    q = n - k
+    if k == 0 or q == 0:
+        return 0
+    src = _gather_source(T)
+    rows, pivots = U.rows, U.pivots
+    nonpivots = [j for j in range(n) if j not in pivots]
+    A = []
+    for row in rows:
+        image = [0 if j is None else row[j] for j in src]
+        if any(_residual(image, rows, pivots, p)):
+            raise ValueError("subspace is not T-invariant")
+        A.append([image[piv] for piv in pivots])
+    Tbar = []  # q x q, columns indexed by nonpivot basis vectors
+    for j in nonpivots:
+        resid = _residual([T[i][j] % p for i in range(n)], rows, pivots, p)
+        Tbar.append([resid[b] for b in nonpivots])
+    # unknowns phi[i][a]; equations Tbar . phi_i - sum_j A[i][j] phi_j = 0
+    equations = []
+    for i in range(k):
+        for b in range(q):
+            row = [0] * (k * q)
+            row[i * q:(i + 1) * q] = [Tbar[a][b] for a in range(q)]
+            for j in range(k):
+                row[j * q + b] = (row[j * q + b] - A[i][j]) % p
+            equations.append(row)
+    return k * q - _rank(equations, p)
 
 
 # ---------------------------------------------------------------------------

@@ -9,29 +9,30 @@ from grfock.grassmann import (
     SubspaceBasis,
     _gather_source,
     _omega_functional,
+    _lr_cotypes,
     _pair_weight,
-    _rank,
     degree2_ideal_equal,
     enumerate_points,
     fpoints_rows,
     gaussian_binomial,
     gt_count,
-    gt_points,
     incidence_degree2_ideal_equal,
     incidence_quadrics,
     is_invariant,
     jordan_matrix,
+    max_tangent_dim,
     omega_bihom_functionals,
     omega_quadric_functionals,
     plucker_quadrics,
     plucker_vector,
     st_forms,
     st_points,
-    tangent_dim_gt,
     vectors_over,
 )
 from grfock.partitions import partitions_of, transpose
-from oracles import Fp, in_st, omega_family, quadric_family, unordered, wedge_of_rows
+from grfock.symfunc import s_poly, schur_expand
+from oracles import (Fp, _rank, gt_points, in_st, omega_family, quadric_family, tangent_dim_gt,
+                     unordered, wedge_of_rows)
 
 
 def test_jordan_matrix_example():
@@ -406,3 +407,75 @@ def test_tangent_dim_gt_counts_the_first_order_deformations(p):
             for T, pts in zip(Ts, gt_points(Ts, k, p)):
                 for U in pts:
                     assert _tangent_count(U, T) == p ** tangent_dim_gt(U, T), (T, U)
+
+
+def _jordan_type(ranks) -> tuple:
+    """The Jordan type of a nilpotent map whose j-th power has rank ranks[j],
+    down to rank 0: its transpose has the parts ranks[j] - ranks[j + 1]."""
+    return transpose(tuple(a - b for a, b in zip(ranks, ranks[1:]) if a > b))
+
+
+def _type_and_cotype(U, T):
+    """(Jordan type of T on U, Jordan type of T on V/U), from the ranks over F_p
+    of the powers of T on U's rows and, modulo U, on the unit vectors."""
+    p, n = U.p, U.n
+    on_U, on_V = list(U.rows), [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    sub, quo = [], []
+    for _ in range(n + 1):
+        sub.append(_rank_modp(on_U, p))
+        quo.append(_rank_modp(list(U.rows) + on_V, p) - U.k)
+        on_U, on_V = [_apply(T, v, p) for v in on_U], [_apply(T, v, p) for v in on_V]
+    return _jordan_type(sub), _jordan_type(quo)
+
+
+def _inside(mu, lam) -> bool:
+    return len(mu) <= len(lam) and all(m <= l for m, l in zip(mu, lam))
+
+
+def _gt_strata_cases():
+    """(p, lam, k, T, the points of G^T in Gr(k,n)(F_p)) for every Jordan type lam
+    with n <= 5 at p = 2 and n <= 4 at p = 3, and every k."""
+    for p, nmax in [(2, 5), (3, 4)]:
+        for n in range(1, nmax + 1):
+            types = partitions_of(n)
+            Ts = [jordan_matrix(lam) for lam in types]
+            for k in range(n + 1):
+                for lam, T, pts in zip(types, Ts, gt_points(Ts, k, p)):
+                    yield p, lam, k, T, pts
+
+
+def test_tangent_dim_gt_is_the_dimension_of_hom_from_the_type_to_the_cotype():
+    # at U, with T of type mu on U and nu on V/U, the tangent space of G^T is
+    # Hom_{F[t]}(U, V/U), of dimension sum_{i,j} min(mu_i, nu_j)
+    points = 0
+    for p, lam, k, T, pts in _gt_strata_cases():
+        for U in pts:
+            mu, nu = _type_and_cotype(U, T)
+            assert tangent_dim_gt(U, T) == sum(min(a, b) for a in mu for b in nu), (T, U)
+        points += len(pts)
+    assert points == 1146  # 1,088 with 0 < k < n
+
+
+def test_the_strata_that_occur_are_the_littlewood_richardson_support():
+    # (mu, nu) occurs at a point exactly when c^lam_{mu nu} != 0, and the
+    # largest tangent dimension over the points is the one over the strata
+    for p, lam, k, T, pts in _gt_strata_cases():
+        support = {(mu, nu) for mu in partitions_of(k) if _inside(mu, lam)
+                   for nu in _lr_cotypes(lam, mu)}
+        assert {_type_and_cotype(U, T) for U in pts} == support, (p, lam, k)
+        assert max(tangent_dim_gt(U, T) for U in pts) == max_tangent_dim(lam, k), (p, lam, k)
+
+
+def test_lr_cotypes_are_the_schur_products_that_hold_s_lam():
+    # Jacobi-Trudi, not Littlewood-Richardson fillings: nu is a cotype of mu in
+    # lam exactly when s_lam occurs in s_mu s_nu, in |lam| variables
+    cases = 0
+    for size in range(6):
+        schur = {nu: s_poly(nu, size) for m in range(size + 1) for nu in partitions_of(m)}
+        for lam in partitions_of(size):
+            for mu in [mu for mu in schur if _inside(mu, lam)]:
+                want = {nu for nu in partitions_of(size - sum(mu))
+                        if schur_expand(schur[mu] * schur[nu]).get(lam)}
+                assert _lr_cotypes(lam, mu) == want, (lam, mu)
+                cases += 1
+    assert cases == 110  # 109 with lam != ()

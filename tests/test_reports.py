@@ -40,6 +40,12 @@ HEAVY = {
     "fpoints --p 3 --dim 5": "f53327926809c700dbd2e0f994db9cd3be5c3e171e6b6b6b363ac835c624bc86",
     "fpoints --p 2 --dim 6": "4538e7f8abfffdaa2592490bc889c2149d64a39292a3e7be816cbf34ed9a0b49",
     "tangent --p 2 --dim 6": "c332c189968f7047c23f6797e127078041efbc61518f19bf1ed6138cbcc96c7c",
+    # made by the pass over Gr(k,n)(F_2) that the (type, cotype) strata
+    # replaced, at a size too slow for that pass in tier-1
+    "tangent --p 2 --dim 8 --budget 100000000":
+        "697de04b2620f12b7feb8b13ba998f0ada1597bd573d09e009c2de6e93450d37",
+    "tangent --p 5 --dim 6": "21839b82040a78d90d0cc261b1ee8208dc6f621313d5e6d06315e16425c126ed",
+    "tangent --p 2 --dim 9": "00c02cd7abafd417ff03b9d6627fde82b955e3dd3efa9bba846d6ac9025bb4cc",
     "kf --n 2 --size 9": "e9e7ab21263420a532a2779a712b8096d4a1a8fe587e3611962bfa324b14f089",
     "kf --n 3 --size 9": "7c561213cc8520360070638e38884faf35262f443f20ffa54208a4885ecaccbe",
     "kf --n 2 --size 10": "ade7b55bfc050737302fb82351c0ef48b735d16afff363fee27d1167b40d8467",
