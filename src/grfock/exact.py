@@ -1,32 +1,36 @@
-"""Exact arithmetic kernel: Z[t] with division by a monic divisor and the
-cyclotomic polynomials, the one sparse arithmetic (``SparseVector``, of the
-exterior tensors, the Fock vectors and the symmetric-function polynomials
-``SymPoly``, ``HPoly`` and ``_HSeries``), the one determinant and minor
-routine (``minors``, with ``det`` its entry on a square grid), integer matrices
-with Hermite normal form, and ``matmul``, whose Z[t] case ``intpoly_matmul``
-shares one coefficient-tuple product with unitriangular inversion.  Outside
-Hermite normal form a matrix is a tuple of row tuples.
+"""Exact arithmetic kernel: Z[t] polynomials (``IntPoly``) with division by a
+monic divisor, evaluation and the cyclotomic polynomials, the one sparse
+arithmetic (``SparseVector``, of the exterior tensors, the Fock vectors and the
+symmetric-function polynomials ``SymPoly``, ``HPoly`` and ``_HSeries``), the
+one determinant and minor routine (``minors``, with ``det`` its entry on a
+square grid), integer matrices with Hermite normal form, and ``matmul``.
+Matrices over Z[t] are multiplied and inverted on coefficient tuples
+(``intpoly_matmul``, ``invert_unitriangular``), so ``IntPoly`` itself has no
+ring arithmetic; the tests compute in Z[t] with the subclass ``ZtPoly`` of
+tests/oracles.py.  Outside Hermite normal form a matrix is a tuple of row
+tuples.
 
-The scalar contract.  A scalar is an int, a Fraction, an ``IntPoly``, one of
-the symmetric-function polynomials or any other exact type with ring
-arithmetic; there is no ring descriptor.  Plain ints lift into Fractions,
-``IntPoly`` and the like through all their arithmetic, so 0, 1 and -1 serve as
-zero, unit and sign there.  Into ``SymPoly`` and ``HPoly`` an int lifts only
-through ``*``, as a scale, and into ``_HSeries`` not at all; the ``+``, ``-``
-and ``==`` of all three take only their own type.  That is enough for
-``minors`` and ``det`` given a unit ``one`` of the entry type: every minor
-starts at ``one`` and grows by products with entries, and ``one`` also gives
-the empty minor and the zero determinant their type, which is the one scalar
-role left.  Two different non-int scalar types do not mix: their sum and
-their product raise TypeError.  Every scalar is falsy exactly at zero.  Equality does not lift:
-compare a scalar with one of its own type.
+The scalar contract.  A scalar is an int, a Fraction, one of the
+symmetric-function polynomials or any other exact type with ring arithmetic;
+there is no ring descriptor.  Plain ints lift into Fractions and the like
+through all their arithmetic, so 0, 1 and -1 serve as zero, unit and sign
+there.  Into ``SymPoly`` and ``HPoly`` an int lifts only through ``*``, as a
+scale, and into ``_HSeries`` not at all; the ``+``, ``-`` and ``==`` of all
+three take only their own type.  That is enough for ``minors`` and ``det``
+given a unit ``one`` of the entry type: every minor starts at ``one`` and grows
+by products with entries, and ``one`` also gives the empty minor and the zero
+determinant their type, which is the one scalar role left.  Two different
+non-int scalar types do not mix: their sum and their product raise TypeError.
+Every scalar is falsy exactly at zero.  Equality does not lift: compare a
+scalar with one of its own type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from operator import mul
+
+from . import Record
 
 
 # ---------------------------------------------------------------------------
@@ -55,25 +59,22 @@ def _trim(coeffs) -> tuple:
     return tuple(cs)
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Record):
     """A polynomial over Z in the variable t, low-degree coefficients first.
 
-    No trailing zero coefficients are stored; the zero polynomial is ().
+    No trailing zero coefficients are stored; the zero polynomial is ().  The
+    package only divides by a monic divisor and evaluates; the ring arithmetic
+    of Z[t] lives with the tests that compute in it (tests/oracles.py).
     """
 
-    coeffs: tuple = ()
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
+    def __init__(self, coeffs=()):
+        vars(self)["coeffs"] = _trim(coeffs)
 
     @staticmethod
     def const(c: int) -> "IntPoly":
         return IntPoly((c,))
-
-    @staticmethod
-    def t(power: int = 1, coeff: int = 1) -> "IntPoly":
-        return IntPoly((0,) * power + (coeff,))
 
     @property
     def degree(self) -> int:
@@ -82,51 +83,6 @@ class IntPoly:
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def _lift(self, other):
-        if isinstance(other, int):
-            return IntPoly.const(other)
-        if isinstance(other, IntPoly):
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
-
-    __rmul__ = __mul__
 
     def divmod_monic(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
         """Quotient and remainder by a monic divisor; exact over Z."""
@@ -189,14 +145,23 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
 
 
 class SparseVector:
-    """The arithmetic of a dataclass holding a table ``coeffs`` (key -> nonzero
-    scalar): sum, difference, negation, ``scale``, ``==`` and truth, false
-    exactly at zero.  Its other fields name the space the vector lies in:
-    vectors of one type add only within one space, and never across types.  A
-    subclass that is also a scalar adds its own product."""
+    """The arithmetic of a table ``coeffs`` (key -> nonzero scalar): sum,
+    difference, negation, ``scale``, ``==`` and truth, false exactly at zero.
+    The fields that ``_space_fields`` names fix the space the vector lies in:
+    vectors of one type add only within one space, and never across types.
+    Every result is built through the subclass's constructor, which takes those
+    fields and ``coeffs`` by name, validates the keys and drops the zero
+    coefficients.  A subclass that is also a scalar adds its own product."""
+
+    _space_fields: tuple = ()
 
     def _space(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self) if f.name != "coeffs")
+        return tuple([getattr(self, name) for name in self._space_fields])
+
+    def _like(self, coeffs):
+        """A vector of this type and space with the given table."""
+        space = {name: getattr(self, name) for name in self._space_fields}
+        return type(self)(coeffs=coeffs, **space)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -209,7 +174,7 @@ class SparseVector:
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
             out[key] = out[key] + c if key in out else c
-        return replace(self, coeffs=out)
+        return self._like(out)
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -220,7 +185,7 @@ class SparseVector:
         return self.scale(-1)
 
     def scale(self, c):
-        return replace(self, coeffs={key: c * v for key, v in self.coeffs.items()})
+        return self._like({key: c * v for key, v in self.coeffs.items()})
 
     def __eq__(self, other):
         return (type(other) is type(self) and self._space() == other._space()
@@ -269,15 +234,15 @@ def det(grid, one=1):
 # integer matrices and Hermite normal form
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    rows: int
-    cols: int
-    entries: tuple  # tuple of row tuples of ints
+class IntMatrix(Record):
+    """A rows x cols integer matrix, as a tuple of row tuples of ints."""
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError(f"entries do not form a {self.rows} x {self.cols} matrix")
+    _fields = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        if len(entries) != rows or any(len(r) != cols for r in entries):
+            raise ValueError(f"entries do not form a {rows} x {cols} matrix")
+        vars(self).update(rows=rows, cols=cols, entries=entries)
 
     @staticmethod
     def from_rows(rows, cols: int | None = None) -> "IntMatrix":

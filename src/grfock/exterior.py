@@ -23,7 +23,6 @@ tensors with, lives in tests/oracles.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .exact import SparseVector, matmul, minors
@@ -99,41 +98,35 @@ def sort_with_sign(seq) -> tuple[int, tuple] | None:
 # tensors
 
 
-@dataclass(eq=False)
 class ExtTensor(SparseVector):
     """Element of the k-th exterior power of an n-dimensional space."""
 
-    n: int
-    k: int
-    coeffs: dict = field(default_factory=dict)  # sorted k-tuple of 1..n -> scalar
+    _space_fields = ("n", "k")
 
-    def __post_init__(self):
-        clean = {}
-        for key, c in self.coeffs.items():
-            if len(key) != self.k or list(key) != sorted(key) or not all(0 < i <= self.n for i in key):
-                raise ValueError(f"key {key} is not a sorted {self.k}-tuple from 1..{self.n}")
+    def __init__(self, n: int, k: int, coeffs: dict | None = None):
+        clean = {}  # sorted k-tuple of 1..n -> scalar
+        for key, c in (coeffs or {}).items():
+            if len(key) != k or list(key) != sorted(key) or not all(0 < i <= n for i in key):
+                raise ValueError(f"key {key} is not a sorted {k}-tuple from 1..{n}")
             if c:
                 clean[key] = c
-        self.coeffs = clean
+        self.n, self.k, self.coeffs = n, k, clean
 
 
-@dataclass(eq=False)
 class TwoTensor(SparseVector):
     """Element of (k-th wedge) tensor (l-th wedge) of one n-dimensional space."""
 
-    n: int
-    degrees: tuple  # (k, l)
-    coeffs: dict = field(default_factory=dict)  # (k-key, l-key) -> scalar
+    _space_fields = ("n", "degrees")
 
-    def __post_init__(self):
-        k, l = self.degrees
-        clean = {}
-        for (a, b), c in self.coeffs.items():
+    def __init__(self, n: int, degrees: tuple, coeffs: dict | None = None):
+        k, l = degrees
+        clean = {}  # (k-key, l-key) -> scalar
+        for (a, b), c in (coeffs or {}).items():
             if len(a) != k or len(b) != l:
                 raise ValueError(f"key {(a, b)} does not have degrees {(k, l)}")
             if c:
                 clean[(a, b)] = c
-        self.coeffs = clean
+        self.n, self.degrees, self.coeffs = n, degrees, clean
 
 
 def _pair_keys(out: dict) -> dict:

@@ -24,7 +24,6 @@ and the bead lookups it uses in tests/oracles.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .exact import SparseVector
@@ -37,20 +36,18 @@ from .partitions import (
 )
 
 
-@dataclass(eq=False)
 class FockVector(SparseVector):
     """Finitely supported coefficient table over Maya diagrams of one charge."""
 
-    charge: int
-    coeffs: dict = field(default_factory=dict)  # MayaDiagram -> scalar
-    dual: bool = False
+    _space_fields = ("charge", "dual")
 
-    def __post_init__(self):
-        for m in self.coeffs:
-            if m.charge != self.charge:
-                raise ValueError(f"diagram of charge {m.charge} in a charge-{self.charge} vector")
-        if not all(self.coeffs.values()):
-            self.coeffs = {m: c for m, c in self.coeffs.items() if c}
+    def __init__(self, charge: int, coeffs: dict | None = None, dual: bool = False):
+        coeffs = coeffs or {}  # MayaDiagram -> scalar
+        for m in coeffs:
+            if m.charge != charge:
+                raise ValueError(f"diagram of charge {m.charge} in a charge-{charge} vector")
+        self.charge, self.dual = charge, dual
+        self.coeffs = coeffs if all(coeffs.values()) else {m: c for m, c in coeffs.items() if c}
 
 
 def basis_vector(p: Partition, dual: bool = False) -> FockVector:

@@ -47,10 +47,9 @@ invariance and the S^T systems use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from . import DEFAULT_POINT_BUDGET, BudgetError  # in __init__: cli needs them, not this module
+from . import DEFAULT_POINT_BUDGET, BudgetError, Record  # in __init__: cli needs them, not this module
 # lattice_equal and ext_word_on_key are not called here: perfbench/selftest.py
 # checks that the tracer rebinds these copies of them
 from .exact import _is_prime, lattice_basis, lattice_equal, minors
@@ -78,18 +77,14 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 # subspaces over F_p as reduced-echelon row tuples
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Reduced row echelon basis of a k-plane in F_p^n; any other rows raise
-    ValueError."""
+class SubspaceBasis(Record):
+    """Reduced row echelon basis of a k-plane in F_p^n, ``rows`` k row tuples of
+    ints in [0, p); any other rows raise ValueError.  ``pivots`` holds the
+    leading column of each row, and equality and hashing leave it out."""
 
-    p: int
-    n: int
-    rows: tuple  # k row tuples of ints in [0, p)
-    pivots: tuple = field(init=False, repr=False, compare=False)  # leading column per row
+    _fields = ("p", "n", "rows")
 
-    def __post_init__(self):
-        p, n, rows = self.p, self.n, self.rows
+    def __init__(self, p: int, n: int, rows: tuple):
         pivots = []
         for row in rows:
             if len(row) != n or min(row) < 0 or max(row) >= p:
@@ -104,7 +99,7 @@ class SubspaceBasis:
         # are unit vectors exactly when they hold k in all
         if sum([r[j] for r in rows for j in pivots]) != len(rows):
             raise ValueError(f"pivot columns {tuple(pivots)} are not unit vectors")
-        object.__setattr__(self, "pivots", tuple(pivots))
+        vars(self).update(p=p, n=n, rows=rows, pivots=tuple(pivots))
 
     @property
     def k(self) -> int:

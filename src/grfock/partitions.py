@@ -15,10 +15,11 @@ the bead-list oracle of the Fock space (tests/test_fock.py) composes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import lt
+
+from . import Record
 
 
 Partition = tuple  # tuple[int, ...], weakly decreasing, strictly positive entries
@@ -88,15 +89,13 @@ def n_regular_partitions(n: int, total: int) -> tuple[Partition, ...]:
 # Maya diagrams
 
 
-@dataclass(frozen=True)
-class MayaDiagram:
+class MayaDiagram(Record):
     """Bead positions i_k = (k-1) + charge - mu_k, mu a partition."""
 
-    charge: int
-    mu: Partition
+    _fields = ("charge", "mu")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", check_partition(self.mu))
+    def __init__(self, charge: int, mu: Partition):
+        vars(self).update(charge=charge, mu=check_partition(mu))
 
     def bead(self, k: int) -> int:
         """Position of the k-th bead, k >= 1; strictly increasing in k."""

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
 from operator import lt
 
+from . import Record
 from .exact import IntPoly, SparseVector, det, intpoly_matmul, invert_unitriangular
 from .partitions import Partition, check_partition, is_n_regular, multiplicities, partitions_of
 
@@ -39,25 +39,23 @@ class DegreeOverflowError(ValueError):
 # symmetric polynomials
 
 
-@dataclass(eq=False)
 class SymPoly(SparseVector):
     """Sparse symmetric polynomial in nvars variables, of total degree <= nvars:
     the stable range, where the monomial coefficients agree with those of the
     abstract symmetric function."""
 
-    nvars: int
-    coeffs: dict = field(default_factory=dict)  # exponent tuple -> coefficient
+    _space_fields = ("nvars",)
 
-    def __post_init__(self):
-        clean = {}
-        for exp, c in self.coeffs.items():
-            if len(exp) != self.nvars:
-                raise ValueError(f"exponent {exp} does not have {self.nvars} variables")
-            if sum(exp) > self.nvars:
-                raise DegreeOverflowError(f"monomial {exp} leaves the stable range of {self.nvars} variables")
+    def __init__(self, nvars: int, coeffs: dict | None = None):
+        clean = {}  # exponent tuple -> coefficient
+        for exp, c in (coeffs or {}).items():
+            if len(exp) != nvars:
+                raise ValueError(f"exponent {exp} does not have {nvars} variables")
+            if sum(exp) > nvars:
+                raise DegreeOverflowError(f"monomial {exp} leaves the stable range of {nvars} variables")
             if c:
                 clean[exp] = c
-        self.coeffs = clean
+        self.nvars, self.coeffs = nvars, clean
 
     def __mul__(self, other) -> "SymPoly":
         if isinstance(other, int):
@@ -269,17 +267,20 @@ def kostka_foulkes(lam: Partition, mu: Partition) -> IntPoly:
     return _kf_column(mu, lam).get(lam, IntPoly())
 
 
-@dataclass(frozen=True)
-class KFMatrices:
-    """Kostka-Foulkes transition data at one size: K, C = K^-1, A, B, D = A B."""
+class KFMatrices(Record):
+    """Kostka-Foulkes transition data at one size: K, C = K^-1, A, B, D = A B.
 
-    labels: tuple            # all partitions of the size, dominance-compatible order
-    regular_labels: tuple    # the n-regular ones, same order
-    K: tuple                 # rows and columns indexed by labels
-    C: tuple                 # rows and columns indexed by labels
-    A: tuple                 # rows and columns indexed by regular_labels
-    B: tuple                 # rows indexed by regular_labels, columns by labels
-    D: tuple                 # rows indexed by regular_labels, columns by labels
+    ``labels`` are all partitions of the size in a dominance-compatible order
+    and ``regular_labels`` the n-regular ones in the same order.  K and C have
+    rows and columns indexed by labels, A both by regular_labels, and B and D
+    rows by regular_labels and columns by labels.
+    """
+
+    _fields = ("labels", "regular_labels", "K", "C", "A", "B", "D")
+
+    def __init__(self, labels: tuple, regular_labels: tuple, K: tuple, C: tuple, A: tuple,
+                 B: tuple, D: tuple):
+        vars(self).update(labels=labels, regular_labels=regular_labels, K=K, C=C, A=A, B=B, D=D)
 
 
 def kostka_foulkes_matrix(total: int) -> tuple:
@@ -304,16 +305,13 @@ def kf_transition_matrices(total: int, n: int, table=None) -> KFMatrices:
 # polynomials in the h-generators
 
 
-@dataclass(eq=False)
 class HPoly(SparseVector):
     """Sparse polynomial in formal generators h_1, h_2, ...; a key is a tuple of
     (index, exponent) pairs sorted by index."""
 
-    coeffs: dict = field(default_factory=dict)  # key -> coefficient
-
-    def __post_init__(self):
-        if not all(self.coeffs.values()):
-            self.coeffs = {k: c for k, c in self.coeffs.items() if c}
+    def __init__(self, coeffs: dict | None = None):
+        coeffs = coeffs or {}  # key -> coefficient
+        self.coeffs = coeffs if all(coeffs.values()) else {k: c for k, c in coeffs.items() if c}
 
     @staticmethod
     def const(c) -> "HPoly":
@@ -351,18 +349,17 @@ class HPoly(SparseVector):
         return " + ".join(parts)
 
 
-@dataclass(eq=False)
 class _HSeries(SparseVector):
     """A power series in s with HPoly coefficients, truncated after s^K."""
 
-    K: int
-    coeffs: dict = field(default_factory=dict)  # power of s -> HPoly
+    _space_fields = ("K",)
 
-    def __post_init__(self):
-        if not all(0 <= w <= self.K for w in self.coeffs):
-            raise ValueError(f"powers {sorted(self.coeffs)} of s outside 0..{self.K}")
-        if not all(self.coeffs.values()):
-            self.coeffs = {w: a for w, a in self.coeffs.items() if a}
+    def __init__(self, K: int, coeffs: dict | None = None):
+        coeffs = coeffs or {}  # power of s -> HPoly
+        if not all(0 <= w <= K for w in coeffs):
+            raise ValueError(f"powers {sorted(coeffs)} of s outside 0..{K}")
+        self.K = K
+        self.coeffs = coeffs if all(coeffs.values()) else {w: a for w, a in coeffs.items() if a}
 
     def __mul__(self, other):
         if not isinstance(other, _HSeries):

@@ -2,16 +2,17 @@
 pass over Gr(k,n)(F_p) and the per-point tangent solve that the (type, cotype)
 strata replaced, the per-point S^T filter that the cell-wise solve replaced,
 the per-triple degree-2 generators that the package's generator families
-replaced, the prime-field scalar that the tests over F_p build, and a corrupted
-Kostka-Foulkes matrix that the klmw and command-line tests both feed in."""
+replaced, the prime-field scalar that the tests over F_p build, the ring
+arithmetic of Z[t] that the tests compute with, and a corrupted Kostka-Foulkes
+matrix that the klmw and command-line tests both feed in."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 from grfock.exact import IntPoly, minors
 from grfock.exterior import ExtTensor, ext_word_on_key, sort_with_sign
 from grfock.grassmann import _echelon, _gather_source, _residual, enumerate_points, is_invariant
-from grfock.symfunc import kf_transition_matrices
+from grfock.symfunc import KFMatrices, kf_transition_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +74,73 @@ class Fp:
 
     def __repr__(self):
         return f"{self.value}%{self.p}"
+
+
+# ---------------------------------------------------------------------------
+# the ring Z[t]; the package's IntPoly only divides by a monic divisor and evaluates
+
+
+class ZtPoly(IntPoly):
+    """An IntPoly with the ring arithmetic of Z[t]: sum, difference, negation
+    and product, with ints and any IntPoly lifting into it.  It equals every
+    IntPoly with its coefficients, so the package's results compare with it."""
+
+    @staticmethod
+    def const(c: int) -> "ZtPoly":
+        return ZtPoly((c,))
+
+    @staticmethod
+    def t(power: int = 1, coeff: int = 1) -> "ZtPoly":
+        return ZtPoly((0,) * power + (coeff,))
+
+    @staticmethod
+    def _lift(other):
+        if isinstance(other, int):
+            return ZtPoly((other,))
+        return ZtPoly(other.coeffs) if isinstance(other, IntPoly) else None
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if isinstance(other, IntPoly) else NotImplemented
+
+    __hash__ = IntPoly.__hash__
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        a, b = self.coeffs, o.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return ZtPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ZtPoly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        if not self.coeffs or not o.coeffs:
+            return ZtPoly()
+        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(o.coeffs):
+                    out[i + j] += a * b
+        return ZtPoly(out)
+
+    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------
@@ -253,5 +321,5 @@ def omega_family(k: int, l: int, n: int) -> list:
 def kf_with_d00_equal_to_t(total, n, table=None):
     """kf_transition_matrices(total, n, table) with D[0][0] replaced by t."""
     kf = kf_transition_matrices(total, n, table)
-    row0 = (IntPoly.t(),) + kf.D[0][1:]
-    return replace(kf, D=(row0,) + kf.D[1:])
+    row0 = (IntPoly((0, 1)),) + kf.D[0][1:]
+    return KFMatrices(kf.labels, kf.regular_labels, kf.K, kf.C, kf.A, kf.B, (row0,) + kf.D[1:])

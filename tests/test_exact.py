@@ -17,9 +17,10 @@ from grfock.exact import (
 )
 from grfock.exterior import ExtTensor, TwoTensor
 from grfock.fock import FockVector
-from grfock.partitions import maya_of_partition
-from grfock.symfunc import HPoly, SymPoly, _HSeries
-from oracles import Fp
+from grfock.grassmann import SubspaceBasis
+from grfock.partitions import MayaDiagram, maya_of_partition
+from grfock.symfunc import HPoly, SymPoly, _HSeries, kf_transition_matrices
+from oracles import Fp, ZtPoly
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +59,7 @@ def test_prime_field_rejects_mixed_rings():
 
 
 def test_intpoly_basics():
-    t = IntPoly.t()
+    t = ZtPoly.t()
     assert (t + 1) * (t - 1) == IntPoly((-1, 0, 1))
     assert IntPoly((0, 0, 0)) == IntPoly()
     assert (t * t - 1).divmod_monic(t - 1) == (t + 1, IntPoly())
@@ -71,9 +72,9 @@ def test_cyclotomic_examples():
     assert cyclotomic_polynomial(4) == IntPoly((1, 0, 1))
     assert cyclotomic_polynomial(6) == IntPoly((1, -1, 1))
     # n=2: t -> -1
-    assert IntPoly.t().divmod_monic(cyclotomic_polynomial(2))[1] == IntPoly((-1,))
+    assert ZtPoly.t().divmod_monic(cyclotomic_polynomial(2))[1] == IntPoly((-1,))
     # n=3: t^3 -> 1
-    assert IntPoly.t(3).divmod_monic(cyclotomic_polynomial(3))[1] == IntPoly((1,))
+    assert ZtPoly.t(3).divmod_monic(cyclotomic_polynomial(3))[1] == IntPoly((1,))
     # n=4: t^2+1 -> 0
     assert not IntPoly((1, 0, 1)).divmod_monic(cyclotomic_polynomial(4))[1]
 
@@ -85,7 +86,7 @@ def test_cyclotomic_prime_geometric_sum(n):
 
 
 def test_residues_mod_phi3():
-    t, phi = IntPoly.t(), cyclotomic_polynomial(3)
+    t, phi = ZtPoly.t(), cyclotomic_polynomial(3)
     assert not (t * t + t + 1).divmod_monic(phi)[1]
     assert (t * t * t).divmod_monic(phi)[1] == IntPoly((1,))
     # t^2 is not an integer at a primitive cube root of unity
@@ -204,17 +205,17 @@ def test_hnf_preserves_row_space(vectors):
 
 
 def _poly_matrix_from_ints(rows):
-    return tuple(tuple(IntPoly.const(x) if isinstance(x, int) else x for x in row) for row in rows)
+    return tuple(tuple(ZtPoly.const(x) if isinstance(x, int) else x for x in row) for row in rows)
 
 
 def test_invert_unitriangular_examples():
-    t = IntPoly.t()
+    t = ZtPoly.t()
     ident = _poly_matrix_from_ints([[1, 0], [0, 1]])
     assert invert_unitriangular(ident) == ident
     m = _poly_matrix_from_ints([[1, t], [0, 1]])
     inv = invert_unitriangular(m)
     assert inv == ((IntPoly((1,)), -t), (IntPoly(), IntPoly((1,))))
-    assert matmul(m, inv, IntPoly()) == ident
+    assert matmul(m, inv, ZtPoly()) == ident
     with pytest.raises(ValueError):
         invert_unitriangular(_poly_matrix_from_ints([[2, 0], [0, 1]]))
     with pytest.raises(ValueError):
@@ -229,18 +230,18 @@ def test_invert_unitriangular_random(size, data):
         row = []
         for j in range(size):
             if j < i:
-                row.append(IntPoly())
+                row.append(ZtPoly())
             elif j == i:
-                row.append(IntPoly.const(1))
+                row.append(ZtPoly.const(1))
             else:
                 deg = data.draw(st.integers(min_value=0, max_value=4))
                 coeffs = data.draw(
                     st.lists(st.integers(min_value=-4, max_value=4), min_size=deg + 1, max_size=deg + 1))
-                row.append(IntPoly(coeffs))
+                row.append(ZtPoly(coeffs))
         rows.append(tuple(row))
     m = tuple(rows)
     inv = invert_unitriangular(m)
-    prod = matmul(m, inv, IntPoly())
+    prod = matmul(m, inv, ZtPoly())
     for i in range(size):
         for j in range(size):
             expected = IntPoly.const(1) if i == j else IntPoly()
@@ -251,7 +252,7 @@ def test_invert_unitriangular_degree2_kostka():
     # rows (2), (1,1): K = [[1, t], [0, 1]] from the charge statistic
     from grfock.symfunc import kostka_foulkes
 
-    t = IntPoly.t()
+    t = ZtPoly.t()
     assert kostka_foulkes((2,), (1, 1)) == t
     assert kostka_foulkes((2,), (2,)) == IntPoly((1,))
     m = _poly_matrix_from_ints([[1, t], [0, 1]])
@@ -330,3 +331,66 @@ def test_sparse_vectors_share_one_arithmetic():
         with pytest.raises(TypeError):
             v + w
 
+
+
+
+# ---------------------------------------------------------------------------
+# the record classes: equality, hashing, frozen fields, validating constructors
+
+
+def test_record_classes_keep_their_contracts():
+    kf = kf_transition_matrices(2, 2)
+    # the frozen ones: (record, the tuple of its compared fields, another of its class)
+    records = [
+        (IntPoly((1, 0, 2, 0)), ((1, 0, 2),), IntPoly((1, 0, 3))),
+        (IntMatrix(1, 2, ((1, 2),)), (1, 2, ((1, 2),)), IntMatrix.from_rows([[1, 3]])),
+        (MayaDiagram(1, [2, 1]), (1, (2, 1)), MayaDiagram(0, (2, 1))),
+        (SubspaceBasis(3, 3, ((1, 0, 2), (0, 1, 1))), (3, 3, ((1, 0, 2), (0, 1, 1))),
+         SubspaceBasis(3, 3, ((1, 0, 0), (0, 1, 1)))),
+        (kf, (kf.labels, kf.regular_labels, kf.K, kf.C, kf.A, kf.B, kf.D),
+         kf_transition_matrices(2, 3)),
+    ]
+    for x, fields, other in records:
+        copy = type(x)(*fields)
+        assert x == copy and not x != copy and x is not copy
+        assert x != other and not x == other and x != fields
+        assert hash(x) == hash(copy) == hash(fields)
+        name = next(iter(vars(x)))
+        with pytest.raises(AttributeError):
+            setattr(x, name, fields[0])
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+        assert type(x)(*fields) == x  # neither attempt changed a field
+    # a SubspaceBasis compares and hashes without its pivots
+    basis, fields, _ = records[3]
+    odd = SubspaceBasis(*fields)
+    vars(odd)["pivots"] = (2, 1)
+    assert basis.pivots == (0, 1) and odd == basis and hash(odd) == hash(basis)
+    # the sparse vectors: zeros dropped, one space per sum
+    for v in _one_vector_of_each_type():
+        key, c = next(iter(v.coeffs.items()))
+        space = dict(zip(v._space_fields, v._space()))
+        assert type(v)(coeffs=dict(v.coeffs), **space) == v
+        assert key not in type(v)(coeffs={**v.coeffs, key: c - c}, **space).coeffs
+        assert not v.scale(0).coeffs and not (v + v.scale(-1)).coeffs
+        for name in space:  # the same table in another space is another vector
+            moved = v._like(v.coeffs)
+            setattr(moved, name, "elsewhere")
+            assert moved != v
+            with pytest.raises(ValueError):
+                v + moved
+    with pytest.raises(ValueError):
+        ExtTensor(3, 1, {(1,): 1}) + ExtTensor(4, 1, {(1,): 1})
+    # every constructor rejects fields that do not fit
+    for build in (lambda: IntMatrix(2, 1, ((1,),)),
+                  lambda: MayaDiagram(0, (1, 2)),
+                  lambda: SubspaceBasis(2, 2, ((0, 1), (1, 0))),
+                  lambda: SubspaceBasis(2, 2, ((1, 2),)),
+                  lambda: ExtTensor(3, 2, {(2, 1): 1}),
+                  lambda: ExtTensor(3, 2, {(1, 4): 1}),
+                  lambda: TwoTensor(3, (1, 1), {((1, 2), (1,)): 1}),
+                  lambda: FockVector(1, {maya_of_partition((1,)): 1}),
+                  lambda: SymPoly(2, {(1,): 1}),
+                  lambda: _HSeries(1, {2: HPoly.gen(1)})):
+        with pytest.raises(ValueError):
+            build()

@@ -5,7 +5,6 @@ from itertools import combinations, product
 
 import pytest
 
-from grfock.exact import IntPoly
 from grfock.exterior import (
     ExtTensor,
     TwoTensor,
@@ -27,7 +26,7 @@ from grfock.exterior import (
     wedge_apply,
     wedge_image,
 )
-from oracles import Fp, wedge_of_rows
+from oracles import Fp, ZtPoly, wedge_of_rows
 
 
 rng = random.Random(2024)
@@ -326,9 +325,9 @@ def test_generating_identity_random():
     for _ in range(25):
         n = rng.randint(2, 5)
         k = rng.randint(1, n)
-        T = rnd_op(n, IntPoly.const)
-        tau = rnd_ext(n, k, IntPoly.const)
-        lhs, rhs = shuffle_generating_identity(T, tau, IntPoly.t())
+        T = rnd_op(n, ZtPoly.const)
+        tau = rnd_ext(n, k, ZtPoly.const)
+        lhs, rhs = shuffle_generating_identity(T, tau, ZtPoly.t())
         assert lhs == rhs
 
 

@@ -6,10 +6,10 @@ from itertools import combinations, permutations
 
 import pytest
 
-from grfock.exact import IntPoly, det, minors
+from grfock.exact import det, minors
 from grfock.grassmann import enumerate_points, plucker_vector
 from grfock.symfunc import HPoly
-from oracles import Fp
+from oracles import Fp, ZtPoly
 
 
 def leibniz_det(grid, one):
@@ -41,7 +41,7 @@ def _random_rows(rng, k, n, entry):
 RINGS = [
     ("ZZ", 1, lambda x: x),
     ("GF(5)", Fp(1, 5), lambda x: Fp(x, 5)),
-    ("ZZ[t]", IntPoly.const(1), lambda x: IntPoly((x, x * x - 2))),
+    ("ZZ[t]", ZtPoly.const(1), lambda x: ZtPoly((x, x * x - 2))),
     # ints lift into HPoly only through *, which the typed one makes enough
     ("ZZ[h]", HPoly.const(1), lambda x: HPoly({(): x, ((1, 1),): x * x - 2})),
 ]
@@ -66,7 +66,7 @@ def test_det_matches_leibniz(name, one, entry):
             assert det(grid, one) == leibniz_det(grid, one), (name, grid)
 
 
-@pytest.mark.parametrize("one", [1, Fp(1, 5), IntPoly.const(1), Fraction(1), HPoly.const(1)])
+@pytest.mark.parametrize("one", [1, Fp(1, 5), ZtPoly.const(1), Fraction(1), HPoly.const(1)])
 def test_minors_of_no_rows_is_the_empty_minor(one):
     assert minors([], one) == {(): one}
     assert det([], one) == one

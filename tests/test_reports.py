@@ -1,7 +1,8 @@
-"""Every suite's report at default parameters is pinned by its digest, and so
-are heavier parameter sets of the Fock-side, finite-field, Clifford,
-Pluecker-ideal, T-shuffle export, divided-power, determinant-identity and
-n-dominance suites, and of the Kostka-Foulkes check at n = 2, 3 and 5.
+"""Every suite's report at default parameters is pinned by its digest (12
+pins), and so are 24 heavier parameter sets: of the Fock-side, finite-field,
+tangent, Clifford, Pluecker-ideal, T-shuffle export, divided-power,
+determinant-identity and n-dominance suites, and of the Kostka-Foulkes check at
+n = 2, 3 and 5.  Only ``signs`` has no heavy pin.
 
 The digest is the sha256 of the report as canonical JSON (sorted keys, no
 whitespace) without its ``wall_time_ms``, the only field that varies between

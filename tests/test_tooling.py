@@ -38,7 +38,7 @@ PINNED_ONLY_BY_TESTS = {
     "fock.pairing": "test_fock.py::test_pairing_orthonormal",
     # symmetric functions: the Schur expansion and the twist checked against
     # Jacobi-Trudi and the polynomial model, Kostka-Foulkes cell by cell
-    "symfunc.SymPoly.__post_init__": "test_symfunc.py::test_basis_examples",
+    "symfunc.SymPoly.__init__": "test_symfunc.py::test_basis_examples",
     "symfunc.SymPoly.__mul__": "test_symfunc.py::test_basis_examples",
     "symfunc._distinct_perms": "test_symfunc.py::test_basis_examples",
     "symfunc.m_poly": "test_symfunc.py::test_basis_examples",
@@ -51,15 +51,12 @@ PINNED_ONLY_BY_TESTS = {
     "symfunc.frobenius_twist": "test_symfunc.py::test_frobenius_twist_examples",
     "symfunc.kostka_foulkes": "test_symfunc.py::test_kostka_foulkes_examples",
     "symfunc.charge": "test_symfunc.py::test_charge_matches_the_scanning_oracle",
-    # scalars: Z[t] arithmetic, and the integer matrix products of sym_operator_apply
+    # scalars: the integer matrix products of sym_operator_apply, the Z[t] repr
+    # that kf's mismatch witness prints, and the frozen records' refusals
     "exact.matmul": "test_exact.py::test_matmul_and_inversion_reject_bad_shapes",
-    "exact.IntPoly.t": "test_exact.py::test_intpoly_basics",
-    "exact.IntPoly._lift": "test_exact.py::test_intpoly_basics",
-    "exact.IntPoly.__add__": "test_exact.py::test_intpoly_basics",
-    "exact.IntPoly.__sub__": "test_exact.py::test_intpoly_basics",
-    "exact.IntPoly.__neg__": "test_exact.py::test_intpoly_basics",
-    "exact.IntPoly.__mul__": "test_exact.py::test_intpoly_basics",
     "exact.IntPoly.__repr__": "test_klmw.py::test_kf_compare_rejects_an_entry_that_is_not_an_integer",
+    "__init__.Record.__setattr__": "test_exact.py::test_record_classes_keep_their_contracts",
+    "__init__.Record.__delattr__": "test_exact.py::test_record_classes_keep_their_contracts",
     # bindings the benchmark's tracer times or reads, and the Maya-diagram helpers
     "exact.lattice_equal": "test_exact.py::test_lattice_equal_examples",
     "grassmann.plucker_vector": "test_minors.py::test_plucker_vector_matches_leibniz_mod_p",
