@@ -257,7 +257,7 @@ def test_each_suite_loads_only_the_layers_it_runs(argv, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     done = subprocess.run([sys.executable, "-c", LOADED, str(tmp_path / "report"), *argv.split()],
                           env=env, capture_output=True, text=True, timeout=120)
-    code, loaded, heavy = json.loads(done.stdout)
+    code, loaded, unwanted = json.loads(done.stdout)
     assert code == 0, done.stderr
     assert {name.removeprefix("grfock.") for name in loaded} == CLOSURES[argv]
-    assert heavy == []
+    assert unwanted == []
