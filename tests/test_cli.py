@@ -231,7 +231,7 @@ def test_out_is_neither_created_nor_truncated_by_a_usage_error(tmp_path, capsys)
 # The grfock modules a process loads: after ``import grfock.cli`` alone, and
 # after each benchmark suite.  pytest has imported every layer already, so
 # each set is read in a fresh interpreter.  None of these processes loads
-# ``dataclasses`` or the ``inspect`` it imports, which took 4 ms of each.
+# ``dataclasses`` or the ``inspect`` it imports, which cost each about 4 ms.
 CLOSURES = {
     "": {"cli", "exact", "partitions"},
     "straighten --n 2 --size 4": {"cli", "exact", "partitions", "fock", "klmw"},
