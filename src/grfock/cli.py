@@ -261,8 +261,7 @@ def suite_kf(args) -> list:
     ns = (2, 3) if args.n is None else (_bounded(args.n, "n", 2),)
     smax = 6 if args.size is None else _bounded(args.size, "size", 0)
     checks = {}
-    for s in range(0, smax + 1):
-        table = sf.kostka_foulkes_matrix(s)  # K and K^-1 serve every n
+    for s, table in enumerate(sf.kostka_foulkes_tables(smax)):  # one K serves every n
         for n in ns:
             r = klmw.kf_compare(n, s, sf.kf_transition_matrices(s, n, table))
             witness = {}
@@ -270,7 +269,6 @@ def suite_kf(args) -> list:
                 witness["D_at_minus_1"] = [r["entries"][((2,), (2,))], r["entries"][((2,), (1, 1))]]
             checks[n, s] = check(f"kf-match-n{n}-size{s}", r["match"],
                                  mismatches=r["mismatches"], **witness)
-        del table  # free K and K^-1 before the next size's are built
     return [checks[n, s] for n in ns for s in range(0, smax + 1)]
 
 

@@ -360,18 +360,24 @@ def intpoly_matmul(A, B) -> tuple:
     return tuple(tuple(IntPoly(_dot([e.coeffs for e in row], col)) for col in cols) for row in A)
 
 
-def invert_unitriangular(rows) -> tuple:
-    """Inverse of an upper unitriangular matrix over Z[t]; exact back substitution
-    on coefficient tuples."""
+def invert_unitriangular(rows, keep=None) -> tuple:
+    """Rows ``keep`` (indices; every row when None) of the inverse C of an upper
+    unitriangular matrix K over Z[t], each by exact forward substitution on
+    coefficient tuples: C[i][i] = 1 and C[i][j] = -sum_{i<=m<j} C[i][m] K[m][j]."""
     n = len(rows)
     one = IntPoly.const(1)
     if any(len(row) != n for row in rows):
         raise ValueError(f"rows of lengths {sorted(set(map(len, rows)))} do not form a {n} x {n} matrix")
     if any(rows[i][i] != one or any(rows[i][:i]) for i in range(n)):
         raise ValueError("matrix is not unitriangular for its index order")
-    R = [[e.coeffs for e in row] for row in rows]
-    cols = [[()] * j + [one.coeffs] + [()] * (n - 1 - j) for j in range(n)]  # of the inverse
-    for j, col in enumerate(cols):
-        for i in range(j - 1, -1, -1):
-            col[i] = _trim(-c for c in _dot(R[i][i + 1:j + 1], col[i + 1:j + 1]))
-    return tuple(tuple(IntPoly(col[i]) for col in cols) for i in range(n))
+    keep = range(n) if keep is None else keep
+    if any(not 0 <= i < n for i in keep):
+        raise ValueError(f"row indices {sorted(keep)} outside 0..{n - 1}")
+    cols = [[e.coeffs for e in col] for col in zip(*rows)]
+    out = []
+    for i in keep:
+        row = [()] * i + [one.coeffs]
+        for j in range(i + 1, n):
+            row.append(_trim(-c for c in _dot(row[i:j], cols[j][i:j])))
+        out.append(tuple(map(IntPoly, row)))
+    return tuple(out)

@@ -1,10 +1,11 @@
 """Symmetric functions as honest symmetric polynomials in a stable range of
-variables (``SymPoly``), plus Kostka-Foulkes polynomials via the charge
-statistic, Hall-Littlewood transition matrices, the block-Toeplitz determinant
-coefficients (a truncated series ``_HSeries``) and Frobenius twists, both
-expressed in the h-generators (``HPoly``).  The three polynomial types take
-their sum, difference, negation, scaling, equality and truth from
-``exact.SparseVector`` and define only their product.
+variables (``SymPoly``), plus the charge statistic, Kostka-Foulkes polynomials
+from Jing's vertex operator (Pieri steps only, no tableaux), Hall-Littlewood
+transition matrices, the block-Toeplitz determinant coefficients (a truncated
+series ``_HSeries``) and Frobenius twists, both expressed in the h-generators
+(``HPoly``).  The three polynomial types take their sum, difference, negation,
+scaling, equality and truth from ``exact.SparseVector`` and define only their
+product.
 
 A paper claim that only tier-1 pins (tests/test_symfunc.py): the Frobenius-twist
 reading of the shuffles, through ``SymPoly``, ``schur_expand``
@@ -14,21 +15,24 @@ reading of the shuffles, through ``SymPoly``, ``schur_expand``
 The oracles live in tests/test_symfunc.py: the cell-by-cell tableau filler and
 the scanning charge that ``charge`` and ``kostka_foulkes`` are checked against,
 and the minors of the Toeplitz matrix (h_{j-i}) on the beads of a diagram with
-the Jacobi-Trudi determinant they equal, both at given values of the h_i.
+the Jacobi-Trudi determinant they equal, both at given values of the h_i.  The
+charged strip pass over tableaux, an independent derivation of K, is in
+tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product, zip_longest
 from math import factorial
 from operator import lt
 
 from . import Record
-from .exact import IntPoly, SparseVector, det, intpoly_matmul, invert_unitriangular
-from .partitions import Partition, check_partition, is_n_regular, multiplicities, partitions_of
+from .exact import IntPoly, SparseVector, _dot, _trim, det, intpoly_matmul, invert_unitriangular
+from .partitions import (
+    Partition, check_partition, is_n_regular, multiplicities, partitions_of, transpose,
+)
 
 
 class DegreeOverflowError(ValueError):
@@ -163,7 +167,7 @@ def frobenius_twist(f: SymPoly, n: int) -> SymPoly:
 
 
 # ---------------------------------------------------------------------------
-# tableaux, charge, Kostka-Foulkes
+# charge, and Kostka-Foulkes polynomials by Jing's vertex operator
 
 
 def _charge_step(cur, idx, total, pos):
@@ -207,98 +211,137 @@ def charge(word) -> int:
     return state[2]
 
 
-def n_of(lam: Partition) -> int:
-    """n(lambda) = sum (i-1) lam_i."""
-    return sum(i * part for i, part in enumerate(lam))
+def _interlacing(shape: Partition):
+    """Every sigma with shape[i+1] <= sigma[i] <= shape[i], as a partition: the
+    rho with shape/rho a horizontal strip, and the rows after the first of the
+    lam with lam/shape one."""
+    for sigma in product(*map(range, shape[1:] + (0,), [part + 1 for part in shape])):
+        yield tuple(filter(None, sigma))
 
 
-def _kf_column(mu: Partition, cap: Partition) -> dict:
-    """{lam: K_{lam,mu}(t)} over the shapes lam inside cap with a tableau of
-    content mu, from one pass over those tableaux.  Cell (r, c) has the
-    reading-order key c - r * radix (bottom row first), which later strips
-    never change, so ``_charge_step`` settles each strip's share of the charge
-    as it is placed and a finished tableau only counts its charge.
+def _horizontal_strips_added(shape: Partition, size: int) -> list:
+    """The lam with lam/shape a horizontal strip of ``size`` >= 1 cells (Pieri's
+    rule for h_size s_shape): the first row takes the cells the others leave."""
+    first = shape[0] if shape else 0
+    below = sum(shape) - first  # the cells of the other rows
+    return [(first + size + below - sum(tail),) + tail for tail in _interlacing(shape)
+            if sum(tail) - below <= size]
+
+
+def _d_image(shape: Partition) -> dict:
+    """D(s_shape) = sum_j D_j(s_shape), with D_j = sum_{a+b=j} (-1)^a t^b
+    e_a^perp h_b^perp, as {kappa: coefficients in t}; the kappa of |shape| - j
+    cells carry D_j.  A term takes a horizontal strip of b cells off shape, then
+    a vertical strip of a cells, the transpose of a horizontal one."""
+    size = sum(shape)
+    acc: dict = {}  # kappa -> coefficient list
+    for rho in _interlacing(shape):
+        b = size - sum(rho)
+        for kappa_t in _interlacing(transpose(rho)):
+            coeffs = acc.setdefault(transpose(kappa_t), [0] * (size + 1))
+            coeffs[b] += -1 if (sum(rho) - sum(kappa_t)) & 1 else 1
+    return {kappa: c for kappa, coeffs in acc.items() if (c := _trim(coeffs))}
+
+
+class _Memo(dict):
+    """A table that builds each missing entry once, as ``build(key)``."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def _kf_columns() -> _Memo:
+    """mu -> Q'_mu = sum_lam K_{lam,mu}(t) s_lam as {lam: coefficients in t, low
+    degree first}, from Jing's vertex operator (N. Jing, Adv. Math. 87, 1991;
+    Macdonald, ch. III): Q'_mu = sum_j h_{mu_1 + j} D_j(Q'_nu) with
+    nu = (mu_2, ...), and Q'_() = 1.
+
+    One call makes the memo of one run: every column built, D(Q'_nu) for each
+    suffix nu (every first part reuses it), D(s_lam) for each shape and the
+    horizontal strips added to each (shape, size).  No term needs pruning: a
+    shape of Q'_mu has at most one row more than one of Q'_nu, so at most
+    len(mu) rows, as every lam with K_{lam,mu} != 0 (lam dominates mu) does.
     """
-    top = n_of(mu)
-    counts = defaultdict(lambda: [0] * (top + 1))  # row lengths -> count by charge
-    radix = sum(mu) + 1
-    lens = [0] * len(cap)  # row lengths of the tableau grown so far
+    d_schur = _Memo(_d_image)
+    strips = _Memo(lambda key: _horizontal_strips_added(*key))
 
-    def add_strips(i, state):
-        if i == len(mu):
-            counts[tuple(lens)][state[2]] += 1
-        else:  # the strip reaches one row below the shape, inside cap
-            fill_strip(i, min(len(lens) - 1, len(lens) - lens.count(0)), mu[i], state, [])
+    def image(nu):  # D(Q'_nu) = sum_lam K_{lam,nu} D(s_lam), on coefficient tuples
+        pairs: dict = {}  # kappa -> ([K_{lam,nu}], [coefficient of s_kappa in D(s_lam)])
+        for lam, k in columns[nu].items():
+            for kappa, d in d_schur[lam].items():
+                ks, ds = pairs.setdefault(kappa, ([], []))
+                ks.append(k)
+                ds.append(d)
+        return {kappa: c for kappa, (ks, ds) in pairs.items() if (c := _trim(_dot(ks, ds)))}
 
-    def fill_strip(i, r, left, state, keys):
-        """Place `left` cells of the strip of letter i+1 in rows r, r-1, ..., 0;
-        ``keys`` holds those placed in the rows below r.  Rows are filled bottom
-        up, so row r may gain at most the length of row r-1 minus its own; row 0
-        takes what is left, and then the strip's letters join the subwords.  No
-        row grows past cap[r].
-        """
-        start = lens[r]
-        if r == 0:
-            if start + left <= cap[0]:
-                lens[0] = start + left
-                add_strips(i + 1, _charge_step(*state, keys + list(range(start, start + left))))
-                lens[0] = start
-            return
-        key = start - r * radix
-        for k in range(min(left, cap[r] - start, lens[r - 1] - start) + 1):
-            fill_strip(i, r - 1, left - k, state, keys)
-            lens[r] += 1
-            keys.append(key + k)
-        lens[r] = start
-        del keys[len(keys) - k - 1:]
+    def column(mu):
+        total, terms = sum(mu), {}  # lam -> its coefficients, one from each kappa
+        for kappa, c in images[mu[1:]].items():
+            for lam in strips[kappa, total - sum(kappa)]:
+                terms.setdefault(lam, []).append(c)
+        return {lam: c for lam, cs in terms.items()
+                if (c := _trim(map(sum, zip_longest(*cs, fillvalue=0))))}
 
-    add_strips(0, ([radix] * radix, [0] * radix, 0))  # subwords start right of row 0
-    return {tuple(filter(None, shape)): IntPoly(c) for shape, c in counts.items()}
+    images, columns = _Memo(image), _Memo(column)
+    columns[()] = {(): (1,)}
+    return columns
+
+
+def _kf_table(columns: _Memo, total: int) -> tuple:
+    """(labels, K): the partitions of total in descending lex order, and
+    K[i][j] = K_{labels[i], labels[j]}(t), read from the memo ``columns``."""
+    labels = partitions_of(total)
+    by_mu = [columns[mu] for mu in labels]
+    zero = IntPoly()
+    return labels, tuple(tuple(IntPoly(col[lam]) if lam in col else zero for col in by_mu)
+                         for lam in labels)
+
+
+def kostka_foulkes_tables(top: int):
+    """``_kf_table`` for each size 0..top; one memo serves every size."""
+    columns = _kf_columns()
+    for total in range(top + 1):
+        yield _kf_table(columns, total)
 
 
 def kostka_foulkes(lam: Partition, mu: Partition) -> IntPoly:
-    """K_{lam,mu}(t) as the t-count of SSYT(lam, mu) by charge.
-
-    Only shapes inside lam are grown, so one pair costs a fraction of its column.
-    """
+    """K_{lam,mu}(t), read from the vertex-operator column of mu."""
     lam, mu = check_partition(lam), check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("sizes differ")
-    return _kf_column(mu, lam).get(lam, IntPoly())
+    return IntPoly(_kf_columns()[mu].get(lam, ()))
 
 
 class KFMatrices(Record):
-    """Kostka-Foulkes transition data at one size: K, C = K^-1, A, B, D = A B.
+    """Kostka-Foulkes transition data at one size: K, A, B and D = A B.
 
     ``labels`` are all partitions of the size in a dominance-compatible order
-    and ``regular_labels`` the n-regular ones in the same order.  K and C have
-    rows and columns indexed by labels, A both by regular_labels, and B and D
-    rows by regular_labels and columns by labels.
+    and ``regular_labels`` the n-regular ones in the same order.  K has rows and
+    columns indexed by labels, A both by regular_labels, and B (the n-regular
+    rows of K^-1) and D rows by regular_labels and columns by labels.
     """
 
-    _fields = ("labels", "regular_labels", "K", "C", "A", "B", "D")
+    _fields = ("labels", "regular_labels", "K", "A", "B", "D")
 
-    def __init__(self, labels: tuple, regular_labels: tuple, K: tuple, C: tuple, A: tuple,
-                 B: tuple, D: tuple):
-        vars(self).update(labels=labels, regular_labels=regular_labels, K=K, C=C, A=A, B=B, D=D)
-
-
-def kostka_foulkes_matrix(total: int) -> tuple:
-    """(labels, K, C): partitions of total in descending lex order, K by charge, C = K^-1."""
-    labels = partitions_of(total)
-    columns = [_kf_column(mu, (total,) * len(mu)) for mu in labels]
-    K = tuple(tuple(col.get(lam, IntPoly()) for col in columns) for lam in labels)
-    return labels, K, invert_unitriangular(K)
+    def __init__(self, labels: tuple, regular_labels: tuple, K: tuple, A: tuple, B: tuple,
+                 D: tuple):
+        vars(self).update(labels=labels, regular_labels=regular_labels, K=K, A=A, B=B, D=D)
 
 
 def kf_transition_matrices(total: int, n: int, table=None) -> KFMatrices:
-    """The matrices built from K^-1 for n; ``table`` is kostka_foulkes_matrix(total) or None."""
-    labels, K, C = kostka_foulkes_matrix(total) if table is None else table
+    """The matrices built from K for n; ``table`` is the (labels, K) of total
+    from ``kostka_foulkes_tables``, or None to build it."""
+    labels, K = _kf_table(_kf_columns(), total) if table is None else table
     regular = tuple(p for p in labels if is_n_regular(p, n))
     reg_idx = [labels.index(p) for p in regular]
-    B = tuple(C[i] for i in reg_idx)
+    B = invert_unitriangular(K, reg_idx)
     A = invert_unitriangular(tuple(tuple(row[j] for j in reg_idx) for row in B))
-    return KFMatrices(labels, regular, K, C, A, B, intpoly_matmul(A, B))
+    return KFMatrices(labels, regular, K, A, B, intpoly_matmul(A, B))
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,19 @@
 pass over Gr(k,n)(F_p) and the per-point tangent solve that the (type, cotype)
 strata replaced, the per-point S^T filter that the cell-wise solve replaced,
 the per-triple degree-2 generators that the package's generator families
-replaced, the prime-field scalar that the tests over F_p build, the ring
-arithmetic of Z[t] that the tests compute with, and a corrupted Kostka-Foulkes
-matrix that the klmw and command-line tests both feed in."""
+replaced, the charged strip pass over semistandard tableaux that the vertex
+operator replaced, the prime-field scalar that the tests over F_p build, the
+ring arithmetic of Z[t] that the tests compute with, and a corrupted
+Kostka-Foulkes matrix that the klmw and command-line tests both feed in."""
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 
 from grfock.exact import IntPoly, minors
 from grfock.exterior import ExtTensor, ext_word_on_key, sort_with_sign
 from grfock.grassmann import _echelon, _gather_source, _residual, enumerate_points, is_invariant
-from grfock.symfunc import KFMatrices, kf_transition_matrices
+from grfock.symfunc import KFMatrices, _charge_step, kf_transition_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +317,59 @@ def omega_family(k: int, l: int, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Kostka-Foulkes columns by charge, one pass over the tableaux of a content
+
+
+def n_of(lam) -> int:
+    """n(lambda) = sum (i-1) lam_i, the degree of K_{lam',lam}(t)."""
+    return sum(i * part for i, part in enumerate(lam))
+
+
+def kf_column_by_charge(mu, cap) -> dict:
+    """{lam: K_{lam,mu}(t)} over the shapes lam inside cap with a tableau of
+    content mu, from one pass over those tableaux.  Cell (r, c) has the
+    reading-order key c - r * radix (bottom row first), which later strips
+    never change, so ``_charge_step`` settles each strip's share of the charge
+    as it is placed and a finished tableau only counts its charge.
+    """
+    top = n_of(mu)
+    counts = defaultdict(lambda: [0] * (top + 1))  # row lengths -> count by charge
+    radix = sum(mu) + 1
+    lens = [0] * len(cap)  # row lengths of the tableau grown so far
+
+    def add_strips(i, state):
+        if i == len(mu):
+            counts[tuple(lens)][state[2]] += 1
+        else:  # the strip reaches one row below the shape, inside cap
+            fill_strip(i, min(len(lens) - 1, len(lens) - lens.count(0)), mu[i], state, [])
+
+    def fill_strip(i, r, left, state, keys):
+        """Place `left` cells of the strip of letter i+1 in rows r, r-1, ..., 0;
+        ``keys`` holds those placed in the rows below r.  Rows are filled bottom
+        up, so row r may gain at most the length of row r-1 minus its own; row 0
+        takes what is left, and then the strip's letters join the subwords.  No
+        row grows past cap[r].
+        """
+        start = lens[r]
+        if r == 0:
+            if start + left <= cap[0]:
+                lens[0] = start + left
+                add_strips(i + 1, _charge_step(*state, keys + list(range(start, start + left))))
+                lens[0] = start
+            return
+        key = start - r * radix
+        for k in range(min(left, cap[r] - start, lens[r - 1] - start) + 1):
+            fill_strip(i, r - 1, left - k, state, keys)
+            lens[r] += 1
+            keys.append(key + k)
+        lens[r] = start
+        del keys[len(keys) - k - 1:]
+
+    add_strips(0, ([radix] * radix, [0] * radix, 0))  # subwords start right of row 0
+    return {tuple(filter(None, shape)): IntPoly(c) for shape, c in counts.items()}
+
+
+# ---------------------------------------------------------------------------
 # a Kostka-Foulkes transition matrix with one wrong entry
 
 
@@ -322,4 +377,4 @@ def kf_with_d00_equal_to_t(total, n, table=None):
     """kf_transition_matrices(total, n, table) with D[0][0] replaced by t."""
     kf = kf_transition_matrices(total, n, table)
     row0 = (IntPoly((0, 1)),) + kf.D[0][1:]
-    return KFMatrices(kf.labels, kf.regular_labels, kf.K, kf.C, kf.A, kf.B, (row0,) + kf.D[1:])
+    return KFMatrices(kf.labels, kf.regular_labels, kf.K, kf.A, kf.B, (row0,) + kf.D[1:])

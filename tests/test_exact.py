@@ -246,10 +246,12 @@ def test_invert_unitriangular_random(size, data):
         for j in range(size):
             expected = IntPoly.const(1) if i == j else IntPoly()
             assert prod[i][j] == expected
+    keep = data.draw(st.lists(st.integers(min_value=0, max_value=size - 1), unique=True))
+    assert invert_unitriangular(m, keep) == tuple(inv[i] for i in keep)
 
 
 def test_invert_unitriangular_degree2_kostka():
-    # rows (2), (1,1): K = [[1, t], [0, 1]] from the charge statistic
+    # rows (2), (1,1): K = [[1, t], [0, 1]] from the vertex operator
     from grfock.symfunc import kostka_foulkes
 
     t = ZtPoly.t()
@@ -294,6 +296,9 @@ def test_matmul_and_inversion_reject_bad_shapes():
         invert_unitriangular(((one, zero),))
     with pytest.raises(ValueError):
         invert_unitriangular(((one,), (zero, one)))
+    for keep in ([2], [-1]):
+        with pytest.raises(ValueError):
+            invert_unitriangular(a, keep)
     with pytest.raises(ValueError):
         matmul(a, ((one,),), zero)
     with pytest.raises(ValueError):
@@ -347,7 +352,7 @@ def test_record_classes_keep_their_contracts():
         (MayaDiagram(1, [2, 1]), (1, (2, 1)), MayaDiagram(0, (2, 1))),
         (SubspaceBasis(3, 3, ((1, 0, 2), (0, 1, 1))), (3, 3, ((1, 0, 2), (0, 1, 1))),
          SubspaceBasis(3, 3, ((1, 0, 0), (0, 1, 1)))),
-        (kf, (kf.labels, kf.regular_labels, kf.K, kf.C, kf.A, kf.B, kf.D),
+        (kf, (kf.labels, kf.regular_labels, kf.K, kf.A, kf.B, kf.D),
          kf_transition_matrices(2, 3)),
     ]
     for x, fields, other in records:

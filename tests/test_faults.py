@@ -54,6 +54,13 @@ def set_d00_to_t(monkeypatch):
     monkeypatch.setattr(symfunc, "kf_transition_matrices", kf_with_d00_equal_to_t)
 
 
+def shift_the_t_power_of_one_d_term(monkeypatch):
+    # D_1(s_1) = (t - 1) s_(): its term t h_1^perp s_1 becomes t^2 s_()
+    d_image = symfunc._d_image
+    monkeypatch.setattr(symfunc, "_d_image", lambda shape:
+                        {**d_image(shape), (): (-1, 0, 1)} if shape == (1,) else d_image(shape))
+
+
 def double_z_of_two_part_partitions(monkeypatch):
     z_of = symfunc.z_of
     monkeypatch.setattr(symfunc, "z_of", lambda lam: z_of(lam) * (2 if len(lam) == 2 else 1))
@@ -81,6 +88,7 @@ FAULTS = [
     (put_the_gaussian_binomial_off_by_one, [["fpoints", "--p", "2", "--dim", "3"],
                                             ["tangent", "--p", "2", "--dim", "4"]]),
     (set_d00_to_t, [["kf", "--n", "2", "--size", "2"]]),
+    (shift_the_t_power_of_one_d_term, [["kf", "--n", "2", "--size", "4"]]),
     (double_z_of_two_part_partitions, [["det-identity", "--n", "2", "--k", "4"]]),
     (double_omega_of_degree_2, [["divided-powers"]]),
     (drop_every_n_jump, [["ndominance", "--n", "2", "--size", "4"]]),

@@ -1,5 +1,5 @@
 """Every suite's report at default parameters is pinned by its digest (12
-pins), and so are 24 heavier parameter sets: of the Fock-side, finite-field,
+pins), and so are 25 heavier parameter sets: of the Fock-side, finite-field,
 tangent, Clifford, Pluecker-ideal, T-shuffle export, divided-power,
 determinant-identity and n-dominance suites, and of the Kostka-Foulkes check at
 n = 2, 3 and 5.  Only ``signs`` has no heavy pin.
@@ -50,6 +50,8 @@ HEAVY = {
     "kf --n 2 --size 9": "e9e7ab21263420a532a2779a712b8096d4a1a8fe587e3611962bfa324b14f089",
     "kf --n 3 --size 9": "7c561213cc8520360070638e38884faf35262f443f20ffa54208a4885ecaccbe",
     "kf --n 2 --size 10": "ade7b55bfc050737302fb82351c0ef48b735d16afff363fee27d1167b40d8467",
+    # made by the charged strip pass over tableaux that the vertex operator replaced
+    "kf --n 2 --size 12": "b01ebca045867e38e063ecd2321e44757760f8977cd9b36051995fb7cbe87d7a",
     "clifford --n 7 --size 8": "3c3cfa808260a834e0a1e9e6674923d05d77328f359fbdf9d2dfd54661ff6c60",
     "pluecker-ideal --k 3 --n 7": "711ae7ca7965acc53a3634a9a0af608863bde6fb45d41da7898559b59151bb3c",
     "pluecker-ideal --k 3 --n 8": "c70928464a1d29e5a0d5de6f38875f462f4e9226533280272665f197e9b0ee0b",

@@ -3,7 +3,7 @@ from math import prod
 
 import pytest
 
-from grfock.exact import IntPoly, det, matmul
+from grfock.exact import IntPoly, det, invert_unitriangular, matmul
 from grfock.partitions import (
     Cmp, MayaDiagram, compare_dominance, maya_of_partition, partitions_of, transpose,
 )
@@ -19,8 +19,8 @@ from grfock.symfunc import (
     is_symmetric,
     kf_transition_matrices,
     kostka_foulkes,
+    kostka_foulkes_tables,
     m_poly,
-    n_of,
     p_poly,
     power_sum_in_h,
     s_poly,
@@ -28,7 +28,7 @@ from grfock.symfunc import (
     twist_in_h_basis,
     _HSeries,
 )
-from oracles import ZtPoly
+from oracles import ZtPoly, kf_column_by_charge, n_of
 
 
 NV = 7
@@ -215,6 +215,15 @@ def test_kostka_foulkes_matches_the_cell_by_cell_oracle():
                     by_charge[_charge_oracle(_reading_word(T))] += 1
                 expected = IntPoly(by_charge)
                 assert kostka_foulkes(lam, mu) == expected == K[i][j], (lam, mu)
+
+
+def test_vertex_operator_matches_the_charged_strip_pass():
+    # Jing's vertex operator and charge derive K independently
+    for total, (labels, K) in enumerate(kostka_foulkes_tables(9)):
+        assert labels == partitions_of(total)
+        for j, mu in enumerate(labels):
+            column = kf_column_by_charge(mu, (total,) * len(mu))
+            assert {lam: K[i][j] for i, lam in enumerate(labels) if K[i][j]} == column, mu
 
 
 def test_unknown_convention_and_non_partitions_are_rejected():
@@ -412,6 +421,14 @@ def test_kf_regular_block_is_identity(n):
                 assert kf.D[i][j] == expected
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_b_is_the_regular_rows_of_the_full_inverse(n):
+    for total, table in enumerate(kostka_foulkes_tables(9)):
+        kf = kf_transition_matrices(total, n, table)
+        C = invert_unitriangular(kf.K)
+        assert kf.B == tuple(C[kf.labels.index(p)] for p in kf.regular_labels), total
+
+
 def test_kf_inverses_by_the_generic_product():
     # exact.matmul over Z[t] shares no code with the coefficient-tuple
     # products that build C = K^-1, A and D = A B
@@ -425,7 +442,7 @@ def test_kf_inverses_by_the_generic_product():
 
     for total in range(0, 9):
         kf = kf_transition_matrices(total, 2)
-        K, C = lift(kf.K), lift(kf.C)
+        K, C = lift(kf.K), lift(invert_unitriangular(kf.K))
         assert matmul(K, C, zero) == identity(len(kf.labels)) == matmul(C, K, zero)
         for n in (2, 3):
             kf = kf_transition_matrices(total, n)

@@ -37,7 +37,8 @@ PINNED_ONLY_BY_TESTS = {
     "fock.shuffle": "test_fock.py::test_shuffles_and_alpha_match_the_oracle",
     "fock.pairing": "test_fock.py::test_pairing_orthonormal",
     # symmetric functions: the Schur expansion and the twist checked against
-    # Jacobi-Trudi and the polynomial model, Kostka-Foulkes cell by cell
+    # Jacobi-Trudi and the polynomial model, Kostka-Foulkes cell by cell, and
+    # the charge that the tests' strip pass also counts with
     "symfunc.SymPoly.__init__": "test_symfunc.py::test_basis_examples",
     "symfunc.SymPoly.__mul__": "test_symfunc.py::test_basis_examples",
     "symfunc._distinct_perms": "test_symfunc.py::test_basis_examples",
@@ -51,6 +52,7 @@ PINNED_ONLY_BY_TESTS = {
     "symfunc.frobenius_twist": "test_symfunc.py::test_frobenius_twist_examples",
     "symfunc.kostka_foulkes": "test_symfunc.py::test_kostka_foulkes_examples",
     "symfunc.charge": "test_symfunc.py::test_charge_matches_the_scanning_oracle",
+    "symfunc._charge_step": "test_symfunc.py::test_charge_matches_the_scanning_oracle",
     # scalars: the integer matrix products of sym_operator_apply, the Z[t] repr
     # that kf's mismatch witness prints, and the frozen records' refusals
     "exact.matmul": "test_exact.py::test_matmul_and_inversion_reject_bad_shapes",
