@@ -370,7 +370,7 @@ def invert_unitriangular(rows, keep=None) -> tuple:
         raise ValueError(f"rows of lengths {sorted(set(map(len, rows)))} do not form a {n} x {n} matrix")
     if any(rows[i][i] != one or any(rows[i][:i]) for i in range(n)):
         raise ValueError("matrix is not unitriangular for its index order")
-    keep = range(n) if keep is None else keep
+    keep = range(n) if keep is None else tuple(keep)
     if any(not 0 <= i < n for i in keep):
         raise ValueError(f"row indices {sorted(keep)} outside 0..{n - 1}")
     cols = [[e.coeffs for e in col] for col in zip(*rows)]
