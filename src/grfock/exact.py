@@ -1,14 +1,15 @@
-"""Exact arithmetic kernel: Z[t] polynomials (``IntPoly``) with division by a
-monic divisor, evaluation and the cyclotomic polynomials, the one sparse
-arithmetic (``SparseVector``, of the exterior tensors, the Fock vectors and the
-symmetric-function polynomials ``SymPoly``, ``HPoly`` and ``_HSeries``), the
-one determinant and minor routine (``minors``, with ``det`` its entry on a
-square grid), integer matrices with Hermite normal form, and ``matmul``.
-Matrices over Z[t] are multiplied and inverted on coefficient tuples
-(``intpoly_matmul``, ``invert_unitriangular``), so ``IntPoly`` itself has no
-ring arithmetic; the tests compute in Z[t] with the subclass ``ZtPoly`` of
-tests/oracles.py.  Outside Hermite normal form a matrix is a tuple of row
-tuples.
+"""Exact arithmetic kernel: Z[t] polynomials with division by a monic divisor
+(``divmod_monic``), their text (``poly_repr``) and the cyclotomic polynomials,
+the one sparse arithmetic (``SparseVector``, of the exterior tensors, the Fock
+vectors and the symmetric-function polynomials ``SymPoly``, ``HPoly`` and
+``_HSeries``), the one determinant and minor routine (``minors``, with ``det``
+its entry on a square grid), integer matrices with Hermite normal form, and
+``matmul``.  A Z[t] value is a trimmed coefficient tuple, low degree first,
+with no trailing zeros and () for zero; matrices over Z[t] hold such tuples and
+are multiplied and inverted on them (``poly_matmul``, ``invert_unitriangular``).
+The tests compute in Z[t] with the ring ``ZtPoly`` of tests/oracles.py, which
+equals the tuple of its coefficients.  Outside Hermite normal form a matrix is
+a tuple of row tuples.
 
 The scalar contract.  A scalar is an int, a Fraction, one of the
 symmetric-function polynomials or any other exact type with ring arithmetic;
@@ -49,7 +50,7 @@ def _is_prime(p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# univariate integer polynomials in t
+# univariate integer polynomials in t, as trimmed coefficient tuples
 
 
 def _trim(coeffs) -> tuple:
@@ -59,81 +60,52 @@ def _trim(coeffs) -> tuple:
     return tuple(cs)
 
 
-class IntPoly(Record):
-    """A polynomial over Z in the variable t, low-degree coefficients first.
+def divmod_monic(a: tuple, divisor: tuple) -> tuple[tuple, tuple]:
+    """Quotient and remainder of a by a monic divisor; exact over Z."""
+    if not divisor or divisor[-1] != 1:
+        raise ValueError("divisor must be monic")
+    rem = list(a)
+    d = len(divisor) - 1
+    quot = [0] * max(0, len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c:
+            quot[i - d] = c
+            for j, b in enumerate(divisor):
+                rem[i - d + j] -= c * b
+    return _trim(quot), _trim(rem)
 
-    No trailing zero coefficients are stored; the zero polynomial is ().  The
-    package only divides by a monic divisor and evaluates; the ring arithmetic
-    of Z[t] lives with the tests that compute in it (tests/oracles.py).
-    """
 
-    _fields = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        vars(self)["coeffs"] = _trim(coeffs)
-
-    @staticmethod
-    def const(c: int) -> "IntPoly":
-        return IntPoly((c,))
-
-    @property
-    def degree(self) -> int:
-        # degree of the zero polynomial is -1 by convention
-        return len(self.coeffs) - 1
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def divmod_monic(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        """Quotient and remainder by a monic divisor; exact over Z."""
-        if not divisor or divisor.coeffs[-1] != 1:
-            raise ValueError("divisor must be monic")
-        rem = list(self.coeffs)
-        d = divisor.degree
-        quot = [0] * max(0, len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c:
-                quot[i - d] = c
-                for j, b in enumerate(divisor.coeffs):
-                    rem[i - d + j] -= c * b
-        return IntPoly(quot), IntPoly(rem)
-
-    def __call__(self, x):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
+def poly_repr(coeffs: tuple) -> str:
+    """The polynomial as text in t, low degree first, as in 1 - t + 2*t^3."""
+    if not coeffs:
+        return "0"
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            base = "t" if i == 1 else f"t^{i}"
+            if c == 1:
+                parts.append(base)
+            elif c == -1:
+                parts.append(f"-{base}")
             else:
-                base = "t" if i == 1 else f"t^{i}"
-                if c == 1:
-                    parts.append(base)
-                elif c == -1:
-                    parts.append(f"-{base}")
-                else:
-                    parts.append(f"{c}*{base}")
-        return " + ".join(parts).replace("+ -", "- ")
+                parts.append(f"{c}*{base}")
+    return " + ".join(parts).replace("+ -", "- ")
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> IntPoly:
+def cyclotomic_polynomial(n: int) -> tuple:
     """The n-th cyclotomic polynomial, via division of t^n - 1 by the proper-divisor factors."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    num = IntPoly((-1,) + (0,) * (n - 1) + (1,))
+    num = (-1,) + (0,) * (n - 1) + (1,)
     for d in range(1, n):
         if n % d == 0:
-            q, r = num.divmod_monic(cyclotomic_polynomial(d))
+            q, r = divmod_monic(num, cyclotomic_polynomial(d))
             if r:
                 raise ArithmeticError(f"Phi_{d} does not divide t^{n} - 1 over the smaller factors")
             num = q
@@ -352,12 +324,12 @@ def _dot(xs, ys) -> list:
     return out
 
 
-def intpoly_matmul(A, B) -> tuple:
-    """The product A B of two matrices of IntPoly, summed on coefficient tuples."""
+def poly_matmul(A, B) -> tuple:
+    """The product A B of two matrices over Z[t], summed on coefficient tuples."""
     if any(len(row) != len(B) for row in A):
         raise ValueError(f"rows of lengths {sorted(set(map(len, A)))} times {len(B)} rows")
-    cols = [[e.coeffs for e in col] for col in zip(*B)]
-    return tuple(tuple(IntPoly(_dot([e.coeffs for e in row], col)) for col in cols) for row in A)
+    cols = list(zip(*B))
+    return tuple(tuple(_trim(_dot(row, col)) for col in cols) for row in A)
 
 
 def invert_unitriangular(rows, keep=None) -> tuple:
@@ -365,19 +337,18 @@ def invert_unitriangular(rows, keep=None) -> tuple:
     unitriangular matrix K over Z[t], each by exact forward substitution on
     coefficient tuples: C[i][i] = 1 and C[i][j] = -sum_{i<=m<j} C[i][m] K[m][j]."""
     n = len(rows)
-    one = IntPoly.const(1)
     if any(len(row) != n for row in rows):
         raise ValueError(f"rows of lengths {sorted(set(map(len, rows)))} do not form a {n} x {n} matrix")
-    if any(rows[i][i] != one or any(rows[i][:i]) for i in range(n)):
+    if any(rows[i][i] != (1,) or any(rows[i][:i]) for i in range(n)):
         raise ValueError("matrix is not unitriangular for its index order")
     keep = range(n) if keep is None else tuple(keep)
     if any(not 0 <= i < n for i in keep):
         raise ValueError(f"row indices {sorted(keep)} outside 0..{n - 1}")
-    cols = [[e.coeffs for e in col] for col in zip(*rows)]
+    cols = list(zip(*rows))
     out = []
     for i in keep:
-        row = [()] * i + [one.coeffs]
+        row = [()] * i + [(1,)]
         for j in range(i + 1, n):
             row.append(_trim(-c for c in _dot(row[i:j], cols[j][i:j])))
-        out.append(tuple(map(IntPoly, row)))
+        out.append(tuple(row))
     return tuple(out)

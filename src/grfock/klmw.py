@@ -15,7 +15,7 @@ Kostka-Foulkes and T-shuffle matrices that ``kf_compare`` and
 
 from __future__ import annotations
 
-from .exact import IntMatrix, cyclotomic_polynomial, hermite_normal_form
+from .exact import IntMatrix, cyclotomic_polynomial, divmod_monic, hermite_normal_form, poly_repr
 from .fock import basis_vector, shuffle_adjoint
 from .partitions import (
     MayaDiagram,
@@ -33,13 +33,13 @@ from .partitions import (
 # straightening
 
 
-def straighten_coeffs(n: int, total: int, trace: list | None = None) -> dict:
+def straighten_coeffs(n: int, total: int) -> dict:
     """{lam: {n-regular partition: int}}: the coefficients of s*_lam modulo the
     shuffle relations on the n-regular dual basis, for every lam of size total.
 
     One pass in increasing mlex order: each non-regular lam has a unique
     (ell, rho) rewrite whose other terms nu are already done; a term that is not
-    raises ArithmeticError.  A rewrite appends (lam, ell, d, term_count) to trace.
+    raises ArithmeticError.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -48,14 +48,12 @@ def straighten_coeffs(n: int, total: int, trace: list | None = None) -> dict:
         if is_n_regular(lam, n):
             table[lam] = {lam: 1}
             continue
-        ell, rho, d = gap_and_regularize(lam, n)
-        image = shuffle_adjoint(n, d, basis_vector(rho, dual=True))
+        ell, rho = gap_and_regularize(lam, n)
+        image = shuffle_adjoint(n, ell, basis_vector(rho, dual=True))
         terms = {partition_of_maya(m): c for m, c in image.coeffs.items()}
         lead = terms.pop(lam, 0)
         if lead not in (1, -1):
             raise ArithmeticError(f"leading coefficient {lead} is not a unit at {lam}")
-        if trace is not None:
-            trace.append((lam, ell, d, len(terms) + 1))
         result: dict = {}
         for nu, c in terms.items():
             if nu not in table:
@@ -109,9 +107,11 @@ def shuffle_span_dim(n: int, total: int) -> int:
 def kf_compare(n: int, total: int, kf) -> dict:
     """Compare D(zeta) entrywise with the straightening d-matrix.
 
-    ``kf`` is ``symfunc.kf_transition_matrices(total, n)``.  Every entry of D(t)
-    reduced modulo Phi_n must be a rational integer; the report carries the
-    first discrepancy if any.
+    ``kf`` is ``symfunc.kf_transition_matrices(total, n)``, whose entries are
+    coefficient tuples.  Every entry of D(t) reduced modulo Phi_n must be a
+    rational integer, or ArithmeticError is raised.  The report holds whether
+    every entry matches, the value at zeta_n of each entry by (lam, nu), and the
+    mismatches, each with its D(t) as text (``D_poly``).
     """
     dm = d_matrix(n, total)
     phi = cyclotomic_polynomial(n)
@@ -119,27 +119,20 @@ def kf_compare(n: int, total: int, kf) -> dict:
     entries = {}
     for i, lam in enumerate(kf.regular_labels):
         for j, nu in enumerate(kf.labels):
-            _, residue = kf.D[i][j].divmod_monic(phi)
-            if residue.degree > 0:
+            _, residue = divmod_monic(kf.D[i][j], phi)
+            if len(residue) > 1:
                 raise ArithmeticError(
-                    f"D({lam},{nu}) at zeta_{n} is not an integer: {residue!r} mod Phi_{n}")
-            val = residue(0)
+                    f"D({lam},{nu}) at zeta_{n} is not an integer: {poly_repr(residue)} mod Phi_{n}")
+            val = residue[0] if residue else 0
             entries[(lam, nu)] = val
             expected = dm.get((lam, nu), 0)
             if val != expected:
                 mismatches.append({
                     "lam": lam, "nu": nu,
                     "d_zeta": val, "d_straighten": expected,
-                    "D_poly": repr(kf.D[i][j]),
+                    "D_poly": poly_repr(kf.D[i][j]),
                 })
-    return {
-        "n": n, "size": total,
-        "match": not mismatches,
-        "entries": entries,
-        "mismatches": mismatches,
-        "regular_labels": kf.regular_labels,
-        "labels": kf.labels,
-    }
+    return {"match": not mismatches, "entries": entries, "mismatches": mismatches}
 
 
 # ---------------------------------------------------------------------------

@@ -141,10 +141,10 @@ def partition_of_maya(m: MayaDiagram) -> Partition:
 # the gap map ell_n and the regularize map rho_n
 
 
-def gap_and_regularize(p: Partition, n: int) -> tuple[int | None, Partition, int]:
-    """(ell_n(p), rho_n(p), d): least ell with a bead gap > n, the diagram with
-    the first ell beads shifted right by n, and d = ell (0 if ell is infinite,
-    returned as None).  ell is None exactly when p is n-regular.
+def gap_and_regularize(p: Partition, n: int) -> tuple[int | None, Partition]:
+    """(ell_n(p), rho_n(p)): least ell with a bead gap > n, and the diagram with
+    the first ell beads shifted right by n.  ell is None (infinite) exactly when
+    p is n-regular, and then rho_n(p) = p.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -155,12 +155,12 @@ def gap_and_regularize(p: Partition, n: int) -> tuple[int | None, Partition, int
             ell = k
             break
     if ell is None:
-        return None, p, 0
+        return None, p
     tail = m.tail_start()
     new_below = [m.bead(k) + n for k in range(1, ell + 1)]
     new_below += [m.bead(k) for k in range(ell + 1, len(m.mu) + 1)]
     m2 = maya_from_beads(new_below, tail)
-    return ell, partition_of_maya(m2), ell
+    return ell, partition_of_maya(m2)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from math import factorial
 from operator import lt
 
 from . import Record
-from .exact import IntPoly, SparseVector, _dot, _trim, det, intpoly_matmul, invert_unitriangular
+from .exact import SparseVector, _dot, _trim, det, invert_unitriangular, poly_matmul
 from .partitions import (
     Partition, check_partition, is_n_regular, multiplicities, partitions_of, transpose,
 )
@@ -297,9 +297,7 @@ def _kf_table(columns: _Memo, total: int) -> tuple:
     K[i][j] = K_{labels[i], labels[j]}(t), read from the memo ``columns``."""
     labels = partitions_of(total)
     by_mu = [columns[mu] for mu in labels]
-    zero = IntPoly()
-    return labels, tuple(tuple(IntPoly(col[lam]) if lam in col else zero for col in by_mu)
-                         for lam in labels)
+    return labels, tuple(tuple(col.get(lam, ()) for col in by_mu) for lam in labels)
 
 
 def kostka_foulkes_tables(top: int):
@@ -309,12 +307,12 @@ def kostka_foulkes_tables(top: int):
         yield _kf_table(columns, total)
 
 
-def kostka_foulkes(lam: Partition, mu: Partition) -> IntPoly:
-    """K_{lam,mu}(t), read from the vertex-operator column of mu."""
+def kostka_foulkes(lam: Partition, mu: Partition) -> tuple:
+    """K_{lam,mu}(t) as coefficients, read from the vertex-operator column of mu."""
     lam, mu = check_partition(lam), check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("sizes differ")
-    return IntPoly(_kf_columns()[mu].get(lam, ()))
+    return _kf_columns()[mu].get(lam, ())
 
 
 class KFMatrices(Record):
@@ -323,7 +321,8 @@ class KFMatrices(Record):
     ``labels`` are all partitions of the size in a dominance-compatible order
     and ``regular_labels`` the n-regular ones in the same order.  K has rows and
     columns indexed by labels, A both by regular_labels, and B (the n-regular
-    rows of K^-1) and D rows by regular_labels and columns by labels.
+    rows of K^-1) and D rows by regular_labels and columns by labels.  Every
+    entry lies in Z[t], as a trimmed coefficient tuple, low degree first.
     """
 
     _fields = ("labels", "regular_labels", "K", "A", "B", "D")
@@ -341,7 +340,7 @@ def kf_transition_matrices(total: int, n: int, table=None) -> KFMatrices:
     reg_idx = [labels.index(p) for p in regular]
     B = invert_unitriangular(K, reg_idx)
     A = invert_unitriangular(tuple(tuple(row[j] for j in reg_idx) for row in B))
-    return KFMatrices(labels, regular, K, A, B, intpoly_matmul(A, B))
+    return KFMatrices(labels, regular, K, A, B, poly_matmul(A, B))
 
 
 # ---------------------------------------------------------------------------

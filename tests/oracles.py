@@ -11,7 +11,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 
-from grfock.exact import IntPoly, minors
+from grfock.exact import divmod_monic, minors, poly_repr
 from grfock.exterior import ExtTensor, ext_word_on_key, sort_with_sign
 from grfock.grassmann import _echelon, _gather_source, _residual, enumerate_points, is_invariant
 from grfock.symfunc import KFMatrices, _charge_step, kf_transition_matrices
@@ -79,13 +79,23 @@ class Fp:
 
 
 # ---------------------------------------------------------------------------
-# the ring Z[t]; the package's IntPoly only divides by a monic divisor and evaluates
+# the ring Z[t]; the package's Z[t] values are plain coefficient tuples
 
 
-class ZtPoly(IntPoly):
-    """An IntPoly with the ring arithmetic of Z[t]: sum, difference, negation
-    and product, with ints and any IntPoly lifting into it.  It equals every
-    IntPoly with its coefficients, so the package's results compare with it."""
+class ZtPoly:
+    """A polynomial over Z in t with the ring arithmetic of Z[t]: sum,
+    difference, negation and product, with ints lifting into it, plus division
+    by a monic divisor, evaluation and degree.  ``coeffs`` is the package's form
+    of a Z[t] value, the trimmed coefficient tuple low degree first, and a
+    ZtPoly equals that tuple, so the package's results compare with it."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = list(coeffs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
 
     @staticmethod
     def const(c: int) -> "ZtPoly":
@@ -99,12 +109,37 @@ class ZtPoly(IntPoly):
     def _lift(other):
         if isinstance(other, int):
             return ZtPoly((other,))
-        return ZtPoly(other.coeffs) if isinstance(other, IntPoly) else None
+        return other if isinstance(other, ZtPoly) else None
+
+    @property
+    def degree(self) -> int:
+        # degree of the zero polynomial is -1 by convention
+        return len(self.coeffs) - 1
 
     def __eq__(self, other):
-        return self.coeffs == other.coeffs if isinstance(other, IntPoly) else NotImplemented
+        if isinstance(other, ZtPoly):
+            other = other.coeffs
+        return self.coeffs == other if isinstance(other, tuple) else NotImplemented
 
-    __hash__ = IntPoly.__hash__
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __repr__(self):
+        return poly_repr(self.coeffs)
+
+    def __call__(self, x):
+        out = 0
+        for c in reversed(self.coeffs):
+            out = out * x + c
+        return out
+
+    def divmod_monic(self, divisor) -> tuple["ZtPoly", "ZtPoly"]:
+        """Quotient and remainder by a monic divisor, a ZtPoly or a tuple."""
+        divisor = divisor.coeffs if isinstance(divisor, ZtPoly) else divisor
+        return tuple(map(ZtPoly, divmod_monic(self.coeffs, divisor)))
 
     def __add__(self, other):
         o = self._lift(other)
@@ -143,6 +178,12 @@ class ZtPoly(IntPoly):
         return ZtPoly(out)
 
     __rmul__ = __mul__
+
+
+def zt_matrix(rows) -> tuple:
+    """A matrix of the package's coefficient tuples with ZtPoly entries, for
+    the generic product ``exact.matmul``."""
+    return tuple(tuple(map(ZtPoly, row)) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +407,7 @@ def kf_column_by_charge(mu, cap) -> dict:
         del keys[len(keys) - k - 1:]
 
     add_strips(0, ([radix] * radix, [0] * radix, 0))  # subwords start right of row 0
-    return {tuple(filter(None, shape)): IntPoly(c) for shape, c in counts.items()}
+    return {tuple(filter(None, shape)): ZtPoly(c) for shape, c in counts.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -376,5 +417,5 @@ def kf_column_by_charge(mu, cap) -> dict:
 def kf_with_d00_equal_to_t(total, n, table=None):
     """kf_transition_matrices(total, n, table) with D[0][0] replaced by t."""
     kf = kf_transition_matrices(total, n, table)
-    row0 = (IntPoly((0, 1)),) + kf.D[0][1:]
+    row0 = ((0, 1),) + kf.D[0][1:]
     return KFMatrices(kf.labels, kf.regular_labels, kf.K, kf.A, kf.B, (row0,) + kf.D[1:])

@@ -30,9 +30,9 @@ def flip_the_clifford_sign_at_bit_3(monkeypatch):
 def negate_every_rewritten_coefficient(monkeypatch):
     straighten_coeffs = klmw.straighten_coeffs
 
-    def negated(n, total, trace=None):
+    def negated(n, total):
         return {lam: row if row == {lam: 1} else {reg: -c for reg, c in row.items()}
-                for lam, row in straighten_coeffs(n, total, trace).items()}
+                for lam, row in straighten_coeffs(n, total).items()}
 
     monkeypatch.setattr(klmw, "straighten_coeffs", negated)
 

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import re
 
 import pytest
 
 from grfock import klmw
+from grfock.exact import poly_repr
 from grfock.klmw import d_matrix, kf_compare, shuffle_span_dim, straighten_coeffs
 from grfock.partitions import (
     Cmp,
@@ -17,11 +19,7 @@ from oracles import kf_with_d00_equal_to_t
 
 
 def test_straighten_trace_repeats_across_calls():
-    first_trace, second_trace = [], []
-    first = straighten_coeffs(2, 4, first_trace)
-    second = straighten_coeffs(2, 4, second_trace)
-    assert (second, second_trace) == (first, first_trace)
-    assert [step[0] for step in first_trace] == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert straighten_coeffs(2, 4) == straighten_coeffs(2, 4)
 
 
 # sha256 of every straightening table for n = 2 up to size 18 and n = 3 up to
@@ -74,4 +72,19 @@ def test_kf_compare_reads_each_entry_at_a_root_of_unity():
 
 def test_kf_compare_rejects_an_entry_that_is_not_an_integer():
     with pytest.raises(ArithmeticError, match="not an integer"):
+        kf_compare(3, 2, kf_with_d00_equal_to_t(2, 3))
+
+
+def test_the_mismatch_witness_prints_d_of_t_as_text():
+    # the text that kf's report and its error carry, pinned as it was before
+    # Z[t] values became plain coefficient tuples
+    for coeffs, text in (((), "0"), ((0, 1), "t"), ((-3,), "-3"), ((0, 0, -1), "-t^2"),
+                         ((1, -1, 0, 2), "1 - t + 2*t^3")):
+        assert poly_repr(coeffs) == text
+    report = kf_compare(2, 2, kf_with_d00_equal_to_t(2, 2))
+    assert sorted(report) == ["entries", "match", "mismatches"]
+    assert report["mismatches"] == [
+        {"lam": (2,), "nu": (2,), "d_zeta": -1, "d_straighten": 1, "D_poly": "t"}]
+    error = "D((2,),(2,)) at zeta_3 is not an integer: t mod Phi_3"
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(error)}$"):
         kf_compare(3, 2, kf_with_d00_equal_to_t(2, 3))

@@ -80,20 +80,19 @@ def test_is_n_regular_examples():
 
 
 def test_gap_and_regularize_examples():
-    assert gap_and_regularize((1, 1), 2) == (1, (), 1)
-    assert gap_and_regularize((2, 1), 2) == (None, (2, 1), 0)
-    assert gap_and_regularize((2, 2), 2) == (2, (), 2)
+    assert gap_and_regularize((1, 1), 2) == (1, ())
+    assert gap_and_regularize((2, 1), 2) == (None, (2, 1))
+    assert gap_and_regularize((2, 2), 2) == (2, ())
 
 
 @settings(max_examples=150, deadline=None)
 @given(partition_st(), st.sampled_from([2, 3, 4]))
 def test_gap_infinite_iff_regular(p, n):
-    ell, rho, d = gap_and_regularize(p, n)
+    ell, rho = gap_and_regularize(p, n)
     assert (ell is None) == is_n_regular(p, n)
     if ell is None:
-        assert rho == p and d == 0
+        assert rho == p
     else:
-        assert d == ell
         # rho drops exactly n parts equal to the gap value
         assert size(rho) == size(p) - n * ell
         removed = sorted(p)

@@ -53,10 +53,10 @@ PINNED_ONLY_BY_TESTS = {
     "symfunc.kostka_foulkes": "test_symfunc.py::test_kostka_foulkes_examples",
     "symfunc.charge": "test_symfunc.py::test_charge_matches_the_scanning_oracle",
     "symfunc._charge_step": "test_symfunc.py::test_charge_matches_the_scanning_oracle",
-    # scalars: the integer matrix products of sym_operator_apply, the Z[t] repr
+    # scalars: the integer matrix products of sym_operator_apply, the Z[t] text
     # that kf's mismatch witness prints, and the frozen records' refusals
     "exact.matmul": "test_exact.py::test_matmul_and_inversion_reject_bad_shapes",
-    "exact.IntPoly.__repr__": "test_klmw.py::test_kf_compare_rejects_an_entry_that_is_not_an_integer",
+    "exact.poly_repr": "test_klmw.py::test_the_mismatch_witness_prints_d_of_t_as_text",
     "__init__.Record.__setattr__": "test_exact.py::test_record_classes_keep_their_contracts",
     "__init__.Record.__delattr__": "test_exact.py::test_record_classes_keep_their_contracts",
     # bindings the benchmark's tracer times or reads, and the Maya-diagram helpers
