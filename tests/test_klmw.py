@@ -76,8 +76,7 @@ def test_kf_compare_rejects_an_entry_that_is_not_an_integer():
 
 
 def test_the_mismatch_witness_prints_d_of_t_as_text():
-    # the text that kf's report and its error carry, pinned as it was before
-    # Z[t] values became plain coefficient tuples
+    # the text of D(t) that kf's mismatch witness and its error carry
     for coeffs, text in (((), "0"), ((0, 1), "t"), ((-3,), "-3"), ((0, 0, -1), "-t^2"),
                          ((1, -1, 0, 2), "1 - t + 2*t^3")):
         assert poly_repr(coeffs) == text
