@@ -260,16 +260,16 @@ def suite_kf(args) -> list:
     from . import klmw, symfunc as sf
     ns = (2, 3) if args.n is None else (_bounded(args.n, "n", 2),)
     smax = 6 if args.size is None else _bounded(args.size, "size", 0)
-    checks = {}
-    for s, table in enumerate(sf.kostka_foulkes_tables(smax)):  # one K serves every n
-        for n in ns:
+    checks = []
+    for n in ns:  # K in Z[zeta_n], one memo for every size
+        for s, table in enumerate(sf.kostka_foulkes_tables(smax, n)):
             r = klmw.kf_compare(n, s, sf.kf_transition_matrices(s, n, table))
             witness = {}
             if n == 2 and s == 2:
                 witness["D_at_minus_1"] = [r["entries"][((2,), (2,))], r["entries"][((2,), (1, 1))]]
-            checks[n, s] = check(f"kf-match-n{n}-size{s}", r["match"],
-                                 mismatches=r["mismatches"], **witness)
-    return [checks[n, s] for n in ns for s in range(0, smax + 1)]
+            checks.append(check(f"kf-match-n{n}-size{s}", r["match"],
+                                mismatches=r["mismatches"], **witness))
+    return checks
 
 
 def suite_fpoints(args) -> list:

@@ -5,11 +5,11 @@ vectors and the symmetric-function polynomials ``SymPoly``, ``HPoly`` and
 ``_HSeries``), the one determinant and minor routine (``minors``, with ``det``
 its entry on a square grid), integer matrices with Hermite normal form, and
 ``matmul``.  A Z[t] value is a trimmed coefficient tuple, low degree first,
-with no trailing zeros and () for zero; matrices over Z[t] hold such tuples and
-are multiplied and inverted on them (``poly_matmul``, ``invert_unitriangular``).
-The tests compute in Z[t] with the ring ``ZtPoly`` of tests/oracles.py, which
-equals the tuple of its coefficients.  Outside Hermite normal form a matrix is
-a tuple of row tuples.
+with no trailing zeros and () for zero; ``invert_unitriangular`` inverts a
+matrix of them in Z[t] or, through symfunc's reduction mod Phi_n, in Z[zeta_n],
+where a value is a residue of degree below phi(n).  The tests compute in Z[t]
+with the ring ``ZtPoly`` of tests/oracles.py, which equals the tuple of its
+coefficients.  Outside Hermite normal form a matrix is a tuple of row tuples.
 
 The scalar contract.  A scalar is an int, a Fraction, one of the
 symmetric-function polynomials or any other exact type with ring arithmetic;
@@ -324,18 +324,10 @@ def _dot(xs, ys) -> list:
     return out
 
 
-def poly_matmul(A, B) -> tuple:
-    """The product A B of two matrices over Z[t], summed on coefficient tuples."""
-    if any(len(row) != len(B) for row in A):
-        raise ValueError(f"rows of lengths {sorted(set(map(len, A)))} times {len(B)} rows")
-    cols = list(zip(*B))
-    return tuple(tuple(_trim(_dot(row, col)) for col in cols) for row in A)
-
-
-def invert_unitriangular(rows, keep=None) -> tuple:
+def invert_unitriangular(rows, keep=None, reduce=_trim) -> tuple:
     """Rows ``keep`` (indices; every row when None) of the inverse C of an upper
-    unitriangular matrix K over Z[t], each by exact forward substitution on
-    coefficient tuples: C[i][i] = 1 and C[i][j] = -sum_{i<=m<j} C[i][m] K[m][j]."""
+    unitriangular matrix K of coefficient tuples, by forward substitution: C[i][i]
+    = 1 and C[i][j] = -sum_{i<=m<j} C[i][m] K[m][j], each sum reduced by ``reduce``."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError(f"rows of lengths {sorted(set(map(len, rows)))} do not form a {n} x {n} matrix")
@@ -349,6 +341,6 @@ def invert_unitriangular(rows, keep=None) -> tuple:
     for i in keep:
         row = [()] * i + [(1,)]
         for j in range(i + 1, n):
-            row.append(_trim(-c for c in _dot(row[i:j], cols[j][i:j])))
+            row.append(reduce(-c for c in _dot(row[i:j], cols[j][i:j])))
         out.append(tuple(row))
     return tuple(out)

@@ -107,11 +107,11 @@ def shuffle_span_dim(n: int, total: int) -> int:
 def kf_compare(n: int, total: int, kf) -> dict:
     """Compare D(zeta) entrywise with the straightening d-matrix.
 
-    ``kf`` is ``symfunc.kf_transition_matrices(total, n)``, whose entries are
-    coefficient tuples.  Every entry of D(t) reduced modulo Phi_n must be a
-    rational integer, or ArithmeticError is raised.  The report holds whether
-    every entry matches, the value at zeta_n of each entry by (lam, nu), and the
-    mismatches, each with its D(t) as text (``D_poly``).
+    ``kf`` is ``symfunc.kf_transition_matrices(total, n)``, with entries in
+    Z[zeta_n] (residues mod Phi_n) or Z[t].  Each entry reduced modulo Phi_n must
+    be an integer, with no nonzero coordinate past the first, or ArithmeticError
+    is raised.  The report holds whether every entry matches, the value at zeta_n
+    of each entry by (lam, nu), and the mismatches with each entry as text (``D_poly``).
     """
     dm = d_matrix(n, total)
     phi = cyclotomic_polynomial(n)

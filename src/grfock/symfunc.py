@@ -1,11 +1,11 @@
 """Symmetric functions as honest symmetric polynomials in a stable range of
 variables (``SymPoly``), plus the charge statistic, Kostka-Foulkes polynomials
-from Jing's vertex operator (Pieri steps only, no tableaux), Hall-Littlewood
-transition matrices, the block-Toeplitz determinant coefficients (a truncated
-series ``_HSeries``) and Frobenius twists, both expressed in the h-generators
-(``HPoly``).  The three polynomial types take their sum, difference, negation,
-scaling, equality and truth from ``exact.SparseVector`` and define only their
-product.
+from Jing's vertex operator (Pieri steps only, no tableaux) in Z[t] or, for the
+kf check, in Z[zeta_n] (``_residues``), Hall-Littlewood transition matrices, the
+block-Toeplitz determinant coefficients (a truncated series ``_HSeries``) and
+Frobenius twists, both expressed in the h-generators (``HPoly``).  The three
+polynomial types take their sum, difference, negation, scaling, equality and
+truth from ``exact.SparseVector`` and define only their product.
 
 A paper claim that only tier-1 pins (tests/test_symfunc.py): the Frobenius-twist
 reading of the shuffles, through ``SymPoly``, ``schur_expand``
@@ -29,7 +29,8 @@ from math import factorial
 from operator import lt
 
 from . import Record
-from .exact import SparseVector, _dot, _trim, det, invert_unitriangular, poly_matmul
+from .exact import SparseVector, _dot, _trim, det, invert_unitriangular
+from .exact import cyclotomic_polynomial, divmod_monic
 from .partitions import (
     Partition, check_partition, is_n_regular, multiplicities, partitions_of, transpose,
 )
@@ -243,23 +244,26 @@ def _d_image(shape: Partition) -> dict:
     return {kappa: c for kappa, coeffs in acc.items() if (c := _trim(coeffs))}
 
 
-class _Memo(dict):
-    """A table that builds each missing entry once, as ``build(key)``."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
+def _add(values) -> tuple:
+    """The sum of coefficient tuples, trimmed."""
+    return _trim(map(sum, zip_longest(*values, fillvalue=0)))
 
 
-def _kf_columns() -> _Memo:
+def _residues(n):
+    """The reduction of a coefficient list: trimmed in Z[t] (n None), else folded
+    into Z[zeta_n] by the residues of t^i mod Phi_n, i < n, as t^n = 1 mod Phi_n."""
+    if n is None:
+        return _trim
+    fold = [divmod_monic((0,) * i + (1,), cyclotomic_polynomial(n))[1] for i in range(n)]
+    return lambda coeffs: _add([[c * f for f in fold[i % n]] for i, c in enumerate(coeffs) if c])
+
+
+def _kf_columns(reduce=_trim):
     """mu -> Q'_mu = sum_lam K_{lam,mu}(t) s_lam as {lam: coefficients in t, low
-    degree first}, from Jing's vertex operator (N. Jing, Adv. Math. 87, 1991;
-    Macdonald, ch. III): Q'_mu = sum_j h_{mu_1 + j} D_j(Q'_nu) with
-    nu = (mu_2, ...), and Q'_() = 1.
+    degree first, each passed through ``reduce`` (``_residues``)}, from Jing's
+    vertex operator (N. Jing, Adv. Math. 87, 1991; Macdonald, ch. III):
+    Q'_mu = sum_j h_{mu_1 + j} D_j(Q'_nu) with nu = (mu_2, ...), and Q'_() = 1.
+    Reduction mod Phi_n is a ring homomorphism, so the steps run in Z[zeta_n].
 
     One call makes the memo of one run: every column built, D(Q'_nu) for each
     suffix nu (every first part reuses it), D(s_lam) for each shape and the
@@ -267,44 +271,41 @@ def _kf_columns() -> _Memo:
     shape of Q'_mu has at most one row more than one of Q'_nu, so at most
     len(mu) rows, as every lam with K_{lam,mu} != 0 (lam dominates mu) does.
     """
-    d_schur = _Memo(_d_image)
-    strips = _Memo(lambda key: _horizontal_strips_added(*key))
+    d_schur = lru_cache(None)(lambda shape: {kappa: c for kappa, d in _d_image(shape).items()
+                                             if (c := reduce(d))})
+    strips = lru_cache(None)(_horizontal_strips_added)
 
-    def image(nu):  # D(Q'_nu) = sum_lam K_{lam,nu} D(s_lam), on coefficient tuples
+    @lru_cache(None)
+    def images(nu):  # D(Q'_nu) = sum_lam K_{lam,nu} D(s_lam), one reduction per kappa
         pairs: dict = {}  # kappa -> ([K_{lam,nu}], [coefficient of s_kappa in D(s_lam)])
-        for lam, k in columns[nu].items():
-            for kappa, d in d_schur[lam].items():
+        for lam, k in columns(nu).items():
+            for kappa, d in d_schur(lam).items():
                 ks, ds = pairs.setdefault(kappa, ([], []))
                 ks.append(k)
                 ds.append(d)
-        return {kappa: c for kappa, (ks, ds) in pairs.items() if (c := _trim(_dot(ks, ds)))}
+        return {kappa: c for kappa, (ks, ds) in pairs.items() if (c := reduce(_dot(ks, ds)))}
 
-    def column(mu):
+    @lru_cache(None)
+    def columns(mu):
+        if not mu:
+            return {(): (1,)}
         total, terms = sum(mu), {}  # lam -> its coefficients, one from each kappa
-        for kappa, c in images[mu[1:]].items():
-            for lam in strips[kappa, total - sum(kappa)]:
+        for kappa, c in images(mu[1:]).items():
+            for lam in strips(kappa, total - sum(kappa)):
                 terms.setdefault(lam, []).append(c)
-        return {lam: c for lam, cs in terms.items()
-                if (c := _trim(map(sum, zip_longest(*cs, fillvalue=0))))}
+        return {lam: c for lam, cs in terms.items() if (c := _add(cs))}
 
-    images, columns = _Memo(image), _Memo(column)
-    columns[()] = {(): (1,)}
     return columns
 
 
-def _kf_table(columns: _Memo, total: int) -> tuple:
-    """(labels, K): the partitions of total in descending lex order, and
-    K[i][j] = K_{labels[i], labels[j]}(t), read from the memo ``columns``."""
-    labels = partitions_of(total)
-    by_mu = [columns[mu] for mu in labels]
-    return labels, tuple(tuple(col.get(lam, ()) for col in by_mu) for lam in labels)
-
-
-def kostka_foulkes_tables(top: int):
-    """``_kf_table`` for each size 0..top; one memo serves every size."""
-    columns = _kf_columns()
+def kostka_foulkes_tables(top: int, n=None):
+    """(labels, K, n) for each size 0..top, one memo for all: labels descending lex,
+    K[i][j] = K_{labels[i], labels[j]}(t) in Z[t] (n None) or else in Z[zeta_n]."""
+    columns = _kf_columns(_residues(n))
     for total in range(top + 1):
-        yield _kf_table(columns, total)
+        labels = partitions_of(total)
+        by_mu = [columns(mu) for mu in labels]
+        yield labels, tuple(tuple(col.get(lam, ()) for col in by_mu) for lam in labels), n
 
 
 def kostka_foulkes(lam: Partition, mu: Partition) -> tuple:
@@ -312,7 +313,7 @@ def kostka_foulkes(lam: Partition, mu: Partition) -> tuple:
     lam, mu = check_partition(lam), check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("sizes differ")
-    return _kf_columns()[mu].get(lam, ())
+    return _kf_columns()(mu).get(lam, ())
 
 
 class KFMatrices(Record):
@@ -322,7 +323,7 @@ class KFMatrices(Record):
     and ``regular_labels`` the n-regular ones in the same order.  K has rows and
     columns indexed by labels, A both by regular_labels, and B (the n-regular
     rows of K^-1) and D rows by regular_labels and columns by labels.  Every
-    entry lies in Z[t], as a trimmed coefficient tuple, low degree first.
+    entry is a trimmed coefficient tuple, low degree first, in Z[zeta_n] or Z[t].
     """
 
     _fields = ("labels", "regular_labels", "K", "A", "B", "D")
@@ -333,14 +334,20 @@ class KFMatrices(Record):
 
 
 def kf_transition_matrices(total: int, n: int, table=None) -> KFMatrices:
-    """The matrices built from K for n; ``table`` is the (labels, K) of total
-    from ``kostka_foulkes_tables``, or None to build it."""
-    labels, K = _kf_table(_kf_columns(), total) if table is None else table
+    """The matrices built from K for n, in the ring of ``table``: the (labels, K,
+    ring) of total from ``kostka_foulkes_tables`` for n (Z[zeta_n]) or for None
+    (Z[t]), or None to build it for n; each dot product is reduced once."""
+    labels, K, ring = table or list(kostka_foulkes_tables(max(total, 0), n))[-1]
+    if total < 0 or labels != partitions_of(total) or ring not in (None, n):
+        raise ValueError(f"no table of size {total} for n = {n}")
+    reduce = _residues(ring)
     regular = tuple(p for p in labels if is_n_regular(p, n))
     reg_idx = [labels.index(p) for p in regular]
-    B = invert_unitriangular(K, reg_idx)
-    A = invert_unitriangular(tuple(tuple(row[j] for j in reg_idx) for row in B))
-    return KFMatrices(labels, regular, K, A, B, poly_matmul(A, B))
+    B = invert_unitriangular(K, reg_idx, reduce)
+    A = invert_unitriangular(tuple(tuple(row[j] for j in reg_idx) for row in B), None, reduce)
+    cols = list(zip(*B))
+    D = tuple(tuple(reduce(_dot(row, col)) for col in cols) for row in A)
+    return KFMatrices(labels, regular, K, A, B, D)
 
 
 # ---------------------------------------------------------------------------

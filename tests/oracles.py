@@ -415,7 +415,9 @@ def kf_column_by_charge(mu, cap) -> dict:
 
 
 def kf_with_d00_equal_to_t(total, n, table=None):
-    """kf_transition_matrices(total, n, table) with D[0][0] replaced by t."""
+    """kf_transition_matrices(total, n, table) with D[0][0] replaced by t.  In
+    the default build D lies in Z[zeta_n]: for n = 2 this t is then a value
+    left unreduced, for n >= 3 a residue that is not an integer."""
     kf = kf_transition_matrices(total, n, table)
     row0 = ((0, 1),) + kf.D[0][1:]
     return KFMatrices(kf.labels, kf.regular_labels, kf.K, kf.A, kf.B, (row0,) + kf.D[1:])

@@ -82,13 +82,16 @@ FAULTS = [
                                        ["signs", "--n", "4"],
                                        ["pluecker-ideal", "--k", "2", "--n", "4"],
                                        ["shuffle-span", "--n", "2", "--size", "6"],
-                                       ["kf", "--n", "2", "--size", "4"]]),
-    (negate_every_rewritten_coefficient, [["kf", "--n", "2", "--size", "4"]]),
+                                       ["kf", "--n", "2", "--size", "4"],
+                                       ["kf", "--n", "3", "--size", "6"]]),
+    (negate_every_rewritten_coefficient, [["kf", "--n", "2", "--size", "4"],
+                                          ["kf", "--n", "3", "--size", "4"]]),
     (zero_the_residual_on_one_shape, [["fpoints", "--p", "2", "--dim", "4"]]),
     (put_the_gaussian_binomial_off_by_one, [["fpoints", "--p", "2", "--dim", "3"],
                                             ["tangent", "--p", "2", "--dim", "4"]]),
-    (set_d00_to_t, [["kf", "--n", "2", "--size", "2"]]),
-    (shift_the_t_power_of_one_d_term, [["kf", "--n", "2", "--size", "4"]]),
+    (set_d00_to_t, [["kf", "--n", "2", "--size", "2"], ["kf", "--n", "3", "--size", "4"]]),
+    (shift_the_t_power_of_one_d_term, [["kf", "--n", "2", "--size", "4"],
+                                       ["kf", "--n", "3", "--size", "4"]]),
     (double_z_of_two_part_partitions, [["det-identity", "--n", "2", "--k", "4"]]),
     (double_omega_of_degree_2, [["divided-powers"]]),
     (drop_every_n_jump, [["ndominance", "--n", "2", "--size", "4"]]),

@@ -1,5 +1,5 @@
 """Every suite's report at default parameters is pinned by its digest (12
-pins), and so are 25 heavier parameter sets: of the Fock-side, finite-field,
+pins), and so are 27 heavier parameter sets: of the Fock-side, finite-field,
 tangent, Clifford, Pluecker-ideal, T-shuffle export, divided-power,
 determinant-identity and n-dominance suites, and of the Kostka-Foulkes check at
 n = 2, 3 and 5.  Only ``signs`` has no heavy pin.
@@ -52,6 +52,9 @@ HEAVY = {
     "kf --n 2 --size 10": "ade7b55bfc050737302fb82351c0ef48b735d16afff363fee27d1167b40d8467",
     # made by the charged strip pass over tableaux that the vertex operator replaced
     "kf --n 2 --size 12": "b01ebca045867e38e063ecd2321e44757760f8977cd9b36051995fb7cbe87d7a",
+    # made by the build of K, B, A and D in Z[t] that the one in Z[zeta_n] replaced
+    "kf --n 2 --size 14": "54027aefb047985b8bdb113944ee67ab6d4c577713749546ab7a9cf5eedc6f4e",
+    "kf --n 3 --size 12": "304e69bc5df0ff1cedbd92ec4cdb027f88e656d2b03d38f60edf8ea6e494ae60",
     "clifford --n 7 --size 8": "3c3cfa808260a834e0a1e9e6674923d05d77328f359fbdf9d2dfd54661ff6c60",
     "pluecker-ideal --k 3 --n 7": "711ae7ca7965acc53a3634a9a0af608863bde6fb45d41da7898559b59151bb3c",
     "pluecker-ideal --k 3 --n 8": "c70928464a1d29e5a0d5de6f38875f462f4e9226533280272665f197e9b0ee0b",

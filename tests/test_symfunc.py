@@ -3,7 +3,7 @@ from math import prod
 
 import pytest
 
-from grfock.exact import det, invert_unitriangular, matmul
+from grfock.exact import cyclotomic_polynomial, det, invert_unitriangular, matmul
 from grfock.partitions import (
     Cmp, MayaDiagram, compare_dominance, maya_of_partition, partitions_of, transpose,
 )
@@ -205,21 +205,23 @@ def test_charge_rejects_content_that_is_not_a_partition(word):
 
 
 def test_kostka_foulkes_matches_the_cell_by_cell_oracle():
-    for total, (labels, K) in enumerate(kostka_foulkes_tables(8)):
-        assert labels == partitions_of(total)
-        own = kf_transition_matrices(total, 2).K  # built from a memo of its own
+    phi = cyclotomic_polynomial(2)
+    for total, (labels, K, ring) in enumerate(kostka_foulkes_tables(8)):
+        assert labels == partitions_of(total) and ring is None
+        own = kf_transition_matrices(total, 2).K  # in Z[zeta_2], from a memo of its own
         for i, lam in enumerate(labels):
             for j, mu in enumerate(labels):
                 by_charge = [0] * (n_of(mu) + 1)
                 for T in _semistandard_tableaux(lam, mu):
                     by_charge[_charge_oracle(_reading_word(T))] += 1
                 expected = ZtPoly(by_charge)
-                assert K[i][j] == expected == own[i][j], (lam, mu)
+                assert K[i][j] == expected, (lam, mu)
+                assert own[i][j] == expected.divmod_monic(phi)[1], (lam, mu)
 
 
 def test_vertex_operator_matches_the_charged_strip_pass():
     # Jing's vertex operator and charge derive K independently
-    for total, (labels, K) in enumerate(kostka_foulkes_tables(9)):
+    for total, (labels, K, _) in enumerate(kostka_foulkes_tables(9)):
         assert labels == partitions_of(total)
         for j, mu in enumerate(labels):
             column = kf_column_by_charge(mu, (total,) * len(mu))
@@ -269,7 +271,7 @@ def _kostka_count_oracle(lam, mu):
 
 
 def test_kostka_at_one_counts_ssyt():
-    for labels, K in kostka_foulkes_tables(6):
+    for labels, K, _ in kostka_foulkes_tables(6):
         for i, lam in enumerate(labels):
             for j, mu in enumerate(labels):
                 k1 = ZtPoly(K[i][j])(1)
@@ -278,7 +280,7 @@ def test_kostka_at_one_counts_ssyt():
 
 
 def test_kostka_degree_bound():
-    for labels, K in kostka_foulkes_tables(6):
+    for labels, K, _ in kostka_foulkes_tables(6):
         for i, lam in enumerate(labels):
             for j, mu in enumerate(labels):
                 k = K[i][j]
@@ -288,7 +290,7 @@ def test_kostka_degree_bound():
 
 
 def test_kostka_dominance_unitriangular():
-    for labels, K in kostka_foulkes_tables(6):
+    for labels, K, _ in kostka_foulkes_tables(6):
         for i, lam in enumerate(labels):
             for j, mu in enumerate(labels):
                 if K[i][j]:
@@ -316,7 +318,7 @@ def test_hall_littlewood_oracle_small():
     tables = list(kostka_foulkes_tables(5))
     for tval in (Fraction(0), Fraction(2), Fraction(-1, 2), Fraction(3, 5)):
         for total in range(0, 6):
-            labels, K = tables[total]  # descending lex
+            labels, K, _ = tables[total]  # descending lex
             nv = max(total, 1)
 
             def m_coeff(poly, mu):
@@ -396,13 +398,29 @@ def test_hall_littlewood_oracle_small():
 
 
 def test_kf_transition_size2():
-    kf = kf_transition_matrices(2, 2)
+    # in Z[t] from a Z[t] table, and in Z[zeta_2] (t = -1) by default
+    kf = kf_transition_matrices(2, 2, list(kostka_foulkes_tables(2))[2])
     t = ZtPoly.t()
     one = (1,)
     assert kf.labels == ((2,), (1, 1))
     assert kf.K == ((one, t), ((), one))
     assert kf.regular_labels == ((2,),)
     assert kf.D == ((one, -t),)
+    kf = kf_transition_matrices(2, 2)
+    assert kf.K == ((one, (-1,)), ((), one)) and kf.B == kf.D == ((one, one),)
+
+
+def test_kf_transition_rejects_a_negative_size_and_a_foreign_table():
+    with pytest.raises(ValueError):
+        kf_transition_matrices(-1, 2)
+    zt = list(kostka_foulkes_tables(4))
+    by_3 = list(kostka_foulkes_tables(4, 3))
+    assert kf_transition_matrices(4, 2, zt[4]).labels == partitions_of(4)
+    for total, n, table in ((3, 2, zt[4]), (4, 2, zt[3]), (-1, 2, zt[0]), (4, 2, by_3[4]),
+                            (3, 3, by_3[4]), (4, 3, list(kostka_foulkes_tables(4, 2))[4])):
+        with pytest.raises(ValueError):
+            kf_transition_matrices(total, n, table)
+    assert kf_transition_matrices(4, 3, by_3[4]) == kf_transition_matrices(4, 3)
 
 
 def test_kf_transition_size0():
@@ -430,20 +448,52 @@ def test_b_is_the_regular_rows_of_the_full_inverse(n):
         assert kf.B == tuple(C[kf.labels.index(p)] for p in kf.regular_labels), total
 
 
+def _mod_phi(value, n):
+    """A Z[t] value's residue mod Phi_n, by division: no fold table."""
+    return ZtPoly(value).divmod_monic(cyclotomic_polynomial(n))[1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_the_build_in_z_zeta_n_is_the_build_in_z_t_reduced(n):
+    # reduction mod Phi_n is a ring homomorphism, so K, B, A and D commute with it
+    tables = zip(kostka_foulkes_tables(9), kostka_foulkes_tables(9, n))
+    for total, (zt_table, table) in enumerate(tables):
+        kf = kf_transition_matrices(total, n, table)
+        zt = kf_transition_matrices(total, n, zt_table)
+        assert (kf.labels, kf.regular_labels) == (zt.labels, zt.regular_labels)
+        for name in ("K", "B", "A", "D"):
+            reduced = tuple(tuple(_mod_phi(x, n) for x in row) for row in getattr(zt, name))
+            assert getattr(kf, name) == reduced, (total, name)
+
+
+def test_the_build_in_z_zeta_n_matches_the_charged_strip_pass():
+    # charge counts K without the vertex operator; reduce its columns mod Phi_n
+    builds = {n: list(kostka_foulkes_tables(8, n)) for n in range(2, 7)}
+    for total in range(0, 9):
+        labels = partitions_of(total)
+        for j, mu in enumerate(labels):
+            column = kf_column_by_charge(mu, (total,) * len(mu))
+            for n, tables in builds.items():
+                K = tables[total][1]
+                expected = {lam: _mod_phi(c.coeffs, n) for lam, c in column.items()}
+                assert {lam: K[i][j] for i, lam in enumerate(labels) if K[i][j]} == {
+                    lam: c for lam, c in expected.items() if c}, (n, mu)
+
+
 def test_kf_inverses_by_the_generic_product():
     # exact.matmul over Z[t] shares no code with the coefficient-tuple
-    # products that build C = K^-1, A and D = A B
+    # products that build C = K^-1, A and D = A B, here all in Z[t]
     one, zero = ZtPoly((1,)), ZtPoly()
 
     def identity(size):
         return tuple(tuple(one if i == j else zero for j in range(size)) for i in range(size))
 
-    for total in range(0, 9):
-        kf = kf_transition_matrices(total, 2)
+    for total, table in enumerate(kostka_foulkes_tables(8)):
+        kf = kf_transition_matrices(total, 2, table)
         K, C = zt_matrix(kf.K), zt_matrix(invert_unitriangular(kf.K))
         assert matmul(K, C, zero) == identity(len(kf.labels)) == matmul(C, K, zero)
         for n in (2, 3):
-            kf = kf_transition_matrices(total, n)
+            kf = kf_transition_matrices(total, n, table)
             AB = matmul(zt_matrix(kf.A), zt_matrix(kf.B), zero)
             reg_cols = [kf.labels.index(p) for p in kf.regular_labels]
             assert AB == kf.D, (total, n)
@@ -451,7 +501,7 @@ def test_kf_inverses_by_the_generic_product():
 
 
 def test_kostka_at_one_matches_kf_matrix():
-    kf = kf_transition_matrices(4, 2)
+    kf = kf_transition_matrices(4, 2, list(kostka_foulkes_tables(4))[4])
     for i, lam in enumerate(kf.labels):
         for j, mu in enumerate(kf.labels):
             assert ZtPoly(kf.K[i][j])(1) == _kostka_count_oracle(lam, mu)
