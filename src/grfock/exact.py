@@ -316,7 +316,8 @@ def _dot(xs, ys) -> list:
     out = []
     for x, y in zip(xs, ys):
         if x and y:
-            out.extend([0] * (len(x) + len(y) - 1 - len(out)))
+            if len(out) < len(x) + len(y) - 1:
+                out.extend([0] * (len(x) + len(y) - 1 - len(out)))
             for i, a in enumerate(x):
                 if a:
                     for j, b in enumerate(y, i):

@@ -13,6 +13,11 @@ Charge bookkeeping follows the storage convention i_k = (k-1) + charge - mu_k:
 adding a wedge factor (psi) lowers the stored charge by one, removing one
 (psi_star) raises it.
 
+The shuffles and alpha run only the legal moves of the n-abacus (James & Kerber,
+The Representation Theory of the Symmetric Group, 1981): on each runner (the
+slots of one residue mod n) a set of beads moves left by n exactly when it meets
+each run of consecutive beads in a bottom segment, and right by n in a top one.
+
 A paper claim that only tier-1 pins (tests/test_fock.py): boson-fermion
 multiplicativity, through ``monomial_operator`` and ``multiply_p_times_m``
 (``test_monomial_operator_is_multiplicative``).
@@ -30,7 +35,7 @@ from .exact import SparseVector
 from .partitions import (
     MayaDiagram,
     Partition,
-    maya_from_beads,
+    maya_from_beads,  # unused here; perfbench/selftest.py checks the traced binding
     maya_of_partition,
     multiplicities,
 )
@@ -88,7 +93,7 @@ def _apply(v: FockVector, reach: int, moves, charge_shift: int = 0, slot=None) -
     targets) bit offsets that moves(m, mask, lo) yields.
 
     The window holds the beads of v below its tails, `reach` slots either side
-    (two more above, where leftward candidates end) and `slot`.  Each diagram
+    (two more above, where the monomial operator's candidates end) and `slot`.  Each diagram
     becomes a mask once; each distinct nonzero output becomes a diagram once,
     in the order the outputs first appear.
     """
@@ -113,11 +118,13 @@ def _apply(v: FockVector, reach: int, moves, charge_shift: int = 0, slot=None) -
                 val = c * sign
                 out[m2] = out[m2] + val if m2 in out else val
     coeffs = {}
+    full = (1 << (hi - lo)) - 1
     for mask, c in out.items():
-        if c:
-            tail = (((1 << (hi - lo)) - 1) & ~mask).bit_length()  # every bit from here up is set
-            beads = [lo + b for b in range(tail) if mask >> b & 1]
-            coeffs[maya_from_beads(beads, lo + tail)] = c
+        if c:  # bits from tail up are set and bit tail - 1 is clear, so no mu_k is 0
+            tail = (full & ~mask).bit_length()
+            beads = [b for b in range(tail) if mask >> b & 1]
+            k = tail - len(beads)  # the diagram's charge - lo; mu_k = (k-1) + charge - bead k
+            coeffs[MayaDiagram(lo + k, tuple([k + i - b for i, b in enumerate(beads)]))] = c
     return FockVector(charge, coeffs, v.dual)
 
 
@@ -154,34 +161,43 @@ def psi_star_key(i: int, m: MayaDiagram) -> tuple[int, MayaDiagram] | None:
 # shuffle operators and the power-sum operators
 
 
-def _candidate_beads(m: MayaDiagram, n: int, d: int, leftward: bool) -> list:
-    """Beads that can take part in a d-fold move by n slots (chains included)."""
-    if leftward:
-        limit = len(m.mu) + n * d + 2  # chain tops sit within n*d of the lowest hole
-        return [m.bead(k) for k in range(1, limit + 1)]
-    hi = m.tail_start()  # rightward: the topmost moved bead must land on a hole
+def _legal_moves(mask: int, n: int, d: int, leftward: bool) -> list:
+    """The d-sets of beads of `mask` that can all move left (right) by n, as
+    ascending lists in lexicographic order: a bottom (top) segment of each run
+    of beads n apart, d beads in all.  Every slot above the window is a bead,
+    so the run at the window's top on each runner has no top segment."""
+    runs = []
+    for r in range(n):
+        run = []
+        for b in range(r, mask.bit_length(), n):
+            if mask >> b & 1:
+                run.append(b)
+            elif run:
+                runs.append(run)
+                run = []
+        if leftward:
+            runs.append(run)
     out = []
-    k = 1
-    while m.bead(k) < hi:
-        out.append(m.bead(k))
-        k += 1
+
+    def place(start, left, chosen):
+        if not left:
+            out.append(sorted(chosen))
+            return
+        for i in range(start, len(runs)):
+            run = runs[i]
+            for k in range(1, min(left, len(run)) + 1):
+                place(i + 1, left - k, chosen + (run[:k] if leftward else run[-k:]))
+
+    place(0, d, [])
+    out.sort()
     return out
 
 
 def _shuffle_apply(n: int, d: int, v: FockVector, offset: int) -> FockVector:
     """The word psi_{j_d+o} ... psi_{j_1+o} psi*_{j_1} ... psi*_{j_d} summed
-    over the d-subsets j_1 < ... < j_d of the candidate beads."""
-    leftward = offset < 0
-
+    over the legal d-sets j_1 < ... < j_d of beads."""
     def moves(m, mask, lo):
-        bits = [1 << (b - lo) for b in _candidate_beads(m, n, d, leftward)]
-        for subset in combinations(bits, d):
-            moved = sum(subset)
-            landing = moved >> n if leftward else moved << n
-            if (mask ^ moved) & landing:  # a target is a bead that stays
-                continue
-            js = [bit.bit_length() - 1 for bit in subset]
-            yield js[::-1], [j + offset for j in js]
+        return ((js[::-1], [j + offset for j in js]) for js in _legal_moves(mask, n, d, offset < 0))
 
     return _apply(v, n * d, moves)
 

@@ -143,24 +143,18 @@ def partition_of_maya(m: MayaDiagram) -> Partition:
 
 def gap_and_regularize(p: Partition, n: int) -> tuple[int | None, Partition]:
     """(ell_n(p), rho_n(p)): least ell with a bead gap > n, and the diagram with
-    the first ell beads shifted right by n.  ell is None (infinite) exactly when
-    p is n-regular, and then rho_n(p) = p.
+    the first ell beads shifted right by n; ell is None (infinite) exactly when
+    p is n-regular, and then rho_n(p) = p.  The gap after bead k is one more than
+    the number of parts equal to k (the drop from column k of p to the next), so
+    ell is the least part that p repeats n times and rho_n(p) drops n of them.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    m = maya_of_partition(p)
-    ell = None
-    for k in range(1, len(m.mu) + 1):  # gaps beyond the stored prefix are all 1
-        if m.bead(k + 1) - m.bead(k) > n:
-            ell = k
-            break
-    if ell is None:
-        return None, p
-    tail = m.tail_start()
-    new_below = [m.bead(k) + n for k in range(1, ell + 1)]
-    new_below += [m.bead(k) for k in range(ell + 1, len(m.mu) + 1)]
-    m2 = maya_from_beads(new_below, tail)
-    return ell, partition_of_maya(m2)
+    p = check_partition(p)
+    for i in range(len(p) - n, -1, -1):
+        if p[i] == p[i + n - 1]:
+            return p[i], p[:i] + p[i + n:]
+    return None, p
 
 
 # ---------------------------------------------------------------------------
@@ -252,29 +246,18 @@ def n_jump_raises(p: Partition, n: int) -> tuple[Partition, ...]:
 def n_core(p: Partition, n: int) -> Partition:
     """Remove rim n-hooks until none remain, by justifying the abacus runners.
 
-    Beads of Maya(p) are grouped by residue mod n; pushing every bead as far
-    left as possible within its runner (preserving the runner's bead count at
-    cofinite level) yields the diagram of the core, independent of order.
+    The beta-numbers p_i + len(p) - i are grouped by residue mod n; pushing
+    every bead as far down its runner as it goes yields the beta-numbers of the
+    core, independent of order.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    m = maya_of_partition(p)
-    tail = m.tail_start()
-    # choose a split point divisible by n at or above the tail, so each runner
-    # is full from the split on
-    split = tail if tail % n == 0 else tail + (n - tail % n)
-    below = []
-    k = 1
-    while m.bead(k) < split:
-        below.append(m.bead(k))
-        k += 1
-    new_below = []
-    for r in range(n):
-        slots = [(b - r) // n for b in below if b % n == r]
-        hi = (split - 1 - r) // n + 1  # slot j has position r + n*j; slots < hi are below split
-        count = len(slots)
-        new_below.extend(r + n * j for j in range(hi - count, hi))
-    return partition_of_maya(maya_from_beads(sorted(new_below), split))
+    p = check_partition(p)
+    counts = [0] * n
+    for i, part in enumerate(p, 1):
+        counts[(part + len(p) - i) % n] += 1
+    beta = sorted((r + n * j for r in range(n) for j in range(counts[r])), reverse=True)
+    return tuple(b - len(p) + i for i, b in enumerate(beta, 1) if b - len(p) + i)
 
 
 def weight_class(p: Partition, n: int) -> tuple:

@@ -1,6 +1,7 @@
 """Oracles that more than one test module compares the package against, the
 pass over Gr(k,n)(F_p) and the per-point tangent solve that the (type, cotype)
 strata replaced, the per-point S^T filter that the cell-wise solve replaced,
+the shuffle's filter over bead subsets that the legal abacus moves replaced,
 the per-triple degree-2 generators that the package's generator families
 replaced, the charged strip pass over semistandard tableaux that the vertex
 operator replaced, the prime-field scalar that the tests over F_p build, the
@@ -13,6 +14,7 @@ from itertools import combinations
 
 from grfock.exact import divmod_monic, minors, poly_repr
 from grfock.exterior import ExtTensor, ext_word_on_key, sort_with_sign
+from grfock.fock import _apply
 from grfock.grassmann import _echelon, _gather_source, _residual, enumerate_points, is_invariant
 from grfock.symfunc import KFMatrices, _charge_step, kf_transition_matrices
 
@@ -208,6 +210,44 @@ def beads_below(m, i) -> int:
     while m.bead(count + 1) < i:
         count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# the shuffle's filter over bead subsets, which the legal abacus moves replaced
+
+
+def _candidate_beads(m, n: int, d: int, leftward: bool) -> list:
+    """Beads that can take part in a d-fold move by n slots (chains included)."""
+    if leftward:
+        limit = len(m.mu) + n * d + 2  # chain tops sit within n*d of the lowest hole
+        return [m.bead(k) for k in range(1, limit + 1)]
+    hi = m.tail_start()  # rightward: the topmost moved bead must land on a hole
+    out = []
+    k = 1
+    while m.bead(k) < hi:
+        out.append(m.bead(k))
+        k += 1
+    return out
+
+
+def shuffle_by_filter(n: int, d: int, v, offset: int):
+    """The word psi_{j_d+o} ... psi_{j_1+o} psi*_{j_1} ... psi*_{j_d} summed
+    over every d-subset of the candidate beads whose landing slots hold no bead
+    that stays: ``shuffle`` at offset n, ``shuffle_adjoint`` at -n, and
+    ``alpha(d)`` as n = d, d = 1 at offset -d."""
+    leftward = offset < 0
+
+    def moves(m, mask, lo):
+        bits = [1 << (b - lo) for b in _candidate_beads(m, n, d, leftward)]
+        for subset in combinations(bits, d):
+            moved = sum(subset)
+            landing = moved >> n if leftward else moved << n
+            if (mask ^ moved) & landing:  # a target is a bead that stays
+                continue
+            js = [bit.bit_length() - 1 for bit in subset]
+            yield js[::-1], [j + offset for j in js]
+
+    return _apply(v, n * d, moves)
 
 
 # ---------------------------------------------------------------------------

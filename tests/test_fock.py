@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -24,7 +25,7 @@ from grfock.partitions import (
     partitions_of,
     size,
 )
-from oracles import bead_index, beads_below, is_bead
+from oracles import bead_index, beads_below, is_bead, shuffle_by_filter
 
 
 def labels(v: FockVector) -> dict:
@@ -101,6 +102,22 @@ def test_shuffles_and_alpha_match_the_oracle():
         for d in (1, 2, 3, 4):
             words = [((j - d, False), (j, True)) for j in m.beads(len(m.mu) + d + 3)]
             assert alpha(d, v).coeffs == oracle_sum(words, m), (d, m)
+
+
+def test_legal_moves_give_the_filter_terms_in_its_order():
+    rng = random.Random(1708)
+    for _ in range(150):
+        charge = rng.randint(-1, 1)
+        v = FockVector(charge, {MayaDiagram(charge, rng.choice(partitions_of(rng.randint(0, 12)))):
+                                rng.choice((-2, -1, 1, 3)) for _ in range(rng.randint(1, 3))})
+        for n in (2, 3, 4):
+            for d in (1, 2, 3):
+                for op, o in ((shuffle, n), (shuffle_adjoint, -n)):
+                    got, want = op(n, d, v).coeffs, shuffle_by_filter(n, d, v, o).coeffs
+                    assert list(got.items()) == list(want.items()), (op, n, d, v)
+        for d in (1, 2, 3, 4):
+            assert list(alpha(d, v).coeffs.items()) == \
+                list(shuffle_by_filter(d, 1, v, -d).coeffs.items()), (d, v)
 
 
 # ---------------------------------------------------------------------------

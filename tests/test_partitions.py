@@ -101,6 +101,28 @@ def test_gap_infinite_iff_regular(p, n):
         assert tuple(sorted(removed, reverse=True)) == rho
 
 
+def _gap_and_regularize_on_beads(p, n):
+    """Oracle: the first bead gap > n of Maya(p), and the first ell beads moved right by n."""
+    m = maya_of_partition(p)
+    ell = None
+    for k in range(1, len(m.mu) + 1):  # gaps beyond the stored prefix are all 1
+        if m.bead(k + 1) - m.bead(k) > n:
+            ell = k
+            break
+    if ell is None:
+        return None, p
+    new_below = [m.bead(k) + n for k in range(1, ell + 1)]
+    new_below += [m.bead(k) for k in range(ell + 1, len(m.mu) + 1)]
+    return ell, partition_of_maya(maya_from_beads(new_below, m.tail_start()))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_gap_and_regularize_matches_the_bead_oracle_exhaustive(n):
+    for total in range(17):
+        for p in partitions_of(total):
+            assert gap_and_regularize(p, n) == _gap_and_regularize_on_beads(p, n), (p, n)
+
+
 # ---------------------------------------------------------------------------
 # orders
 
@@ -219,6 +241,13 @@ def test_n_core_examples():
 @given(partition_st(), st.sampled_from([2, 3, 4, 5]))
 def test_n_core_matches_rim_hook_oracle(p, n):
     assert n_core(p, n) == _n_core_by_rim_hooks(p, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_n_core_matches_rim_hook_oracle_exhaustive(n):
+    for total in range(17):
+        for p in partitions_of(total):
+            assert n_core(p, n) == _n_core_by_rim_hooks(p, n), (p, n)
 
 
 @settings(max_examples=100, deadline=None)
