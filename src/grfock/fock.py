@@ -93,7 +93,7 @@ def _apply(v: FockVector, reach: int, moves, charge_shift: int = 0, slot=None) -
     targets) bit offsets that moves(m, mask, lo) yields.
 
     The window holds the beads of v below its tails, `reach` slots either side
-    (two more above, where the monomial operator's candidates end) and `slot`.  Each diagram
+    (two more above, for the monomial operator's candidates) and `slot`.  Each diagram
     becomes a mask once; each distinct nonzero output becomes a diagram once,
     in the order the outputs first appear.
     """
