@@ -38,16 +38,21 @@ invariance and the S^T systems use it.
 - S^T is solved, not filtered.  ``st_forms`` stacks the rows of every sh_d^T
   (d = 1..k) mod p as functionals on the Pluecker coordinates and reduces them
   to semi-echelon form (``_echelon``); ``st_points`` solves them one Schubert
-  cell at a time.
+  cell at a time.  Each cell builds its template once: the first row's leading
+  1 and free columns, and each form's terms on the minors the other rows can
+  make nonzero.  ``_affine_solutions`` writes each solution straight into the
+  first echelon row, and an operator with no form takes the cell's list of
+  first rows.  tests/oracles.py keeps the slot-vector solve this replaced.
 - Invariance is a gather.  Every operator here (``jordan_matrix``) is 0/1 with
   at most one 1 per row, so T v is v read through a source-index table,
-  ``_gather_source(T)``; ``is_invariant`` reduces that image with
+  ``_gather_source(T)``; ``is_invariant`` reduces a nonzero image with
   ``_residual``.  An operator of any other shape raises ValueError.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+from operator import ge
 
 from . import DEFAULT_POINT_BUDGET, BudgetError, Record  # in __init__: cli needs them, not this module
 # lattice_equal and ext_word_on_key are not called here: perfbench/selftest.py
@@ -89,9 +94,9 @@ class SubspaceBasis(Record):
         for row in rows:
             if len(row) != n or min(row) < 0 or max(row) >= p:
                 raise ValueError(f"row {row} is not a vector of {n} entries in [0, {p})")
-            piv = row.index(1) if 1 in row else 0
-            if row[piv] != 1 or any(row[:piv]):
+            if next(filter(None, row), 0) != 1:  # its first nonzero entry
                 raise ValueError(f"echelon row {row} does not lead with a 1")
+            piv = row.index(1)
             if pivots and piv <= pivots[-1]:
                 raise ValueError(f"pivots {(*pivots, piv)} do not strictly increase")
             pivots.append(piv)
@@ -355,10 +360,13 @@ def _echelon(vectors, p: int, stop: int | None = None) -> tuple:
     rows, pivots = [], []
     for v in vectors:
         r = _residual(v, rows, pivots, p)
-        piv = next((j for j, x in enumerate(r) if x), None)
-        if piv is not None:
-            inv = pow(r[piv], p - 2, p)
-            rows.append([x * inv % p for x in r])
+        lead = next(filter(None, r), 0)  # r's first nonzero entry
+        if lead:
+            piv = r.index(lead)
+            if lead != 1:
+                inv = pow(lead, p - 2, p)
+                r = [x * inv % p for x in r]
+            rows.append(r)
             pivots.append(piv)
             if piv == stop:
                 break
@@ -382,7 +390,8 @@ def is_invariant(basis: SubspaceBasis, src) -> bool:
     _gather_source(T)."""
     p, rows, pivots = basis.p, basis.rows, basis.pivots
     for row in rows:
-        if any(_residual([0 if j is None else row[j] for j in src], rows, pivots, p)):
+        image = [0 if j is None else row[j] for j in src]
+        if any(image) and any(_residual(image, rows, pivots, p)):
             return False
     return True
 
@@ -439,17 +448,21 @@ def st_points(Ts, k: int, p: int):
     # per k-subset C: (C_t, C - C_t, (-1)^t) for each position t
     drops = [[(c, C[:t] + C[t + 1:], (-1) ** t) for t, c in enumerate(C)] for C in keys]
     for pivots in keys:
-        slot = {c: s for s, c in enumerate(j for j in range(pivots[0] + 1, n) if j not in pivots)}
-        m = slot[pivots[0]] = len(slot)  # x's leading 1: the constant term
-        entry = [slot.get(j) for j in range(n)]
-        # per operator and form: (slot of x, (k-1)-subset, signed coefficient)
-        systems = [[[(slot[c], S, a * e) for j, a in form for c, S, e in drops[j] if c in slot]
+        first, *rest = _cell_rows(pivots, n, p)
+        free = [j for j in range(pivots[0] + 1, n) if j not in pivots]  # x's slots
+        slot = {c: s for s, c in enumerate(free)}
+        m = slot[pivots[0]] = len(free)  # x's leading 1: the constant term
+        # per operator and form: (slot of x, (k-1)-subset, signed coefficient),
+        # S only where the other rows can have a nonzero minor: S >= pivots[1:]
+        systems = [[[(slot[c], S, a * e) for j, a in form for c, S, e in drops[j]
+                     if c in slot and all(map(ge, S, pivots[1:]))]
                     for form in f] for f in forms]
-        for others in product(*_cell_rows(pivots[1:], n, p)):
+        for others in product(*rest):
             get = minors(others).get
             for i, system in enumerate(systems):
-                for x in _affine_solutions(_affine_forms(system, get, m, p), m, p):
-                    x = tuple(0 if s is None else x[s] for s in entry)
+                solutions = (_affine_solutions(_affine_forms(system, get, m, p), first[0], free, p)
+                             if system else first)
+                for x in solutions:
                     yield i, SubspaceBasis(p, n, (x, *others))
 
 
@@ -463,21 +476,25 @@ def _affine_forms(system, get, m: int, p: int):
         yield [c % p for c in v]
 
 
-def _affine_solutions(vectors, m: int, p: int):
-    """Every x with x[m] = 1 and v . x = 0 mod p for each v in vectors; the
-    vectors are read up to the first that leaves 0 = c with c nonzero."""
+def _affine_solutions(vectors, template: tuple, free: list, p: int):
+    """Every echelon row x that equals template off the free columns and has
+    v[m] + sum_s v[s] x[free[s]] = 0 mod p for each v in vectors, m = len(free);
+    the vectors are read up to the first that leaves 0 = c with c nonzero."""
+    m = len(free)
     rows, pivots = _echelon(vectors, p, stop=m)
     if m in pivots:
         return
-    free = [j for j in range(m) if j not in pivots]
-    solved = list(zip(rows, pivots))[::-1]  # each row is 0 at the pivots before it
-    for values in product(range(p), repeat=len(free)):
-        x = [0] * m + [1]
-        for j, v in zip(free, values):
+    params = [j for s, j in enumerate(free) if s not in pivots]
+    # x[free[piv]] = -(c + sum a x[j]); each row is 0 at the pivots before it
+    solved = [(free[piv], row[m], [(free[s], a) for s, a in enumerate(row[:m]) if a and s != piv])
+              for row, piv in zip(rows[::-1], pivots[::-1])]
+    for values in product(range(p), repeat=len(params)):
+        x = list(template)
+        for j, v in zip(params, values):
             x[j] = v
-        for row, piv in solved:
-            x[piv] = -sum([a * b for a, b in zip(row, x)]) % p
-        yield x
+        for j, c, terms in solved:
+            x[j] = -(c + sum([a * x[t] for t, a in terms])) % p
+        yield tuple(x)
 
 
 def fpoints_rows(types, k: int, p: int, max_points: int = DEFAULT_POINT_BUDGET) -> list:

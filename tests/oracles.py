@@ -1,6 +1,7 @@
 """Oracles that more than one test module compares the package against, the
 pass over Gr(k,n)(F_p) and the per-point tangent solve that the (type, cotype)
 strata replaced, the per-point S^T filter that the cell-wise solve replaced,
+the slot-vector form of that solve that the per-cell templates replaced,
 the shuffle's filter over bead subsets that the legal abacus moves replaced,
 the per-triple degree-2 generators that the package's generator families
 replaced, the charged strip pass over semistandard tableaux that the vertex
@@ -10,12 +11,13 @@ Kostka-Foulkes matrix that the klmw and command-line tests both feed in."""
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from grfock.exact import divmod_monic, minors, poly_repr
 from grfock.exterior import ExtTensor, ext_word_on_key, sort_with_sign
 from grfock.fock import _apply
-from grfock.grassmann import _echelon, _gather_source, _residual, enumerate_points, is_invariant
+from grfock.grassmann import (SubspaceBasis, _affine_forms, _cell_rows, _echelon, _gather_source,
+                              _residual, enumerate_points, is_invariant, st_forms)
 from grfock.symfunc import KFMatrices, _charge_step, kf_transition_matrices
 
 
@@ -331,6 +333,52 @@ def in_st(plucker: list, forms: list, p: int) -> bool:
         if sum([c * plucker[j] for j, c in form]) % p:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the cell-wise S^T solve on slot vectors
+
+
+def st_points_by_slots(Ts, k: int, p: int):
+    """(i, U) for each point U of S^T(F_p) in Gr(k,n) of each operator Ts[i], in
+    grassmann.st_points' order: per Schubert cell, each solution x of the
+    affine forms is a vector over x's slots (its free columns, then the
+    constant 1), remapped to the echelon row once solved."""
+    n = len(Ts[0])
+    forms = [st_forms(T, k, p) for T in Ts]
+    if k == 0:
+        yield from ((i, SubspaceBasis(p, n, ())) for i, f in enumerate(forms) if not f)
+        return
+    keys = list(combinations(range(n), k))
+    drops = [[(c, C[:t] + C[t + 1:], (-1) ** t) for t, c in enumerate(C)] for C in keys]
+    for pivots in keys:
+        slot = {c: s for s, c in enumerate(j for j in range(pivots[0] + 1, n) if j not in pivots)}
+        m = slot[pivots[0]] = len(slot)
+        entry = [slot.get(j) for j in range(n)]
+        systems = [[[(slot[c], S, a * e) for j, a in form for c, S, e in drops[j] if c in slot]
+                    for form in f] for f in forms]
+        for others in product(*_cell_rows(pivots[1:], n, p)):
+            get = minors(others).get
+            for i, system in enumerate(systems):
+                for x in _slot_solutions(_affine_forms(system, get, m, p), m, p):
+                    x = tuple(0 if s is None else x[s] for s in entry)
+                    yield i, SubspaceBasis(p, n, (x, *others))
+
+
+def _slot_solutions(vectors, m: int, p: int):
+    """Every x with x[m] = 1 and v . x = 0 mod p for each v in vectors."""
+    rows, pivots = _echelon(vectors, p, stop=m)
+    if m in pivots:
+        return
+    free = [j for j in range(m) if j not in pivots]
+    solved = list(zip(rows, pivots))[::-1]  # each row is 0 at the pivots before it
+    for values in product(range(p), repeat=len(free)):
+        x = [0] * m + [1]
+        for j, v in zip(free, values):
+            x[j] = v
+        for row, piv in solved:
+            x[piv] = -sum([a * b for a, b in zip(row, x)]) % p
+        yield x
 
 
 # ---------------------------------------------------------------------------

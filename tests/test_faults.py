@@ -44,6 +44,18 @@ def zero_the_residual_on_one_shape(monkeypatch):
                         [0] * 6 if len(v) == 6 else residual(v, rows, pivots, p))
 
 
+def shift_one_solved_entry(monkeypatch):
+    # in the cell of Gr(1,3) that leads at column 0, x_1 is back-substituted for
+    # both operators with a form, of types (3) and (2,1)
+    solutions = grassmann._affine_solutions
+
+    def shifted(vectors, template, free, p):
+        for x in solutions(vectors, template, free, p):
+            yield (x[0], (x[1] + 1) % p, *x[2:]) if free == [1, 2] and len(x) == 3 else x
+
+    monkeypatch.setattr(grassmann, "_affine_solutions", shifted)
+
+
 def put_the_gaussian_binomial_off_by_one(monkeypatch):
     gaussian_binomial = grassmann.gaussian_binomial
     monkeypatch.setattr(grassmann, "gaussian_binomial",
@@ -87,6 +99,8 @@ FAULTS = [
     (negate_every_rewritten_coefficient, [["kf", "--n", "2", "--size", "4"],
                                           ["kf", "--n", "3", "--size", "4"]]),
     (zero_the_residual_on_one_shape, [["fpoints", "--p", "2", "--dim", "4"]]),
+    (shift_one_solved_entry, [["fpoints", "--p", "2", "--dim", "4"],
+                              ["fpoints", "--p", "3", "--dim", "3"]]),
     (put_the_gaussian_binomial_off_by_one, [["fpoints", "--p", "2", "--dim", "3"],
                                             ["tangent", "--p", "2", "--dim", "4"]]),
     (set_d00_to_t, [["kf", "--n", "2", "--size", "2"], ["kf", "--n", "3", "--size", "4"]]),

@@ -31,8 +31,8 @@ from grfock.grassmann import (
 )
 from grfock.partitions import partitions_of, transpose
 from grfock.symfunc import s_poly, schur_expand
-from oracles import (Fp, _rank, gt_points, in_st, omega_family, quadric_family, tangent_dim_gt,
-                     unordered, wedge_of_rows)
+from oracles import (Fp, _rank, gt_points, in_st, omega_family, quadric_family, st_points_by_slots,
+                     tangent_dim_gt, unordered, wedge_of_rows)
 
 
 def test_jordan_matrix_example():
@@ -261,6 +261,16 @@ def test_st_points_are_the_points_the_per_point_filter_keeps(p):
             for T, got, pts in zip(Ts, solved, kept):
                 assert len(got) == len(set(got)), (T, k)
                 assert set(got) == set(pts), (T, k)
+
+
+@pytest.mark.parametrize("p, nmax", [(2, 5), (3, 5), (5, 4)])
+def test_st_points_yield_the_slot_vector_solve_in_its_order(p, nmax):
+    # the per-cell templates against the slot-vector solve they replaced, point
+    # by point and in order, for every Jordan type and every k
+    for n in range(1, nmax + 1):
+        Ts = [jordan_matrix(blocks) for blocks in partitions_of(n)]
+        for k in range(n + 1):
+            assert list(st_points(Ts, k, p)) == list(st_points_by_slots(Ts, k, p)), (n, k)
 
 
 def _gt_cases():

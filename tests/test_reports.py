@@ -42,6 +42,8 @@ HEAVY = {
     # the fpoints benchmark workload; equal to its pin in perfbench/run.py
     "fpoints --p 3 --dim 5": "f53327926809c700dbd2e0f994db9cd3be5c3e171e6b6b6b363ac835c624bc86",
     "fpoints --p 2 --dim 6": "4538e7f8abfffdaa2592490bc889c2149d64a39292a3e7be816cbf34ed9a0b49",
+    # made by the slot-vector solve that the per-cell templates replaced
+    "fpoints --p 2 --dim 7": "6ad8358f64d4ec2bb78dcdac1ce236041e01205c20ac4396088950c514de3dfc",
     "tangent --p 2 --dim 6": "c332c189968f7047c23f6797e127078041efbc61518f19bf1ed6138cbcc96c7c",
     # made by the pass over Gr(k,n)(F_2) that the (type, cotype) strata
     # replaced, at a size too slow for that pass in tier-1
