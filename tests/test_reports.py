@@ -1,5 +1,5 @@
 """Every suite's report at default parameters is pinned by its digest (12
-pins), and so are 28 heavier parameter sets: of the Fock-side, finite-field,
+pins), and so are 29 heavier parameter sets: of the Fock-side, finite-field,
 tangent, Clifford, Pluecker-ideal, T-shuffle export, divided-power,
 determinant-identity and n-dominance suites, and of the Kostka-Foulkes check at
 n = 2, 3 and 5.  Only ``signs`` has no heavy pin.
