@@ -7,6 +7,17 @@ Pluecker quadric and KP functional is homogeneous for the weight A + B (a
 multiset) of its pairs (A, B), so each lattice is the direct sum of its blocks,
 the lattices are equal exactly when every block is, and ranks add over blocks.
 
+Each block is built once per standardized weight.  A weight is fixed by its
+support U, |U| = m, and the indices D in U that it holds twice; w(m, D) is the
+one with U = 1..m.  Every generator and sign depends only on the relative order
+of the indices (membership and ``sort_with_sign`` in the quadrics, the parity
+of the set bits below a target in ``_move``), and a block's d range does not
+depend on n, since k + d <= m.  So the order-preserving map 1..m -> U carries
+the block of w(m, D) onto the block of w, with its sorted pair index, integer
+rows and Hermite normal form.  The lattices on 1..n are equal exactly when
+those of every w(m, D) with m <= n are, and each block's rank counts C(n, m)
+times.
+
 The Gr(k,n) generators are the k = l incidence generators, symmetrised: a
 quadric or functional on Gr(k,n) is the bihomogeneous one on wedge^k (x)
 wedge^k read on the diagonal tau (x) tau, where X_A X_B = X_B X_A, so its
@@ -52,6 +63,7 @@ invariance and the S^T systems use it.
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import comb
 from operator import ge
 
 from . import DEFAULT_POINT_BUDGET, BudgetError, Record  # in __init__: cli needs them, not this module
@@ -165,30 +177,25 @@ def plucker_vector(basis: SubspaceBasis) -> dict:
 # Pluecker relation generators (exact, over Z)
 
 
-def plucker_quadrics(k: int, n: int) -> list:
-    """Each nonzero P_{alpha,beta,d}, d < k, once up to sign, as a dict over
-    unordered pairs of k-subsets."""
-    return _distinct_up_to_sign(map(_symmetrize, _quadrics(k, k, n, k - 1)))
+def _splits(m: int, D: tuple, size: int):
+    """Each (X, Y), |X| = size, with X + Y = w(m, D): D twice, the rest of 1..m once."""
+    rest = [i for i in range(1, m + 1) if i not in D]
+    for S in combinations(rest, size - len(D)):
+        yield tuple(sorted(D + S)), tuple(sorted(D + tuple(i for i in rest if i not in S)))
 
 
-def incidence_quadrics(k: int, l: int, n: int) -> list:
-    """Each nonzero P_{alpha (x) beta, d} once up to sign, as a dict over ordered
-    pairs (k-subset, l-subset)."""
-    return _distinct_up_to_sign(_quadrics(k, l, n, l))
-
-
-def _quadrics(k: int, l: int, n: int, top: int):
-    """P_{alpha (x) beta, d} over ordered pairs for d <= top, except those with
-    beta[:d] inside alpha, which are 0."""
-    if not (n >= k >= l >= 0):
-        raise ValueError("need n >= k >= l >= 0")
-    for alpha in combinations(range(1, n + 1), k):
-        for beta in combinations(range(1, n + 1), l):
-            inside = 0  # the longest prefix of beta inside alpha
-            while inside < l and beta[inside] in alpha:
-                inside += 1
-            for d in range(inside + 1, top + 1):
-                yield _plucker_quadric(alpha, beta, d)
+def plucker_quadrics(k: int, l: int, m: int, D: tuple, symmetric: bool) -> list:
+    """The block of the weight w(m, D), |D| = k + l - m: each nonzero
+    P_{alpha (x) beta, d}, d <= l, once up to sign, over ordered pairs; if
+    symmetric (k = l, Gr(k,n)) d < k, over unordered pairs.  A triple with
+    beta[:d] inside alpha gives 0 and is skipped."""
+    out, top = [], k - 1 if symmetric else l
+    for alpha, beta in _splits(m, D, k):
+        inside = 0  # the longest prefix of beta inside alpha
+        while inside < l and beta[inside] in alpha:
+            inside += 1
+        out += [_plucker_quadric(alpha, beta, d) for d in range(inside + 1, top + 1)]
+    return _distinct_up_to_sign(map(_symmetrize, out) if symmetric else out)
 
 
 def _plucker_quadric(alpha: tuple, beta: tuple, d: int) -> dict:
@@ -261,24 +268,13 @@ def _distinct_up_to_sign(dicts) -> list:
     return out
 
 
-def omega_quadric_functionals(k: int, n: int) -> list:
-    """Each nonzero lambda . omega_d once up to sign, as a dict over unordered
-    pairs."""
-    return _distinct_up_to_sign(map(_symmetrize, _omega_functionals(k, k, n)))
-
-
-def omega_bihom_functionals(k: int, l: int, n: int) -> list:
-    """Each nonzero (kappa (x) lambda) . Omega_d once up to sign, as a dict over
-    ordered pairs."""
-    return _distinct_up_to_sign(_omega_functionals(k, l, n))
-
-
-def _omega_functionals(k: int, l: int, n: int):
-    """Each (kappa (x) lambda) . Omega_d over ordered pairs, zero ones included."""
-    for d in range(1, min(l, n - k) + 1):
-        for C in combinations(range(1, n + 1), k + d):
-            for D in combinations(range(1, n + 1), l - d):
-                yield _omega_functional(C, D, d)
+def omega_quadric_functionals(k: int, l: int, m: int, D: tuple, symmetric: bool) -> list:
+    """The block of the weight w(m, D), |D| = k + l - m: each nonzero
+    (kappa (x) lambda) . Omega_d once up to sign, over ordered pairs, or over
+    unordered ones if symmetric; k + d <= m bounds d."""
+    out = [_omega_functional(C, E, d) for d in range(1, min(l, m - k) + 1)
+           for C, E in _splits(m, D, k + d)]
+    return _distinct_up_to_sign(map(_symmetrize, out) if symmetric else out)
 
 
 def vectors_over(index: list, dicts: list) -> list:
@@ -292,34 +288,38 @@ def vectors_over(index: list, dicts: list) -> list:
     return out
 
 
-def _pair_weight(key: tuple) -> tuple:
-    """Torus weight of the pair (A, B): the multiset A + B, sorted."""
-    return tuple(sorted(key[0] + key[1]))
+def standard_weights(k: int, l: int, n: int):
+    """(m, D) for each standardized weight w(m, D) of wedge^k (x) wedge^l with
+    m <= n: D holds the k + l - m indices of 1..m that A + B has twice."""
+    if not (n >= k >= l >= 0):
+        raise ValueError("need n >= k >= l >= 0")
+    for m in range(k, min(k + l, n) + 1):
+        for D in combinations(range(1, m + 1), k + l - m):
+            yield m, D
 
 
-def _graded_lattices(plucker: list, omega: list) -> tuple[bool, int, int]:
-    """(equal lattices, Pluecker rank, KP rank), one weight block at a time; a
-    block's index is the sorted union of the keys that occur in it."""
-    blocks: dict = {}
-    for side, dicts in enumerate((plucker, omega)):
-        for q in dicts:
-            blocks.setdefault(_pair_weight(next(iter(q))), ([], []))[side].append(q)
+def _graded_lattices(k: int, l: int, n: int, symmetric: bool) -> tuple[bool, int, int]:
+    """(equal lattices, Pluecker rank, KP rank), one block per standardized
+    weight, each standing for its C(n, m) weights; a block's index is the
+    sorted union of the keys that occur in it."""
     equal, pl_rank, om_rank = True, 0, 0
-    for sides in blocks.values():
+    for m, D in standard_weights(k, l, n):
+        sides = [f(k, l, m, D, symmetric) for f in (plucker_quadrics, omega_quadric_functionals)]
         index = sorted({key for qs in sides for q in qs for key in q})
         pl, om = (lattice_basis(vectors_over(index, qs), len(index)) for qs in sides)
-        equal, pl_rank, om_rank = equal and pl == om, pl_rank + len(pl), om_rank + len(om)
+        equal = equal and pl == om
+        pl_rank, om_rank = pl_rank + comb(n, m) * len(pl), om_rank + comb(n, m) * len(om)
     return equal, pl_rank, om_rank
 
 
 def degree2_ideal_equal(k: int, n: int) -> tuple[bool, int, int]:
     """(Pluecker lattice == KP-two-tensor lattice, Pluecker rank, KP rank) inside
-    the degree-2 coordinates."""
-    return _graded_lattices(plucker_quadrics(k, n), omega_quadric_functionals(k, n))
+    the degree-2 coordinates of Gr(k,n)."""
+    return _graded_lattices(k, k, n, True)
 
 
 def incidence_degree2_ideal_equal(k: int, l: int, n: int) -> bool:
-    return _graded_lattices(incidence_quadrics(k, l, n), omega_bihom_functionals(k, l, n))[0]
+    return _graded_lattices(k, l, n, False)[0]
 
 
 # ---------------------------------------------------------------------------

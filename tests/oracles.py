@@ -3,11 +3,12 @@ pass over Gr(k,n)(F_p) and the per-point tangent solve that the (type, cotype)
 strata replaced, the per-point S^T filter that the cell-wise solve replaced,
 the slot-vector form of that solve that the per-cell templates replaced,
 the shuffle's filter over bead subsets that the legal abacus moves replaced,
-the per-triple degree-2 generators that the package's generator families
-replaced, the charged strip pass over semistandard tableaux that the vertex
-operator replaced, the prime-field scalar that the tests over F_p build, the
-ring arithmetic of Z[t] that the tests compute with, and a corrupted
-Kostka-Foulkes matrix that the klmw and command-line tests both feed in."""
+the per-triple degree-2 generators, grouped by weight, that the package's
+blocks per standardized weight replaced, the charged strip pass over
+semistandard tableaux that the vertex operator replaced, the prime-field scalar
+that the tests over F_p build, the ring arithmetic of Z[t] that the tests
+compute with, and a corrupted Kostka-Foulkes matrix that the klmw and
+command-line tests both feed in."""
 
 from collections import defaultdict
 from dataclasses import dataclass
@@ -427,6 +428,27 @@ def unordered(ordered: dict) -> dict:
         key = (min(A, B), max(A, B))
         out[key] = out.get(key, 0) + c
     return {key: c for key, c in out.items() if c}
+
+
+def pair_weight(key: tuple) -> tuple:
+    """Torus weight of the pair (A, B): the multiset A + B, sorted."""
+    return tuple(sorted(key[0] + key[1]))
+
+
+def standardized_blocks(dicts) -> dict:
+    """The nonzero dicts grouped by the weight of their first pair, each group
+    relabelled onto 1..m by the order-preserving map from the weight's support
+    U: {(m, D, U): dicts}, D the relabelled indices that the weight has twice."""
+    out: dict = {}
+    for q in filter(None, dicts):
+        w = pair_weight(next(iter(q)))
+        U = tuple(sorted(set(w)))
+        label = {u: i for i, u in enumerate(U, 1)}
+        D = tuple(label[u] for u in U if w.count(u) == 2)
+        out.setdefault((len(U), D, U), []).append(
+            {(tuple(label[a] for a in A), tuple(label[b] for b in B)): c
+             for (A, B), c in q.items()})
+    return out
 
 
 def quadric_family(k: int, l: int, n: int) -> list:

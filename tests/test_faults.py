@@ -37,6 +37,19 @@ def negate_every_rewritten_coefficient(monkeypatch):
     monkeypatch.setattr(klmw, "straighten_coeffs", negated)
 
 
+def drop_the_largest_exchange_at_d_2(monkeypatch):
+    # Gr(2,n) has d = 1 only, so Gr(3,6) is the smallest case that sees it
+    plucker_quadric = grassmann._plucker_quadric
+
+    def dropped(alpha, beta, d):
+        q = plucker_quadric(alpha, beta, d)
+        if d == 2 and len(q) > 2:
+            del q[max(q.keys() - {(alpha, beta)})]
+        return q
+
+    monkeypatch.setattr(grassmann, "_plucker_quadric", dropped)
+
+
 def zero_the_residual_on_one_shape(monkeypatch):
     # vectors of length 6: the Pluecker coordinates of Gr(2,4)
     residual = grassmann._residual
@@ -96,6 +109,8 @@ FAULTS = [
                                        ["shuffle-span", "--n", "2", "--size", "6"],
                                        ["kf", "--n", "2", "--size", "4"],
                                        ["kf", "--n", "3", "--size", "6"]]),
+    (drop_the_largest_exchange_at_d_2, [["pluecker-ideal"],
+                                        ["pluecker-ideal", "--k", "3", "--n", "6"]]),
     (negate_every_rewritten_coefficient, [["kf", "--n", "2", "--size", "4"],
                                           ["kf", "--n", "3", "--size", "4"]]),
     (zero_the_residual_on_one_shape, [["fpoints", "--p", "2", "--dim", "4"]]),

@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import combinations, product
 from math import comb
 
@@ -10,29 +11,28 @@ from grfock.grassmann import (
     _gather_source,
     _omega_functional,
     _lr_cotypes,
-    _pair_weight,
     degree2_ideal_equal,
     enumerate_points,
     fpoints_rows,
     gaussian_binomial,
     gt_count,
     incidence_degree2_ideal_equal,
-    incidence_quadrics,
     is_invariant,
     jordan_matrix,
     max_tangent_dim,
-    omega_bihom_functionals,
     omega_quadric_functionals,
     plucker_quadrics,
     plucker_vector,
     st_forms,
     st_points,
+    standard_weights,
     vectors_over,
 )
 from grfock.partitions import partitions_of, transpose
 from grfock.symfunc import s_poly, schur_expand
-from oracles import (Fp, _rank, gt_points, in_st, omega_family, quadric_family, st_points_by_slots,
-                     tangent_dim_gt, unordered, wedge_of_rows)
+from oracles import (Fp, _rank, gt_points, in_st, omega_family, pair_weight, quadric_family,
+                     st_points_by_slots, standardized_blocks, tangent_dim_gt, unordered,
+                     wedge_of_rows)
 
 
 def test_jordan_matrix_example():
@@ -53,25 +53,32 @@ def test_degree2_ideal_equal_reports_both_ranks():
     assert degree2_ideal_equal(1, 4) == (True, 0, 0)
 
 
-def _generator_families(n):
-    """(label, dicts) for every generator family with n <= 6: the Grassmannian
-    side for k <= n and the incidence side for l <= k <= n."""
-    for k in range(n + 1):
-        yield (k, n), plucker_quadrics(k, n)
-        yield (k, n), omega_quadric_functionals(k, n)
-        for l in range(k + 1):
-            yield (k, l, n), incidence_quadrics(k, l, n)
-            yield (k, l, n), omega_bihom_functionals(k, l, n)
+def _families(k, l, n):
+    """(label, the package's block builder, the oracle's generators) for
+    wedge^k (x) wedge^l over 1..n, and for l = k the Grassmannian sides too,
+    whose oracle generators are read on unordered pairs."""
+    quadrics, omegas = quadric_family(k, l, n), omega_family(k, l, n)
+    yield (k, l, n), partial(plucker_quadrics, k, l, symmetric=False), quadrics
+    yield (k, l, n), partial(omega_quadric_functionals, k, l, symmetric=False), omegas
+    if l == k:
+        yield (k, n), partial(plucker_quadrics, k, k, symmetric=True), list(map(unordered, quadrics))
+        yield (k, n), partial(omega_quadric_functionals, k, k, symmetric=True), list(map(unordered, omegas))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_every_degree2_generator_lies_in_one_torus_weight(n):
-    # the premise of the graded comparison: the block key of a generator is
-    # the same whichever of its pairs it is read from
-    for label, dicts in _generator_families(n):
-        for q in dicts:
-            assert q, label
-            assert len({_pair_weight(key) for key in q}) == 1, (label, q)
+    # the premise of the graded comparison: the weight of a generator is the
+    # same whichever of its pairs it is read from, for the oracle's generators,
+    # and each block the package builds lies in its own standardized weight
+    for k in range(n + 1):
+        for l in range(k + 1):
+            for label, block, oracle in _families(k, l, n):
+                for q in filter(None, oracle):
+                    assert len({pair_weight(key) for key in q}) == 1, (label, q)
+                for m, D in standard_weights(k, l, n):
+                    weight = tuple(sorted((*range(1, m + 1), *D)))
+                    for q in block(m, D):
+                        assert {pair_weight(key) for key in q} == {weight}, (label, q)
 
 
 def _sign_classes(dicts) -> list:
@@ -92,51 +99,60 @@ def _assert_family_matches_the_oracle(got, want, label):
     assert set(classes) == set(_sign_classes(filter(None, want))), label
 
 
+def _assert_blocks_match_the_oracle(k, l, n, label, block, oracle):
+    # relabelled onto 1..m, the oracle's generators of each weight with
+    # support U are the package's block of the standardized weight
+    groups = standardized_blocks(oracle)
+    weights = set()
+    for m, D in standard_weights(k, l, n):
+        got = block(m, D)
+        for U in combinations(range(1, n + 1), m):
+            _assert_family_matches_the_oracle(got, groups.get((m, D, U), []), (label, m, D, U))
+            weights.add((m, D, U))
+    assert set(groups) <= weights, label
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_generator_families_match_the_per_triple_oracle(n):
     # the oracle builds every (alpha, beta, d) and every exchange, every
     # d-subset of C, and the Grassmannian quadrics for d = k too
     for k in range(n + 1):
         for l in range(k + 1):
-            quadrics, omegas = quadric_family(k, l, n), omega_family(k, l, n)
-            _assert_family_matches_the_oracle(incidence_quadrics(k, l, n), quadrics, (k, l, n))
-            _assert_family_matches_the_oracle(omega_bihom_functionals(k, l, n), omegas, (k, l, n))
-            if l == k:
-                _assert_family_matches_the_oracle(plucker_quadrics(k, n),
-                                                  map(unordered, quadrics), (k, n))
-                _assert_family_matches_the_oracle(omega_quadric_functionals(k, n),
-                                                  map(unordered, omegas), (k, n))
+            for family in _families(k, l, n):
+                _assert_blocks_match_the_oracle(k, l, n, *family)
 
 
 def test_grassmannian_generators_match_the_oracle_at_k_equal_n_minus_k():
     # Gr(4,8) is the case where d runs up to both k and n - k
-    quadrics, omegas = quadric_family(4, 4, 8), omega_family(4, 4, 8)
-    _assert_family_matches_the_oracle(plucker_quadrics(4, 8), map(unordered, quadrics), (4, 8))
-    _assert_family_matches_the_oracle(omega_quadric_functionals(4, 8), map(unordered, omegas),
-                                      (4, 8))
+    for label, block, oracle in _families(4, 4, 8):
+        if label == (4, 8):
+            _assert_blocks_match_the_oracle(4, 4, 8, label, block, oracle)
 
 
 def _dense_lattice(index, plucker, omega):
     """(equal, Pluecker rank, KP rank) from one Hermite normal form per side
-    over the whole pair index."""
-    pl = lattice_basis(vectors_over(index, plucker), len(index))
-    om = lattice_basis(vectors_over(index, omega), len(index))
+    over the whole pair index, each generator taken once up to sign."""
+    pl, om = (lattice_basis(vectors_over(index, [dict(c) for c in
+                                                 dict.fromkeys(_sign_classes(filter(None, qs)))]),
+                            len(index)) for qs in (plucker, omega))
     return pl == om, len(pl), len(om)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_graded_degree2_comparison_matches_the_dense_one(n):
+    # the oracle's generators over the whole pair index, against the blocks
+    # per standardized weight and their multiplicities C(n, m)
     subsets = {k: list(combinations(range(1, n + 1), k)) for k in range(n + 1)}
     for k in range(n + 1):
-        keys = subsets[k]
-        index = [(a, b) for i, a in enumerate(keys) for b in keys[i:]]
-        dense = _dense_lattice(index, plucker_quadrics(k, n), omega_quadric_functionals(k, n))
-        assert degree2_ideal_equal(k, n) == dense, (k, n)
         for l in range(k + 1):
+            families = [oracle for _, _, oracle in _families(k, l, n)]
             index = [(a, b) for a in subsets[k] for b in subsets[l]]
-            dense = _dense_lattice(index, incidence_quadrics(k, l, n),
-                                   omega_bihom_functionals(k, l, n))
+            dense = _dense_lattice(index, *families[:2])
             assert incidence_degree2_ideal_equal(k, l, n) == dense[0], (k, l, n)
+            if l == k:
+                keys = subsets[k]
+                index = [(a, b) for i, a in enumerate(keys) for b in keys[i:]]
+                assert degree2_ideal_equal(k, n) == _dense_lattice(index, *families[2:]), (k, n)
 
 
 def test_omega_functional_example():

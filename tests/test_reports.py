@@ -1,5 +1,5 @@
 """Every suite's report at default parameters is pinned by its digest (12
-pins), and so are 29 heavier parameter sets: of the Fock-side, finite-field,
+pins), and so are 30 heavier parameter sets: of the Fock-side, finite-field,
 tangent, Clifford, Pluecker-ideal, T-shuffle export, divided-power,
 determinant-identity and n-dominance suites, and of the Kostka-Foulkes check at
 n = 2, 3 and 5.  Only ``signs`` has no heavy pin.
@@ -64,6 +64,8 @@ HEAVY = {
     "pluecker-ideal --k 3 --n 8": "c70928464a1d29e5a0d5de6f38875f462f4e9226533280272665f197e9b0ee0b",
     # k = n - k: the one case whose d range tops out at both k and n - k
     "pluecker-ideal --k 4 --n 8": "a56aad5b1c4eec404fbb13289cabb57e73afbbbdb4680d8193d7090616c88eb2",
+    # made by the pass over every weight block that the blocks per standardized weight replaced
+    "pluecker-ideal --k 4 --n 9": "521079725777c08233cbd647d69d7665df5376e16e534fae3379a7f4e27eca50",
     "export-generators --target tshuffle --jordan 4,2 --k 3":
         "312689bf604e79fefc92cad3dca72db3289caee0455ab6968a239161f6c07c8f",
     "divided-powers --seed 7": "431f814c22db5929a83d3f22a7e4eb32e767b70a3b14ff335be5aa12ce120d66",
