@@ -57,12 +57,13 @@ def _families(k, l, n):
     """(label, the package's block builder, the oracle's generators) for
     wedge^k (x) wedge^l over 1..n, and for l = k the Grassmannian sides too,
     whose oracle generators are read on unordered pairs."""
-    quadrics, omegas = quadric_family(k, l, n), omega_family(k, l, n)
-    yield (k, l, n), partial(plucker_quadrics, k, l, symmetric=False), quadrics
-    yield (k, l, n), partial(omega_quadric_functionals, k, l, symmetric=False), omegas
+    families = quadric_family(k, l, n), omega_family(k, l, n)
+    builders = plucker_quadrics, omega_quadric_functionals
+    for build, oracle in zip(builders, families):
+        yield (k, l, n), partial(build, k, l, symmetric=False), oracle
     if l == k:
-        yield (k, n), partial(plucker_quadrics, k, k, symmetric=True), list(map(unordered, quadrics))
-        yield (k, n), partial(omega_quadric_functionals, k, k, symmetric=True), list(map(unordered, omegas))
+        for build, oracle in zip(builders, families):
+            yield (k, n), partial(build, k, k, symmetric=True), list(map(unordered, oracle))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -132,9 +133,11 @@ def test_grassmannian_generators_match_the_oracle_at_k_equal_n_minus_k():
 def _dense_lattice(index, plucker, omega):
     """(equal, Pluecker rank, KP rank) from one Hermite normal form per side
     over the whole pair index, each generator taken once up to sign."""
-    pl, om = (lattice_basis(vectors_over(index, [dict(c) for c in
-                                                 dict.fromkeys(_sign_classes(filter(None, qs)))]),
-                            len(index)) for qs in (plucker, omega))
+    bases = []
+    for qs in (plucker, omega):
+        distinct = [dict(c) for c in dict.fromkeys(_sign_classes(filter(None, qs)))]
+        bases.append(lattice_basis(vectors_over(index, distinct), len(index)))
+    pl, om = bases
     return pl == om, len(pl), len(om)
 
 
