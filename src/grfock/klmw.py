@@ -8,14 +8,14 @@ order, resting on one invariant: every term of a rewrite other than the
 partition rewritten is mlex-smaller, so it is done when it is needed.  The
 pass checks this and raises ArithmeticError where it fails.
 
-This module imports only ``exact``, ``fock`` and ``partitions``; the
-Kostka-Foulkes and T-shuffle matrices that ``kf_compare`` and
-``emit_t_shuffle_generators`` read are built by their callers.
+This module imports only ``exact`` (the Phi_n reduction and ``lattice_rank``),
+``fock`` and ``partitions``; the Kostka-Foulkes and T-shuffle matrices that
+``kf_compare`` and ``emit_t_shuffle_generators`` read are built by their callers.
 """
 
 from __future__ import annotations
 
-from .exact import IntMatrix, cyclotomic_polynomial, divmod_monic, hermite_normal_form, poly_repr
+from .exact import cyclotomic_polynomial, divmod_monic, lattice_rank, poly_repr
 from .fock import basis_vector, shuffle_adjoint
 from .partitions import (
     MayaDiagram,
@@ -78,26 +78,25 @@ def d_matrix(n: int, total: int) -> dict:
 # finite-rank shuffle span
 
 
+def _adjoint_images(n: int, total: int):
+    """shuffle_adjoint(n, d, v*_mu) for every d >= 1 and every mu of size
+    total - n d: the adjoint-shuffle images that land in the given size."""
+    for d in range(1, total // n + 1):
+        for mu in partitions_of(total - n * d):
+            yield shuffle_adjoint(n, d, basis_vector(mu, dual=True))
+
+
 def shuffle_span_dim(n: int, total: int) -> int:
     """Rank of the span of all adjoint-shuffle images landing in the given degree."""
-    if total == 0:
-        return 0
     parts = partitions_of(total)
     index = {p: i for i, p in enumerate(parts)}
-    vectors = []
-    d = 1
-    while n * d <= total:
-        for mu in partitions_of(total - n * d):
-            image = shuffle_adjoint(n, d, basis_vector(mu, dual=True))
-            row = [0] * len(parts)
-            for m, c in image.coeffs.items():
-                row[index[partition_of_maya(m)]] = c
-            vectors.append(tuple(row))
-        d += 1
-    if not vectors:
-        return 0
-    _, rank = hermite_normal_form(IntMatrix.from_rows(vectors, len(parts)))
-    return rank
+    rows = []
+    for image in _adjoint_images(n, total):
+        row = [0] * len(parts)
+        for m, c in image.coeffs.items():
+            row[index[partition_of_maya(m)]] = c
+        rows.append(row)
+    return lattice_rank(rows, len(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -140,44 +139,30 @@ def kf_compare(n: int, total: int, kf) -> dict:
 
 
 def n_dominance_components(n: int, total: int) -> dict:
-    """Connected components of the n-jump graph vs (n-core, size) classes."""
-    parts = list(partitions_of(total))
-    adj = {p: set() for p in parts}
+    """The components of the n-jump graph, by union-find over the jumps, and the
+    (n-core, size) classes, each as {key: members}; a class is split when it
+    meets more than one component."""
+    parts = partitions_of(total)
+    root = {p: p for p in parts}
+
+    def find(p):
+        while root[p] != p:
+            root[p] = root[root[p]]
+            p = root[p]
+        return p
+
     for p in parts:
         for q in n_jump_raises(p, n):
-            adj[p].add(q)
-            adj[q].add(p)
-    components = []
-    seen = set()
-    for p in parts:
-        if p in seen:
-            continue
-        comp = set()
-        stack = [p]
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            stack.extend(adj[x] - comp)
-        seen |= comp
-        components.append(frozenset(comp))
+            root[find(q)] = find(p)
+    components: dict = {}
     classes: dict = {}
     for p in parts:
-        classes.setdefault(weight_class(p, n), set()).add(p)
-    class_sets = {k: frozenset(v) for k, v in classes.items()}
-    split = []
-    for wc, members in class_sets.items():
-        covering = {comp for comp in components if comp & members}
-        if len(covering) != 1:
-            split.append({"class": wc, "members": sorted(members), "components": len(covering)})
-    return {
-        "n": n, "size": total,
-        "components": components,
-        "classes": class_sets,
-        "match": not split and len(components) == len(class_sets),
-        "split_classes": split,
-    }
+        components.setdefault(find(p), []).append(p)
+        classes.setdefault(weight_class(p, n), []).append(p)
+    split = [{"class": wc, "members": sorted(members)} for wc, members in classes.items()
+             if len({find(p) for p in members}) > 1]
+    return {"components": components, "classes": classes, "split_classes": split,
+            "match": not split and len(components) == len(classes)}
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +190,9 @@ def emit_sato_shuffle_generators(n: int, max_degree: int) -> str:
     its terms sit in degree |m| + n d.
     """
     lines = ["ring: X indexed by maya(charge;mu); char: 0"]
-    gens = []
-    for total in range(0, max_degree + 1):
-        for mu in partitions_of(total):
-            d = 1
-            while total + n * d <= max_degree:
-                image = shuffle_adjoint(n, d, basis_vector(mu, dual=True))
-                if image:
-                    terms = sorted(
-                        ((_serialize_maya(m), c) for m, c in image.coeffs.items()),
-                    )
-                    gens.append(_format_generator(terms))
-                d += 1
-    lines.extend(sorted(set(gens)))
+    gens = {_format_generator(sorted((_serialize_maya(m), c) for m, c in image.coeffs.items()))
+            for total in range(max_degree + 1) for image in _adjoint_images(n, total) if image}
+    lines.extend(sorted(gens))
     return "\n".join(lines) + "\n"
 
 

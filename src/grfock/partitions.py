@@ -3,14 +3,15 @@ the orders used by the straightening machinery (mlex, dominance and the
 n-jump covers), n-regularity, the gap/regularize maps, and n-cores.
 
 A partition is a plain tuple of weakly decreasing positive ints; () is empty.
-A Maya diagram is stored canonically as (charge, mu) where mu is a partition
-and the bead positions are i_k = (k-1) + charge - mu_k.  The charge-0
-partition label of a diagram is the transpose of mu.
+The n-jumps and n-cores run on its beta-numbers p_i + L - i.  Maya diagrams
+are the Fock space's type and its oracles' type, stored canonically as
+(charge, mu) where mu is a partition and the bead positions are
+i_k = (k-1) + charge - mu_k; the charge-0 partition label is mu's transpose.
 
 The oracles live beside their tests: tests/test_partitions.py holds the n-jump
 comparison by breadth-first search over the covers, the rim-hook n-core and
-the hook lengths; tests/oracles.py holds the bead lookups on one diagram that
-the bead-list oracle of the Fock space (tests/test_fock.py) composes.
+the hook lengths; tests/oracles.py holds the n-jumps as Maya squeezes and the
+bead lookups on one diagram that the Fock space's bead-list oracle composes.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ def check_partition(p) -> Partition:
     if any(map(lt, p, p[1:])):
         raise ValueError(f"parts not weakly decreasing in {p}")
     return p
-
-
-def size(p: Partition) -> int:
-    return sum(p)
 
 
 def transpose(p: Partition) -> Partition:
@@ -182,7 +179,7 @@ def compare_mlex(p: Partition, q: Partition) -> Cmp:
 
 def compare_dominance(p: Partition, q: Partition) -> Cmp:
     """Classical dominance by partial sums; partitions of different sizes are incomparable."""
-    if size(p) != size(q):
+    if sum(p) != sum(q):
         return Cmp.INCOMPARABLE
     if p == q:
         return Cmp.EQUAL
@@ -203,39 +200,26 @@ def compare_dominance(p: Partition, q: Partition) -> Cmp:
 
 
 def n_jump_raises(p: Partition, n: int) -> tuple[Partition, ...]:
-    """Partitions one n-jump above p.
+    """Partitions one n-jump above p, on the beta-numbers of p.
 
-    A move picks bead indices a < b of Maya(p) with i_a + n <= i_b, target
-    slots i_a + n and i_b - n distinct and unoccupied (apart from the moved
-    beads), and squeezes the pair together.  The label of the squeezed diagram
-    dominates p, so these are the covers above p in the n-jump order.
-
-    A valid lower bead i_b sits below tail_start + n (its target must be a hole
-    or the vacated upper slot), so a finite window sees every move.
+    The L = len(p) + n beads are b_i = p_i + L - i, with p padded by n zeros.  A
+    jump moves a bead x down to x - n and another bead y up to y + n, both onto
+    holes, with x < y + n; the label of the moved beads dominates p.  These are
+    the squeezes of a pair of Maya(p)'s beads, since the holes of Maya(p) are
+    p's beads shifted by -L; every slot below n holds a bead, so no jump leaves
+    the window.
     """
-    m = maya_of_partition(p)
-    hi = m.tail_start() + n
-    window = []
-    k = 1
-    while m.bead(k) < hi:
-        window.append(m.bead(k))
-        k += 1
-    bead_set = set(window)
+    p = check_partition(p)
+    L = len(p) + n
+    beads = {part + L - i for i, part in enumerate(p + (0,) * n, 1)}
+    downs = [x for x in beads if x >= n and x - n not in beads]
+    ups = [y for y in beads if y + n not in beads]
     out = set()
-    for ai in range(len(window)):
-        for bi in range(ai + 1, len(window)):
-            ia, ib = window[ai], window[bi]
-            if ia + n > ib:
-                continue
-            ta, tb = ia + n, ib - n
-            if ta == tb or {ta, tb} == {ia, ib}:
-                continue
-            others = bead_set - {ia, ib}
-            if ta in others or tb in others:
-                continue
-            m2 = maya_from_beads(sorted(others | {ta, tb}), hi)
-            out.add(partition_of_maya(m2))
-    out.discard(p)
+    for x in downs:
+        for y in ups:
+            if x != y and x < y + n:
+                moved = sorted(beads - {x, y} | {x - n, y + n}, reverse=True)
+                out.add(tuple(b - L + i for i, b in enumerate(moved, 1) if b - L + i))
     return tuple(sorted(out, reverse=True))
 
 
@@ -262,4 +246,4 @@ def n_core(p: Partition, n: int) -> Partition:
 
 def weight_class(p: Partition, n: int) -> tuple:
     """(n-core, size): the invariant shared by diagrams connected by n-jumps."""
-    return (n_core(p, n), size(p))
+    return (n_core(p, n), sum(p))

@@ -3,6 +3,8 @@ pass over Gr(k,n)(F_p) and the per-point tangent solve that the (type, cotype)
 strata replaced, the per-point S^T filter that the cell-wise solve replaced,
 the slot-vector form of that solve that the per-cell templates replaced,
 the shuffle's filter over bead subsets that the legal abacus moves replaced,
+the n-jumps as Maya squeezes and their components by depth-first search that
+the moves on beta-numbers and the union-find replaced,
 the per-triple degree-2 generators, grouped by weight, that the package's
 blocks per standardized weight replaced, the charged strip pass over
 semistandard tableaux that the vertex operator replaced, the prime-field scalar
@@ -19,6 +21,8 @@ from grfock.exterior import ExtTensor, ext_word_on_key, sort_with_sign
 from grfock.fock import _apply
 from grfock.grassmann import (SubspaceBasis, _affine_forms, _cell_rows, _echelon, _gather_source,
                               _residual, enumerate_points, is_invariant, st_forms)
+from grfock.partitions import (maya_from_beads, maya_of_partition, partition_of_maya,
+                               partitions_of, weight_class)
 from grfock.symfunc import KFMatrices, _charge_step, kf_transition_matrices
 
 
@@ -251,6 +255,87 @@ def shuffle_by_filter(n: int, d: int, v, offset: int):
             yield js[::-1], [j + offset for j in js]
 
     return _apply(v, n * d, moves)
+
+
+# ---------------------------------------------------------------------------
+# the n-jumps as Maya squeezes, and their components by depth-first search,
+# which the moves on beta-numbers and the union-find replaced
+
+
+def n_jump_raises_on_maya(p, n: int) -> tuple:
+    """Partitions one n-jump above p.
+
+    A move picks bead indices a < b of Maya(p) with i_a + n <= i_b, target
+    slots i_a + n and i_b - n distinct and unoccupied (apart from the moved
+    beads), and squeezes the pair together.  A valid lower bead i_b sits below
+    tail_start + n (its target must be a hole or the vacated upper slot), so a
+    finite window sees every move.
+    """
+    m = maya_of_partition(p)
+    hi = m.tail_start() + n
+    window = []
+    k = 1
+    while m.bead(k) < hi:
+        window.append(m.bead(k))
+        k += 1
+    bead_set = set(window)
+    out = set()
+    for ai in range(len(window)):
+        for bi in range(ai + 1, len(window)):
+            ia, ib = window[ai], window[bi]
+            if ia + n > ib:
+                continue
+            ta, tb = ia + n, ib - n
+            if ta == tb or {ta, tb} == {ia, ib}:
+                continue
+            others = bead_set - {ia, ib}
+            if ta in others or tb in others:
+                continue
+            m2 = maya_from_beads(sorted(others | {ta, tb}), hi)
+            out.add(partition_of_maya(m2))
+    out.discard(p)
+    return tuple(sorted(out, reverse=True))
+
+
+def n_dominance_components_by_search(n: int, total: int) -> dict:
+    """Connected components of the n-jump graph, by depth-first search, vs
+    (n-core, size) classes; each class is scanned against every component."""
+    parts = list(partitions_of(total))
+    adj = {p: set() for p in parts}
+    for p in parts:
+        for q in n_jump_raises_on_maya(p, n):
+            adj[p].add(q)
+            adj[q].add(p)
+    components = []
+    seen = set()
+    for p in parts:
+        if p in seen:
+            continue
+        comp = set()
+        stack = [p]
+        while stack:
+            x = stack.pop()
+            if x in comp:
+                continue
+            comp.add(x)
+            stack.extend(adj[x] - comp)
+        seen |= comp
+        components.append(frozenset(comp))
+    classes: dict = {}
+    for p in parts:
+        classes.setdefault(weight_class(p, n), set()).add(p)
+    class_sets = {k: frozenset(v) for k, v in classes.items()}
+    split = []
+    for wc, members in class_sets.items():
+        covering = {comp for comp in components if comp & members}
+        if len(covering) != 1:
+            split.append({"class": wc, "members": sorted(members), "components": len(covering)})
+    return {
+        "components": components,
+        "classes": class_sets,
+        "match": not split and len(components) == len(class_sets),
+        "split_classes": split,
+    }
 
 
 # ---------------------------------------------------------------------------

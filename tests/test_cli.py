@@ -16,6 +16,7 @@ from oracles import kf_with_d00_equal_to_t
 
 USAGE_ERRORS = [
     ["fpoints", "--p", "4"],
+    ["fpoints", "--p", "1"],
     ["tangent", "--p", "4"],
     ["straighten", "--n", "1"],
     ["kf", "--n", "0"],

@@ -404,3 +404,12 @@ def test_record_classes_keep_their_contracts():
                   lambda: _HSeries(1, {2: HPoly.gen(1)})):
         with pytest.raises(ValueError):
             build()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: cyclotomic_polynomial(0), "n must be >= 1"),
+    (lambda: IntMatrix.from_rows([]), "explicit column count"),
+], ids=["cyclotomic-0", "from_rows-empty"])
+def test_bad_input_raises_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -448,3 +448,14 @@ def test_tensor_product_rejects_mixed_dimensions_and_rings():
     # an int coefficient lifts into F_5
     lifted = tensor_product(_basis_wedge(3, (1,)), _basis_wedge(3, (2,), f5))
     assert lifted == TwoTensor(3, (1, 1), {((1,), (2,)): Fp(1, 5)})
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: epsilon_d((1, 2), (3,), 2), ValueError, "K must be a subset of J"),
+    (lambda: epsilon_d((1, 2, 3), (1, 2), 1), ValueError, r"need \|I\| = d >= \|K\|"),
+    (lambda: sym_operator_apply(1, ((1, 0), (0, 1)), ExtTensor(2, 1, {(1,): 1})),
+     TypeError, "need a SymPoly"),
+], ids=["epsilon-K-outside-J", "epsilon-d-below-K", "sym-operator-of-an-int"])
+def test_bad_input_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -101,6 +101,17 @@ def drop_every_n_jump(monkeypatch):
     monkeypatch.setattr(klmw, "n_jump_raises", lambda p, n: ())
 
 
+def drop_the_last_n_jump(monkeypatch):
+    n_jump_raises = klmw.n_jump_raises
+    monkeypatch.setattr(klmw, "n_jump_raises", lambda p, n: n_jump_raises(p, n)[:-1])
+
+
+def drop_the_last_adjoint_image(monkeypatch):
+    adjoint_images = klmw._adjoint_images
+    monkeypatch.setattr(klmw, "_adjoint_images",
+                        lambda n, total: list(adjoint_images(n, total))[:-1])
+
+
 # (fault, the suites that must fail under it)
 FAULTS = [
     (flip_the_clifford_sign_at_bit_3, [["clifford", "--n", "4", "--size", "4"],
@@ -124,6 +135,9 @@ FAULTS = [
     (double_z_of_two_part_partitions, [["det-identity", "--n", "2", "--k", "4"]]),
     (double_omega_of_degree_2, [["divided-powers"]]),
     (drop_every_n_jump, [["ndominance", "--n", "2", "--size", "4"]]),
+    (drop_the_last_n_jump, [["ndominance", "--n", "2", "--size", "4"],
+                            ["ndominance", "--n", "3", "--size", "6"]]),
+    (drop_the_last_adjoint_image, [["shuffle-span"], ["shuffle-span", "--n", "2", "--size", "6"]]),
 ]
 
 

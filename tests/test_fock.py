@@ -23,7 +23,6 @@ from grfock.partitions import (
     maya_of_partition,
     partition_of_maya,
     partitions_of,
-    size,
 )
 from oracles import bead_index, beads_below, is_bead, shuffle_by_filter
 
@@ -186,9 +185,9 @@ def test_shuffle_degree_and_charge_bookkeeping():
             for lam in partitions_of(total):
                 up = shuffle_adjoint(n, d, dual(lam))
                 assert up.charge == 0
-                assert all(size(q) == total + n * d for q in labels(up))
+                assert all(sum(q) == total + n * d for q in labels(up))
                 down = shuffle(n, d, basis_vector(lam))
-                assert all(size(q) == total - n * d for q in labels(down))
+                assert all(sum(q) == total - n * d for q in labels(down))
 
 
 def test_adjointness_pairing():
@@ -319,3 +318,15 @@ def test_bad_vectors_and_pairings_raise():
         pairing(vac, vac)
     with pytest.raises(ValueError):
         pairing(psi(-1, dual(())), vac)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: shuffle(1, 1, basis_vector(())),
+    lambda: shuffle(2, 0, basis_vector(())),
+    lambda: shuffle_adjoint(1, 1, dual(())),
+    lambda: shuffle_adjoint(2, 0, dual(())),
+    lambda: alpha(0, dual(())),
+], ids=["shuffle-n1", "shuffle-d0", "shuffle_adjoint-n1", "shuffle_adjoint-d0", "alpha-d0"])
+def test_shuffles_reject_n_below_2_and_d_below_1(call):
+    with pytest.raises(ValueError, match="need"):
+        call()

@@ -508,3 +508,13 @@ def test_lr_cotypes_are_the_schur_products_that_hold_s_lam():
                 assert _lr_cotypes(lam, mu) == want, (lam, mu)
                 cases += 1
     assert cases == 110  # 109 with lam != ()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: next(standard_weights(2, 3, 4)), "need n >= k >= l >= 0"),
+    (lambda: next(enumerate_points(4, 3, 1)), "4 is not prime"),
+], ids=["standard-weights-k-below-l", "enumerate-points-p4"])
+def test_bad_input_raises_value_error(call, match):
+    # both are generators, so the first item is what runs the check
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -6,16 +6,19 @@ import pytest
 
 from grfock import klmw
 from grfock.exact import poly_repr
-from grfock.klmw import d_matrix, kf_compare, shuffle_span_dim, straighten_coeffs
+from grfock.klmw import (d_matrix, kf_compare, n_dominance_components, shuffle_span_dim,
+                         straighten_coeffs)
 from grfock.partitions import (
     Cmp,
     compare_mlex,
     is_n_regular,
     mlex_key,
+    n_jump_raises,
     n_regular_partitions,
     partitions_of,
 )
-from oracles import kf_with_d00_equal_to_t
+import oracles
+from oracles import kf_with_d00_equal_to_t, n_dominance_components_by_search
 
 
 def test_straighten_trace_repeats_across_calls():
@@ -87,3 +90,30 @@ def test_the_mismatch_witness_prints_d_of_t_as_text():
     error = "D((2,),(2,)) at zeta_3 is not an integer: t mod Phi_3"
     with pytest.raises(ArithmeticError, match=f"^{re.escape(error)}$"):
         kf_compare(3, 2, kf_with_d00_equal_to_t(2, 3))
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_straightening_rejects_n_below_2(n):
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        straighten_coeffs(n, 3)
+
+
+@pytest.mark.parametrize("thinned", [False, True], ids=["every-jump", "all-but-the-last-jump"])
+def test_n_dominance_components_match_the_search_oracle(thinned, monkeypatch):
+    # with each partition's last raise dropped, classes split, on both sides alike
+    if thinned:
+        jumps = lambda p, n: n_jump_raises(p, n)[:-1]
+        monkeypatch.setattr(klmw, "n_jump_raises", jumps)
+        monkeypatch.setattr(oracles, "n_jump_raises_on_maya", jumps)
+    splits = 0
+    for n in (2, 3, 4):
+        for total in range(13):
+            got = n_dominance_components(n, total)
+            want = n_dominance_components_by_search(n, total)
+            assert {frozenset(c) for c in got["components"].values()} == set(want["components"])
+            assert {wc: frozenset(c) for wc, c in got["classes"].items()} == want["classes"]
+            assert got["split_classes"] == [{"class": s["class"], "members": s["members"]}
+                                            for s in want["split_classes"]], (n, total)
+            assert got["match"] == want["match"]
+            splits += len(got["split_classes"])
+    assert (splits > 0) == thinned

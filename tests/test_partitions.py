@@ -13,11 +13,10 @@ from grfock.partitions import (
     n_jump_raises,
     partition_of_maya,
     partitions_of,
-    size,
     transpose,
     weight_class,
 )
-from oracles import beads_below, is_bead
+from oracles import beads_below, is_bead, n_jump_raises_on_maya
 
 
 @st.composite
@@ -58,7 +57,7 @@ def test_bijection_roundtrip(p):
 @given(partition_st())
 def test_transpose_involution(p):
     assert transpose(transpose(p)) == p
-    assert size(transpose(p)) == size(p)
+    assert sum(transpose(p)) == sum(p)
 
 
 def test_maya_roundtrip_via_beads_all_small():
@@ -94,7 +93,7 @@ def test_gap_infinite_iff_regular(p, n):
         assert rho == p
     else:
         # rho drops exactly n parts equal to the gap value
-        assert size(rho) == size(p) - n * ell
+        assert sum(rho) == sum(p) - n * ell
         removed = sorted(p)
         for _ in range(n):
             removed.remove(ell)
@@ -140,7 +139,7 @@ def _n_jump_up_closure(p, n) -> set:
 
 def _compare_n_jump(p, q, n) -> Cmp:
     """Oracle: breadth-first search over the n-jump covers; GREATER refines dominance."""
-    if size(p) != size(q):
+    if sum(p) != sum(q):
         return Cmp.INCOMPARABLE
     if p == q:
         return Cmp.EQUAL
@@ -157,6 +156,7 @@ def test_compare_examples():
     assert _compare_n_jump((1, 1, 1), (3,), 2) is Cmp.LESS
     assert compare_mlex((2, 2), (2, 2)) is Cmp.EQUAL
     assert compare_dominance((3, 1), (2, 2)) is Cmp.GREATER
+    assert compare_dominance((2, 2), (3, 1)) is Cmp.LESS
     assert compare_dominance((3, 1, 1, 1), (2, 2, 2)) is Cmp.INCOMPARABLE
     assert compare_dominance((2,), (1,)) is Cmp.INCOMPARABLE
 
@@ -187,12 +187,19 @@ def test_n_jump_refines_dominance_exhaustive(n):
                 for r in n_jump_raises(x, n):
                     assert compare_dominance(r, x) is Cmp.GREATER, (n, x, r)
                     assert weight_class(r, n) == weight_class(x, n)
-                    assert size(r) == size(x)
+                    assert sum(r) == sum(x)
 
 
 def test_two_jump_pair_example():
     # (2) is one 2-jump above (1,1): beads (-2,1) -> (0,-1)
     assert n_jump_raises((1, 1), 2) == ((2,),)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_n_jump_raises_match_the_maya_oracle_exhaustive(n):
+    for total in range(15):
+        for p in partitions_of(total):
+            assert n_jump_raises(p, n) == n_jump_raises_on_maya(p, n), (p, n)
 
 
 # ---------------------------------------------------------------------------
@@ -255,4 +262,19 @@ def test_n_core_matches_rim_hook_oracle_exhaustive(n):
 def test_n_core_is_idempotent_and_core_regularish(p, n):
     c = n_core(p, n)
     assert n_core(c, n) == c
-    assert (size(p) - size(c)) % n == 0
+    assert (sum(p) - sum(c)) % n == 0
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: is_n_regular((1, 1), 1), "n must be >= 2"),
+    (lambda: gap_and_regularize((1, 1), 1), "n must be >= 2"),
+    (lambda: n_core((1, 1), 1), "n must be >= 2"),
+    (lambda: n_jump_raises((1, 2), 2), "not weakly decreasing"),
+    (lambda: maya_from_beads([-1, 2], 2), "bead at or above tail_start"),
+    (lambda: maya_from_beads([-1, -1], 2), "repeated bead"),
+    (lambda: partition_of_maya(maya_from_beads([], 1)), "charge-0"),
+], ids=["is_n_regular-n1", "gap_and_regularize-n1", "n_core-n1", "n_jump-of-a-non-partition",
+        "bead-at-tail-start", "repeated-bead", "partition-of-charge-1"])
+def test_bad_input_raises_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

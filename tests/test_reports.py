@@ -1,5 +1,5 @@
 """Every suite's report at default parameters is pinned by its digest (12
-pins), and so are 30 heavier parameter sets: of the Fock-side, finite-field,
+pins), and so are 31 heavier parameter sets: of the Fock-side, finite-field,
 tangent, Clifford, Pluecker-ideal, T-shuffle export, divided-power,
 determinant-identity and n-dominance suites, and of the Kostka-Foulkes check at
 n = 2, 3 and 5.  Only ``signs`` has no heavy pin.
@@ -74,6 +74,9 @@ HEAVY = {
     # its witness has 7 terms, so the sorted order of HPoly's repr is pinned
     "det-identity --n 5 --k 5": "03de193af40d5727cf7e11bf6fff1a52d4bb3447b8dbfae84cdf705bc0eb7c2a",
     "ndominance --n 2 --size 18": "73e6e5075c2a32b20a15bc31d14f642fd83b49336a6b4006bf53bd543357cfb1",
+    # made by the Maya squeezes and the depth-first search that the moves on
+    # beta-numbers and the union-find replaced
+    "ndominance --n 3 --size 16": "20cf58d3d2262a77032693950974d23f577d431edc79a4c9d47b5138f0b15484",
 }
 
 

@@ -676,3 +676,12 @@ def test_sym_poly_rejects_mixed_variable_counts():
         x + SymPoly(3, {})
     with pytest.raises(ValueError):
         x * SymPoly(3, {})
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: det_coeffs_principal_nilpotent(0, 1), ValueError, "need n >= 1 and K >= 1"),
+    (lambda: m_poly((1, 1, 1), 2), DegreeOverflowError, "needs at least 3 variables"),
+], ids=["det-n0", "m-poly-too-many-parts"])
+def test_bad_input_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

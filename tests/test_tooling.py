@@ -64,11 +64,11 @@ PINNED_ONLY_BY_TESTS = {
     "grassmann.plucker_vector": "test_minors.py::test_plucker_vector_matches_leibniz_mod_p",
     "grassmann.enumerate_points": "test_minors.py::test_plucker_vector_matches_leibniz_mod_p",
     "grassmann.SubspaceBasis.k": "test_grassmann.py::test_tangent_dim_gt_counts_the_first_order_deformations",
-    "exact.lattice_rank": "test_exact.py::test_lattice_basis_gives_rank_and_equality",
     "fock.psi_key": "test_fock.py::test_generators_match_the_oracle",
     "fock.psi_star_key": "test_fock.py::test_generators_match_the_oracle",
     "fock._on_key": "test_fock.py::test_generators_match_the_oracle",
     "partitions.MayaDiagram.beads": "test_partitions.py::test_maya_beads_and_membership",
+    "partitions.maya_from_beads": "test_partitions.py::test_maya_roundtrip_via_beads_all_small",
     # usage-error paths of the command line, and its --out
     "cli._Parser.error": "test_cli.py::test_unknown_suite_and_unparsable_flag_exit_2",
     "cli._parse_jordan": "test_cli.py::test_unknown_suite_and_unparsable_flag_exit_2",
